@@ -7,8 +7,10 @@ check failed, 2 the input was invalid (parse error or invalid state).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import math
 import os
 import sys
 
@@ -35,13 +37,7 @@ from .kraus import (
     verify_channel,
 )
 from .linalg import EPS, expm_hermitian_generator, norm_max
-from .serialize import DecodeError
-from .states import (
-    StateValidationError,
-    density_to_bloch,
-    density_violations,
-    trace_distance,
-)
+from .states import StateValidationError, density_to_bloch, trace_distance
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -64,40 +60,18 @@ class InputError(Exception):
     """Anything wrong with the inputs; maps to exit code 2."""
 
 
-def _load_json(path: str):
+def _load(path: str, decode, *args):
+    """Read the JSON file at ``path`` and return ``decode(obj, *args)``.
+
+    Every way the file can be unreadable or invalid is an InputError.
+    """
     try:
-        return serialize.load(path)
-    except FileNotFoundError as exc:
-        raise InputError(f"{path}: no such file") from exc
+        return decode(serialize.load(path), *args)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: JSON parse error: {exc}") from exc
-
-
-def _load_state(path: str):
-    try:
-        return serialize.state_from_json(_load_json(path))
-    except (DecodeError, StateValidationError, ValueError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _load_kraus(path: str):
-    try:
-        return serialize.kraus_from_json(_load_json(path))
-    except (DecodeError, ValueError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _load_matrix(path: str):
-    try:
-        return serialize.matrix_from_json(_load_json(path))
-    except (DecodeError, ValueError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _load_scenario(path: str):
-    try:
-        return serialize.scenario_from_json(_load_json(path))
-    except (DecodeError, StateValidationError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -111,28 +85,22 @@ def _emit(obj, out: str | None) -> None:
 
 
 def cmd_validate(args) -> int:
-    obj = _load_json(args.state)
-    if isinstance(obj, dict) and "bloch" in obj:
-        state = _load_state(args.state)
-        print(json.dumps({"valid": True, "dim": state.dim}))
-        return EXIT_OK
-    if not (isinstance(obj, dict) and "matrix" in obj):
-        raise InputError(f"{args.state}: state object needs a 'bloch' or 'matrix' key")
     try:
-        mat = serialize.matrix_from_json(obj["matrix"])
-    except DecodeError as exc:
-        raise InputError(f"{args.state}: {exc}") from exc
-    violations = density_violations(mat, tol=args.tol)
-    if violations:
-        print(json.dumps({"valid": False, "violations": violations}))
+        state = _load(args.state, serialize.state_from_json, args.tol)
+    except InputError as exc:
+        if not isinstance(exc.__cause__, StateValidationError):
+            raise
+        print(json.dumps({"valid": False, "violations": exc.__cause__.violations}))
         return EXIT_INVALID
-    print(json.dumps({"valid": True, "dim": mat.shape[0]}))
+    print(json.dumps({"valid": True, "dim": state.dim}))
     return EXIT_OK
 
 
 def cmd_kraus(args) -> int:
-    rho0 = _load_state(args.rho0)
-    rhot = _load_state(args.rhot)
+    rho0 = _load(args.rho0, serialize.state_from_json, args.tol)
+    rhot = _load(args.rhot, serialize.state_from_json, args.tol)
+    if rho0.dim != rhot.dim or (args.method != "measure-prepare" and rho0.dim != 2):
+        raise InputError(f"--method {args.method} cannot connect states of dims {rho0.dim} and {rhot.dim}")
     if args.method == "general":
         k = general_qubit_kraus(rho0, rhot)
     elif args.method == "closed-form":
@@ -146,7 +114,7 @@ def cmd_kraus(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    h, joint = _load_scenario(args.scenario)
+    h, joint = _load(args.scenario, serialize.scenario_from_json, args.tol)
     t = args.t
     evolved = evolve_joint(h, joint, t)
     rho_t = reduced_state(evolved)
@@ -172,19 +140,23 @@ def cmd_evolve(args) -> int:
     return EXIT_OK if residual <= args.tol else EXIT_NUMERIC
 
 
-def _sweep_rows(args, h, joint, scenario_obj):
+def _sweep_scenario(obj, tol: float):
+    """(h, joint, sc): ``sc`` is the CnotScenario whose closed forms a CNOT sweep checks."""
+    h, joint = serialize.scenario_from_json(obj, tol)
+    return h, joint, CnotScenario(float(obj["r0"])) if obj["scenario"] == "cnot" else None
+
+
+def _sweep_rows(args, h, joint, sc):
     if args.steps < 2:
         raise InputError(f"steps must be >= 2, got {args.steps}")
     if args.t_end == args.t_start:
         raise InputError("degenerate grid: t_start equals t_end")
-    is_cnot = scenario_obj.get("scenario") == "cnot"
-    sc = CnotScenario(float(scenario_obj["r0"])) if is_cnot else None
     rho0 = joint.reduced_system()
     for t in np.linspace(args.t_start, args.t_end, args.steps):
         t = float(t)
         numeric = reduced_state(evolve_joint(h, joint, t))
         inhom = delta_rho(h, joint, t)
-        if is_cnot:
+        if sc is not None:
             analytic = cnot_analytic_rho(sc, t)
             k = cnot_analytic_kraus(sc, t)
             r_t = sc.r_t(t)
@@ -209,22 +181,16 @@ def _sweep_rows(args, h, joint, scenario_obj):
 
 
 def cmd_sweep(args) -> int:
-    scenario_obj = _load_json(args.scenario)
-    h, joint = _load_scenario(args.scenario)
-    fmt = args.format or "csv"
-    rows = list(_sweep_rows(args, h, joint, scenario_obj))
-    if fmt == "json":
+    h, joint, sc = _load(args.scenario, _sweep_scenario, args.tol)
+    rows = list(_sweep_rows(args, h, joint, sc))
+    if args.format == "json":
         _emit(rows, args.out)
     else:
-        fh = open(args.out, "w", newline="") if args.out else sys.stdout
-        try:
+        with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
             for row in rows:
                 writer.writerow([f"{row[col]:.12g}" for col in CSV_HEADER])
-        finally:
-            if args.out:
-                fh.close()
     residual_cols = [
         "completeness_residual",
         "reconstruction_residual",
@@ -235,17 +201,20 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    k = _load_kraus(args.kraus)
-    rho0 = _load_state(args.rho0)
-    rhot = _load_state(args.rhot)
-    report = verify_channel(k, rho0, rhot)
+    k = _load(args.kraus, serialize.kraus_from_json)
+    rho0 = _load(args.rho0, serialize.state_from_json, args.tol)
+    rhot = _load(args.rhot, serialize.state_from_json, args.tol)
+    try:
+        report = verify_channel(k, rho0, rhot)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     print(json.dumps(serialize.report_to_json(report), indent=2))
     return EXIT_OK if report.passes(args.tol) else EXIT_NUMERIC
 
 
 def cmd_remix(args) -> int:
-    k = _load_kraus(args.kraus)
-    v = _load_matrix(args.unitary)
+    k = _load(args.kraus, serialize.kraus_from_json)
+    v = _load(args.unitary, serialize.matrix_from_json)
     try:
         remixed = unitary_remix(k, v, tol=args.tol)
     except ValueError as exc:
@@ -255,7 +224,7 @@ def cmd_remix(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    u = _load_matrix(args.unitary)
+    u = _load(args.unitary, serialize.matrix_from_json)
     d_i, d_e = args.dims
     try:
         factors = factor_local_unitary(u, (d_i, d_e), tol=args.tol)
@@ -276,20 +245,21 @@ def cmd_factor(args) -> int:
     return EXIT_OK
 
 
+def finite(text: str) -> float:
+    """argparse type: a finite float (the name shows in argparse's error)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    default_tol = float(os.environ.get("KRAUSLAB_TOL", EPS))
     parser = argparse.ArgumentParser(
         prog="krauslab",
         description="Construct and verify Kraus representations for open qubit systems.",
     )
-    parser.add_argument("--tol", type=float, default=default_tol, help="absolute tolerance (max-norm)")
-    parser.add_argument(
-        "--format",
-        choices=["json", "csv"],
-        default=None,
-        help="output format (default: csv for sweep, json otherwise)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed for sampling-based commands")
+    default_tol = os.environ.get("KRAUSLAB_TOL", str(EPS))
+    parser.add_argument("--tol", type=finite, default=default_tol, help="absolute tolerance (max-norm)")
     parser.add_argument("--out", default=None, help="write primary output to this path")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -309,14 +279,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="evolve a scenario and report the inhomogeneous term")
     p.add_argument("scenario")
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=finite, required=True)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("sweep", help="tabulate scenario quantities over a time grid")
     p.add_argument("scenario")
-    p.add_argument("--t-start", type=float, required=True)
-    p.add_argument("--t-end", type=float, required=True)
+    p.add_argument("--t-start", type=finite, required=True)
+    p.add_argument("--t-end", type=finite, required=True)
     p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--format", choices=["csv", "json"], default="csv", help="row format")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="verify a Kraus set against a state pair")

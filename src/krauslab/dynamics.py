@@ -41,11 +41,15 @@ class CompositeState:
                 f"joint dim {self.mat.dim} does not equal d_i * d_e = {self.d_i * self.d_e}"
             )
 
+    # Tracing out a d-dimensional factor can grow the joint state's Hermiticity
+    # and positivity residuals by at most a factor d.
     def reduced_system(self) -> DensityMatrix:
-        return DensityMatrix(partial_trace(self.mat.mat, (self.d_i, self.d_e), keep=0))
+        rho = partial_trace(self.mat.mat, (self.d_i, self.d_e), keep=0)
+        return DensityMatrix(rho, tol=self.d_e * self.mat.tol)
 
     def reduced_environment(self) -> DensityMatrix:
-        return DensityMatrix(partial_trace(self.mat.mat, (self.d_i, self.d_e), keep=1))
+        rho = partial_trace(self.mat.mat, (self.d_i, self.d_e), keep=1)
+        return DensityMatrix(rho, tol=self.d_i * self.mat.tol)
 
 
 def evolve_joint(h: np.ndarray, s: CompositeState, t: float) -> CompositeState:
@@ -55,7 +59,7 @@ def evolve_joint(h: np.ndarray, s: CompositeState, t: float) -> CompositeState:
         raise ValueError(f"Hamiltonian shape {h.shape} does not match joint dim {s.mat.dim}")
     u = expm_hermitian_generator(h, t)
     evolved = u @ s.mat.mat @ dag(u)
-    return CompositeState(mat=DensityMatrix(evolved, tol=100 * EPS), d_i=s.d_i, d_e=s.d_e)
+    return CompositeState(mat=DensityMatrix(evolved, tol=100 * s.mat.tol), d_i=s.d_i, d_e=s.d_e)
 
 
 def reduced_state(s: CompositeState) -> DensityMatrix:
@@ -118,7 +122,7 @@ class CnotScenario:
     r0: float
 
     def __post_init__(self):
-        if self.r0 < -EPS or self.r0 > 1 + EPS:
+        if not -EPS <= self.r0 <= 1 + EPS:
             raise ValueError(f"r0 = {self.r0} outside [0, 1]")
         if self.r0 <= EPS or self.r0 >= 1 - EPS:
             warnings.warn(

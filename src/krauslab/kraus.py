@@ -192,7 +192,7 @@ def factorable_kraus(u_ie: np.ndarray, rho_e0: DensityMatrix, d_i: int, tol: flo
     res = unitarity_residual(u_ie)
     if res > 10 * tol:
         raise ValueError(f"joint evolution is not unitary: residual {res:.3e}")
-    env = eigh(rho_e0.mat, tol=10 * tol)
+    env = eigh(rho_e0.mat, tol=rho_e0.tol)
     # u as tensor [i_out, e_out, i_in, e_in]
     u_t = u_ie.reshape(d_i, d_e, d_i, d_e)
     ops = []
@@ -214,8 +214,8 @@ def measure_prepare_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSet:
     """
     if rho0.dim != rhot.dim:
         raise ValueError(f"dimension mismatch: {rho0.dim} vs {rhot.dim}")
-    target = eigh(rhot.mat)
-    source = eigh(rho0.mat)
+    target = eigh(rhot.mat, tol=rhot.tol)
+    source = eigh(rho0.mat, tol=rho0.tol)
     ops = []
     for j in range(rhot.dim):
         q = max(float(target.values[j]), 0.0)

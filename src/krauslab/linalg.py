@@ -40,10 +40,6 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return norm_max(m - dag(m))
 
 
-def is_hermitian(m: np.ndarray, tol: float = EPS) -> bool:
-    return hermiticity_residual(m) <= tol
-
-
 def unitarity_residual(u: np.ndarray) -> float:
     return norm_max(dag(u) @ u - identity(u.shape[0]))
 

@@ -6,15 +6,17 @@ data row-major.  Decimal round-trip is good to full double precision.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import asdict
 from typing import Any
 
 import numpy as np
 
-from .dynamics import CnotScenario, CompositeState
+from .dynamics import CnotScenario, CompositeState, cnot_hamiltonian
 from .kraus import ChannelReport, KrausSet, kraus_set
-from .states import BlochVector, DensityMatrix, bloch_to_density, validate_density
+from .linalg import EPS, dag, hermiticity_residual
+from .states import BlochVector, DensityMatrix, bloch_matrix, validate_density
 
 
 class DecodeError(ValueError):
@@ -33,12 +35,17 @@ def matrix_to_json(m: np.ndarray) -> dict[str, Any]:
 def matrix_from_json(obj: Any) -> np.ndarray:
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:
         raise DecodeError(f"not a matrix object: missing {exc}") from exc
-    if len(data) != rows * cols:
-        raise DecodeError(f"matrix data length {len(data)} != rows*cols = {rows * cols}")
-    flat = np.array([complex(re, im) for re, im in data])
-    return flat.reshape(rows, cols)
+    try:
+        values = [complex(re, im) for re, im in data]
+    except (TypeError, ValueError) as exc:
+        raise DecodeError(f"matrix data must be a list of [re, im] number pairs: {exc}") from exc
+    if len(values) != rows * cols:
+        raise DecodeError(f"matrix data length {len(values)} != rows*cols = {rows * cols}")
+    if not all(map(cmath.isfinite, values)):
+        raise DecodeError("matrix data has a non-finite entry")
+    return np.array(values).reshape(rows, cols)
 
 
 def state_to_json(state: DensityMatrix | BlochVector) -> dict[str, Any]:
@@ -47,21 +54,25 @@ def state_to_json(state: DensityMatrix | BlochVector) -> dict[str, Any]:
     return {"matrix": matrix_to_json(state.mat)}
 
 
-def state_from_json(obj: Any, tol: float | None = None) -> DensityMatrix:
-    """Decode either encoding of a state; Bloch input is converted."""
+def state_from_json(obj: Any, tol: float = EPS) -> DensityMatrix:
+    """Decode either encoding of a state and validate it at ``tol``.
+
+    A Bloch radius is bounded by positivity, so ``tol`` governs it exactly as
+    it governs the smallest eigenvalue of a matrix state.
+    """
     if not isinstance(obj, dict):
         raise DecodeError("state must be a JSON object")
     if "bloch" in obj:
-        b = obj["bloch"]
         try:
-            return bloch_to_density(BlochVector(float(b["r"]), float(b["theta"]), float(b["phi"])))
-        except (TypeError, KeyError) as exc:
+            r, theta, phi = (float(obj["bloch"][key]) for key in ("r", "theta", "phi"))
+            direction = BlochVector(1.0, theta, phi).cartesian()  # checks the angles are finite
+        except (TypeError, KeyError, ValueError) as exc:
             raise DecodeError(f"bad bloch object: {exc}") from exc
+        if not r >= 0:
+            raise DecodeError(f"Bloch radius must be >= 0, got {r}")
+        return validate_density(bloch_matrix(r * direction), tol=tol)
     if "matrix" in obj:
-        mat = matrix_from_json(obj["matrix"])
-        if tol is None:
-            return validate_density(mat)
-        return validate_density(mat, tol=tol)
+        return validate_density(matrix_from_json(obj["matrix"]), tol=tol)
     raise DecodeError("state object needs a 'bloch' or 'matrix' key")
 
 
@@ -85,19 +96,18 @@ def report_to_json(report: ChannelReport) -> dict[str, float]:
     return asdict(report)
 
 
-def scenario_from_json(obj: Any) -> tuple[np.ndarray, CompositeState]:
+def scenario_from_json(obj: Any, tol: float = EPS) -> tuple[np.ndarray, CompositeState]:
     """Decode a scenario document into (hamiltonian, initial joint state).
 
     Two forms: {"scenario": "cnot", "r0": x} or
     {"scenario": "custom", "hamiltonian": <matrix>, "rho_ie0": <matrix>,
-    "dims": [d_i, d_e]}.
+    "dims": [d_i, d_e]}.  A custom Hamiltonian must be Hermitian within
+    ``tol``; its Hermitian part is returned.
     """
     if not isinstance(obj, dict) or "scenario" not in obj:
         raise DecodeError("scenario object needs a 'scenario' key")
     kind = obj["scenario"]
     if kind == "cnot":
-        from .dynamics import cnot_hamiltonian
-
         try:
             sc = CnotScenario(float(obj["r0"]))
         except (TypeError, KeyError) as exc:
@@ -110,8 +120,15 @@ def scenario_from_json(obj: Any) -> tuple[np.ndarray, CompositeState]:
             d_i, d_e = (int(d) for d in obj["dims"])
         except (TypeError, KeyError, ValueError) as exc:
             raise DecodeError(f"bad custom scenario: {exc}") from exc
-        joint = CompositeState(mat=validate_density(rho), d_i=d_i, d_e=d_e)
-        return h, joint
+        if min(d_i, d_e) < 1:
+            raise DecodeError(f"dims must be positive, got [{d_i}, {d_e}]")
+        if h.shape != (d_i * d_e, d_i * d_e):
+            raise DecodeError(f"hamiltonian shape {h.shape} does not match d_i*d_e = {d_i * d_e}")
+        herm = hermiticity_residual(h)
+        if not herm <= tol:
+            raise DecodeError(f"hamiltonian is not Hermitian: residual {herm:.3e} > tol {tol:.3e}")
+        joint = CompositeState(mat=validate_density(rho, tol=tol), d_i=d_i, d_e=d_e)
+        return (h + dag(h)) / 2, joint
     raise DecodeError(f"unknown scenario kind {kind!r}")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,14 +30,17 @@ def density_violations(m: np.ndarray, tol: float = EPS) -> dict[str, float]:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         out["square"] = float("inf")
         return out
+    # Each check is written so that a NaN residual fails it.
     herm = norm_max(m - dag(m))
-    if herm > tol:
+    if not herm <= tol:
         out["hermitian"] = herm
     tr = abs(np.trace(m) - 1.0)
-    if tr > tol:
+    if not tr <= tol:
         out["unit_trace"] = float(tr)
+    if not math.isfinite(herm):
+        return out  # a non-finite entry, on which eigvalsh may not converge
     eigs = np.linalg.eigvalsh((m + dag(m)) / 2)
-    if eigs[0] < -tol:
+    if not eigs[0] >= -tol:
         out["positive"] = float(-eigs[0])
     return out
 
@@ -120,12 +124,16 @@ class DiagonalizedState:
         return self.basis @ self.diagonal() @ dag(self.basis)
 
 
+def bloch_matrix(v: np.ndarray) -> np.ndarray:
+    """(I + v . sigma) / 2 for a real 3-vector v, not validated."""
+    x, y, z = v
+    return 0.5 * (identity(2) + x * pauli_x + y * pauli_y + z * pauli_z)
+
+
 def bloch_to_density(b: BlochVector) -> DensityMatrix:
     """rho = (I + r . sigma) / 2."""
-    x, y, z = b.cartesian()
-    mat = 0.5 * (identity(2) + x * pauli_x + y * pauli_y + z * pauli_z)
     # Radii within EPS of 1 can push the smallest eigenvalue barely negative.
-    return DensityMatrix(mat, tol=10 * EPS)
+    return DensityMatrix(bloch_matrix(b.cartesian()), tol=10 * EPS)
 
 
 def density_to_bloch(d: DensityMatrix) -> BlochVector:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from krauslab import general_qubit_kraus, kron, pauli_x, pauli_z
+from krauslab import general_qubit_kraus, kron, pauli_x, pauli_z, validate_density
 from krauslab.cli import CSV_HEADER, main
 from krauslab.linalg import norm_max
 from krauslab.serialize import dump, kraus_to_json, matrix_from_json, matrix_to_json, state_to_json
@@ -215,3 +215,139 @@ def test_tol_env_override(tmp_path, rng, monkeypatch, capsys):
 
     args = build_parser().parse_args(["validate", "x"])
     assert args.tol == 1e-3
+
+
+def _nan_state(i, j):
+    m = np.eye(2, dtype=complex) / 2
+    m[i, j] = np.nan
+    return {"matrix": matrix_to_json(m)}
+
+
+def _custom(h, dims=(2, 2), rho=None):
+    return {
+        "scenario": "custom",
+        "hamiltonian": matrix_to_json(h),
+        "rho_ie0": matrix_to_json(np.eye(4) / 4 if rho is None else rho),
+        "dims": list(dims),
+    }
+
+
+def _non_hermitian():
+    h = kron(pauli_x, pauli_z)
+    h[0, 1] = 1.0
+    return h
+
+
+BAD_STATES = {
+    **{f"nan-{i}{j}": _nan_state(i, j) for i in range(2) for j in range(2)},
+    "data-not-pairs": {"matrix": {"rows": 2, "cols": 2, "data": [0.5, 0, 0, 0.5]}},
+    "bloch-nan": {"bloch": {"r": 0.5, "theta": float("nan"), "phi": 0.0}},
+}
+BAD_SCENARIOS = {
+    "hamiltonian-not-hermitian": _custom(_non_hermitian()),
+    "hamiltonian-2x2-for-dims-2x2": _custom(np.eye(2)),
+    "hamiltonian-4x2": _custom(np.zeros((4, 2))),
+    "hamiltonian-data-not-pairs": {
+        **_custom(np.eye(4)),
+        "hamiltonian": {"rows": 4, "cols": 4, "data": [1] * 16},
+    },
+    "dims-negative": _custom(np.eye(4), dims=(-2, -2)),
+    "cnot-r0-nan": {"scenario": "cnot", "r0": float("nan")},
+}
+CONTRACT_CASES = [
+    *(
+        (name, doc, argv)
+        for name, doc in BAD_STATES.items()
+        for argv in (["validate", "{bad}"], ["kraus", "{bad}", "{good}"], ["kraus", "{good}", "{bad}"])
+    ),
+    *(
+        (name, doc, argv)
+        for name, doc in BAD_SCENARIOS.items()
+        for argv in (
+            ["evolve", "{bad}", "--t", "1"],
+            ["sweep", "{bad}", "--t-start", "0", "--t-end", "1", "--steps", "3"],
+        )
+    ),
+    ("qutrit-general", {"matrix": matrix_to_json(np.eye(3) / 3)}, ["kraus", "{bad}", "{bad}"]),
+    ("qutrit-to-qubit", {"matrix": matrix_to_json(np.eye(3) / 3)},
+     ["kraus", "{bad}", "{good}", "--method", "measure-prepare"]),
+    ("qutrit-vs-qubit-kraus-set", {"matrix": matrix_to_json(np.eye(3) / 3)},
+     ["verify", "{kraus}", "{bad}", "{bad}"]),
+    ("no-such-file", None, ["validate", "{bad}"]),
+    ("directory", None, ["validate", "{dir}"]),
+]
+
+
+@pytest.mark.parametrize(
+    "doc,argv", [case[1:] for case in CONTRACT_CASES], ids=[f"{c[0]}-{c[2][0]}" for c in CONTRACT_CASES]
+)
+def test_invalid_input_exits_2(tmp_path, doc, argv, capsys):
+    """Every invalid input gives exit 2 with a message, never an exception."""
+    mixed = validate_density(np.eye(2) / 2)
+    good = write_state(tmp_path, "good.json", mixed)
+    bad = str(tmp_path / "bad.json")
+    if doc is not None:
+        dump(doc, bad)
+    kraus = str(tmp_path / "k.json")
+    dump(kraus_to_json(general_qubit_kraus(mixed, mixed)), kraus)
+    paths = {"good": good, "bad": bad, "kraus": kraus, "dir": str(tmp_path)}
+    assert main([a.format(**paths) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"matrix": matrix_to_json(np.diag([1 + 1e-6, -1e-6]))},
+        {"bloch": {"r": 1 + 2e-6, "theta": 0.4, "phi": 1.0}},
+    ],
+    ids=["matrix", "bloch"],
+)
+def test_tol_gives_one_verdict_for_validate_and_kraus(tmp_path, doc, capsys):
+    """A state 1e-6 from positive is valid at --tol 1e-5 and invalid at 1e-7, for every command."""
+    state = str(tmp_path / "state.json")
+    dump(doc, state)
+    good = write_state(tmp_path, "good.json", validate_density(np.eye(2) / 2))
+    for tol, expected in (("1e-5", 0), ("1e-7", 2)):
+        assert main(["--tol", tol, "validate", state]) == expected
+        assert main(["--tol", tol, "kraus", state, good]) == expected
+        assert main(["--tol", tol, "kraus", good, state, "--method", "measure-prepare"]) == expected
+    capsys.readouterr()
+
+
+def test_loose_tol_reaches_the_joint_state(tmp_path, capsys):
+    """A joint state accepted at --tol is evolved and swept without a traceback."""
+    joint = np.diag([0.5 + 1e-6, -1e-6, 0.0, 0.5]).astype(complex)
+    joint[0, 3] = joint[3, 0] = 1e-6
+    path = str(tmp_path / "scenario.json")
+    dump(_custom(kron(pauli_x, pauli_z), rho=joint), path)
+    sweep = ["sweep", path, "--t-start", "0", "--t-end", "1", "--steps", "3"]
+    assert main(["--tol", "1e-5", "evolve", path, "--t", "0.7"]) == 0
+    assert main(["--tol", "1e-5", *sweep]) == 0
+    assert main(["evolve", path, "--t", "0.7"]) == 2
+    capsys.readouterr()
+
+
+def test_sweep_format_json(cnot_scenario, capsys):
+    argv = ["sweep", cnot_scenario, "--t-start", "0", "--t-end", "2", "--steps", "7", "--format", "json"]
+    assert main(["--tol", "1e-9", *argv]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 7
+    assert all(list(row) == CSV_HEADER for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "1", "validate", "x"],
+        ["--format", "json", "sweep", "x", "--t-start", "0", "--t-end", "1", "--steps", "2"],
+        ["--tol", "nan", "validate", "x"],
+        ["evolve", "x", "--t", "inf"],
+    ],
+)
+def test_parser_rejects(argv, capsys):
+    from krauslab.cli import build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2

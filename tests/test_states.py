@@ -164,3 +164,15 @@ class TestTraceDistance:
 
 def test_density_matrix_dim():
     assert DensityMatrix(np.eye(4) / 4).dim == 4
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.nan)])
+def test_non_finite_entry_is_never_valid(d, value):
+    for i in range(d):
+        for j in range(d):
+            m = identity(d) / d
+            m[i, j] = value
+            with pytest.raises(StateValidationError):
+                validate_density(m)
