@@ -18,14 +18,14 @@ import numpy as np
 
 from . import serialize
 from .dynamics import (
+    SWEEP_COLUMNS,
     CnotScenario,
-    cnot_analytic_kraus,
-    cnot_analytic_rho,
     correlation_operator,
     delta_rho,
     evolve_joint,
     factor_local_unitary,
     reduced_state,
+    sweep_columns,
 )
 from .kraus import (
     apply_kraus_raw,
@@ -37,23 +37,20 @@ from .kraus import (
     verify_channel,
 )
 from .linalg import EPS, expm_hermitian_generator, norm_max
-from .states import StateValidationError, density_to_bloch, trace_distance
+from .states import StateValidationError, density_to_bloch
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_INVALID = 2
 
-CSV_HEADER = [
-    "t",
-    "r(t)",
-    "theta(t)",
-    "phi(t)",
-    "r_t",
-    "delta_rho_maxnorm",
+CSV_HEADER = list(SWEEP_COLUMNS)
+
+#: The sweep columns checked against --tol; NaN entries are not checked.
+RESIDUAL_COLUMNS = (
     "completeness_residual",
     "reconstruction_residual",
     "trace_distance_analytic_vs_numeric",
-]
+)
 
 
 class InputError(Exception):
@@ -146,57 +143,29 @@ def _sweep_scenario(obj, tol: float):
     return h, joint, CnotScenario(float(obj["r0"])) if obj["scenario"] == "cnot" else None
 
 
-def _sweep_rows(args, h, joint, sc):
+def cmd_sweep(args) -> int:
+    h, joint, sc = _load(args.scenario, _sweep_scenario, args.tol)
     if args.steps < 2:
         raise InputError(f"steps must be >= 2, got {args.steps}")
     if args.t_end == args.t_start:
         raise InputError("degenerate grid: t_start equals t_end")
-    rho0 = joint.reduced_system()
-    for t in np.linspace(args.t_start, args.t_end, args.steps):
-        t = float(t)
-        numeric = reduced_state(evolve_joint(h, joint, t))
-        inhom = delta_rho(h, joint, t)
-        if sc is not None:
-            analytic = cnot_analytic_rho(sc, t)
-            k = cnot_analytic_kraus(sc, t)
-            r_t = sc.r_t(t)
-        else:
-            analytic = numeric
-            k = general_qubit_kraus(rho0, numeric) if joint.d_i == 2 else None
-            r_t = density_to_bloch(numeric).r if joint.d_i == 2 else float("nan")
-        bloch = density_to_bloch(analytic) if joint.d_i == 2 else None
-        yield {
-            "t": t,
-            "r(t)": bloch.r if bloch else float("nan"),
-            "theta(t)": bloch.theta if bloch else float("nan"),
-            "phi(t)": bloch.phi if bloch else float("nan"),
-            "r_t": r_t,
-            "delta_rho_maxnorm": norm_max(inhom),
-            "completeness_residual": k.completeness_residual() if k else float("nan"),
-            "reconstruction_residual": (
-                norm_max(apply_kraus_raw(k, rho0.mat) - numeric.mat) if k else float("nan")
-            ),
-            "trace_distance_analytic_vs_numeric": trace_distance(analytic, numeric),
-        }
-
-
-def cmd_sweep(args) -> int:
-    h, joint, sc = _load(args.scenario, _sweep_scenario, args.tol)
-    rows = list(_sweep_rows(args, h, joint, sc))
+    cols = sweep_columns(h, joint, np.linspace(args.t_start, args.t_end, args.steps), sc)
+    rows = list(zip(*(cols[col].tolist() for col in CSV_HEADER)))
     if args.format == "json":
-        _emit(rows, args.out)
+        _emit([dict(zip(CSV_HEADER, row)) for row in rows], args.out)
     else:
         with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
-            for row in rows:
-                writer.writerow([f"{row[col]:.12g}" for col in CSV_HEADER])
-    residual_cols = [
-        "completeness_residual",
-        "reconstruction_residual",
-        "trace_distance_analytic_vs_numeric",
-    ]
-    ok = all(row[col] <= args.tol for row in rows for col in residual_cols if np.isfinite(row[col]))
+            writer.writerows([f"{value:.12g}" for value in row] for row in rows)
+    ok = True
+    for col in RESIDUAL_COLUMNS:
+        finite = np.where(np.isfinite(cols[col]), cols[col], -np.inf)
+        worst = int(np.argmax(finite))
+        if finite[worst] > args.tol:
+            ok = False
+            t = cols["t"][worst]
+            print(f"sweep: {col} {finite[worst]:.3e} > tol {args.tol:.3e}, worst at t = {t:.12g}", file=sys.stderr)
     return EXIT_OK if ok else EXIT_NUMERIC
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kraus import KrausSet, kraus_set, _sqrt_clamped
+from .kraus import KrausSet, apply_kraus_raw, general_qubit_kraus, kraus_set, _sqrt_clamped
 from .linalg import (
     EPS,
     dag,
@@ -19,9 +19,10 @@ from .linalg import (
     partial_trace,
     pauli_x,
     pauli_z,
+    qubit_matrix,
     unitarity_residual,
 )
-from .states import DensityMatrix
+from .states import DensityMatrix, bloch_angles, trace_distance
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,14 +53,30 @@ class CompositeState:
         return DensityMatrix(rho, tol=self.d_i * self.mat.tol)
 
 
-def evolve_joint(h: np.ndarray, s: CompositeState, t: float) -> CompositeState:
-    """Unitary evolution of the joint state: U(t) rho U(t)^dagger, U = exp(-iht)."""
+def _propagator(h: np.ndarray, s: CompositeState, t) -> np.ndarray:
+    """U(t) = exp(-iht) on the joint space of ``s``; a stack for an array of times."""
     h = np.asarray(h, dtype=complex)
     if h.shape != (s.mat.dim, s.mat.dim):
         raise ValueError(f"Hamiltonian shape {h.shape} does not match joint dim {s.mat.dim}")
-    u = expm_hermitian_generator(h, t)
+    return expm_hermitian_generator(h, t)
+
+
+def _evolve(u: np.ndarray, s: CompositeState) -> CompositeState:
     evolved = u @ s.mat.mat @ dag(u)
     return CompositeState(mat=DensityMatrix(evolved, tol=100 * s.mat.tol), d_i=s.d_i, d_e=s.d_e)
+
+
+def _inhomogeneous(u: np.ndarray, s: CompositeState) -> np.ndarray:
+    cor = correlation_operator(s)
+    return partial_trace(u @ cor @ dag(u), (s.d_i, s.d_e), keep=0)
+
+
+def evolve_joint(h: np.ndarray, s: CompositeState, t) -> CompositeState:
+    """Unitary evolution of the joint state: U(t) rho U(t)^dagger, U = exp(-iht).
+
+    For an array of times the result holds the stack of evolved states.
+    """
+    return _evolve(_propagator(h, s, t), s)
 
 
 def reduced_state(s: CompositeState) -> DensityMatrix:
@@ -77,15 +94,13 @@ def correlation_operator(s: CompositeState) -> np.ndarray:
     return s.mat.mat - kron(rho_i, rho_e)
 
 
-def delta_rho(h: np.ndarray, s: CompositeState, t: float) -> np.ndarray:
+def delta_rho(h: np.ndarray, s: CompositeState, t) -> np.ndarray:
     """Inhomogeneous term: tr_e{U(t) rho_cor U(t)^dagger}.
 
     The obstruction to the textbook factorable-case Kraus form; traceless
-    and Hermitian for every input.
+    and Hermitian for every input.  A stack for an array of times.
     """
-    u = expm_hermitian_generator(np.asarray(h, dtype=complex), t)
-    cor = correlation_operator(s)
-    return partial_trace(u @ cor @ dag(u), (s.d_i, s.d_e), keep=0)
+    return _inhomogeneous(_propagator(h, s, t), s)
 
 
 def cnot_hamiltonian() -> np.ndarray:
@@ -138,21 +153,16 @@ class CnotScenario:
     def initial_reduced(self) -> DensityMatrix:
         return DensityMatrix(0.5 * (identity(2) - self.r0 * pauli_z))
 
-    def r_t(self, t: float) -> float:
-        return float(np.sqrt(np.sin(t) ** 2 + self.r0**2 * np.cos(t) ** 2))
+    def r_t(self, t):
+        """Bloch radius of the reduced state at time t (or at each of an array of times)."""
+        return np.sqrt(np.sin(t) ** 2 + self.r0**2 * np.cos(t) ** 2)
 
 
-def cnot_analytic_rho(sc: CnotScenario, t: float) -> DensityMatrix:
-    """Closed form of the reduced system state at time t."""
+def cnot_analytic_rho(sc: CnotScenario, t) -> DensityMatrix:
+    """Closed form of the reduced system state at time t; a stack for an array of times."""
     st2, ct2 = np.sin(t) ** 2, np.cos(t) ** 2
-    off = -1j * (1 + sc.r0) * np.sin(t) * np.cos(t)
-    mat = 0.5 * np.array(
-        [
-            [1 + st2 - sc.r0 * ct2, off],
-            [-off, (1 + sc.r0) * ct2],
-        ],
-        dtype=complex,
-    )
+    off = -0.5j * (1 + sc.r0) * np.sin(t) * np.cos(t)
+    mat = qubit_matrix(0.5 * (1 + st2 - sc.r0 * ct2), off, -off, 0.5 * (1 + sc.r0) * ct2)
     return DensityMatrix(mat, tol=100 * EPS)
 
 
@@ -168,40 +178,93 @@ def cnot_analytic_delta_rho(sc: CnotScenario, t: float) -> np.ndarray:
     )
 
 
-def cnot_analytic_kraus(sc: CnotScenario, t: float) -> KrausSet:
+def cnot_analytic_kraus(sc: CnotScenario, t) -> KrausSet:
     """Closed-form two-operator Kraus set for the CNOT scenario.
 
     Reconstructs the analytic reduced state from the initial reduced state
-    even though the inhomogeneous term is nonzero.
+    even though the inhomogeneous term is nonzero.  For an array of times
+    the set is a stack, one pair per time; every time needs r_t > EPS.
     """
     r0 = sc.r0
     rt = sc.r_t(t)
-    if rt <= EPS:
-        raise ValueError(f"r_t = {rt} too small at t = {t}: Kraus pair undefined")
+    if not (rt > EPS).all():
+        t_bad = np.asarray(t)[~(rt > EPS)].ravel()[0]
+        raise ValueError(f"r_t = {sc.r_t(t_bad)} too small at t = {t_bad}: Kraus pair undefined")
     st2 = np.sin(t) ** 2
     ct2 = np.cos(t) ** 2
-    plus = rt + st2 - r0 * ct2
-    minus = rt - st2 + r0 * ct2
+    # plus = rt + st2 - r0*ct2 and minus = rt - st2 + r0*ct2, and 1 - rt,
+    # written without the subtractions that cancel near t = k*pi/2.
+    plus = st2 + st2 * (1 + r0**2 * ct2) / (rt + r0 * ct2)
+    minus = ct2 * (st2 + r0**2) / (rt + st2) + r0 * ct2
+    one_minus_rt = ct2 * (1 - r0**2) / (1 + rt)
     norm = 1.0 / np.sqrt(2 * rt * (1 + r0))
     # The off-diagonal Bloch phase of the reduced state is pi/2 while
     # sin(t)cos(t) >= 0 and 3*pi/2 otherwise; the imaginary entries carry
     # that branch sign, without which reconstruction fails for cos(t) < 0.
-    i_br = 1j if np.sin(t) * np.cos(t) >= 0 else -1j
-    m0 = norm * np.array(
-        [
-            [-_sqrt_clamped((1 + r0) * plus), i_br * _sqrt_clamped((1 - rt) * minus)],
-            [-i_br * _sqrt_clamped((1 + r0) * minus), _sqrt_clamped((1 - rt) * plus)],
-        ],
-        dtype=complex,
+    i_br = np.where(np.sin(t) * np.cos(t) >= 0, 1j, -1j)
+    m0 = qubit_matrix(
+        -norm * _sqrt_clamped((1 + r0) * plus),
+        norm * i_br * _sqrt_clamped(one_minus_rt * minus),
+        -norm * i_br * _sqrt_clamped((1 + r0) * minus),
+        norm * _sqrt_clamped(one_minus_rt * plus),
     )
-    m1 = norm * _sqrt_clamped(rt + r0) * np.array(
-        [
-            [0, _sqrt_clamped(plus)],
-            [0, i_br * _sqrt_clamped(minus)],
-        ],
-        dtype=complex,
-    )
+    q = norm * _sqrt_clamped(rt + r0)
+    m1 = qubit_matrix(0, q * _sqrt_clamped(plus), 0, q * i_br * _sqrt_clamped(minus))
     return kraus_set([m0, m1])
+
+
+#: The columns of ``sweep_columns``, in table order.
+SWEEP_COLUMNS = (
+    "t",
+    "r(t)",
+    "theta(t)",
+    "phi(t)",
+    "r_t",
+    "delta_rho_maxnorm",
+    "completeness_residual",
+    "reconstruction_residual",
+    "trace_distance_analytic_vs_numeric",
+)
+
+
+def sweep_columns(
+    h: np.ndarray, joint: CompositeState, ts: np.ndarray, sc: CnotScenario | None = None
+) -> dict[str, np.ndarray]:
+    """The sweep table over the time grid ``ts``, one array per SWEEP_COLUMNS name.
+
+    One eigendecomposition of ``h`` gives U(t) on the whole grid, and every
+    column is computed on the stack of times at once.  With a CNOT scenario
+    ``sc`` the Bloch angles, r_t and Kraus pair are its closed forms, checked
+    against the numeric state; otherwise they come from the numeric state and
+    general_qubit_kraus.  A quantity that does not exist is NaN: the Bloch and
+    Kraus columns unless d_i = 2, the Kraus residuals where r_t <= EPS, and
+    the trace distance without a closed form.
+    """
+    ts = np.asarray(ts, dtype=float)
+    cols = {name: np.full(ts.shape, np.nan) for name in SWEEP_COLUMNS}
+    cols["t"] = ts
+    u = _propagator(h, joint, ts)
+    numeric = _evolve(u, joint).reduced_system()
+    cols["delta_rho_maxnorm"] = norm_max(_inhomogeneous(u, joint))
+    if joint.d_i != 2:
+        return cols
+    rho0 = joint.reduced_system()
+    if sc is not None:
+        analytic = cnot_analytic_rho(sc, ts)
+        cols["trace_distance_analytic_vs_numeric"] = trace_distance(analytic, numeric)
+        cols["r_t"] = sc.r_t(ts)
+        rows = cols["r_t"] > EPS  # where the closed-form pair is defined
+        k = cnot_analytic_kraus(sc, ts[rows])
+    else:
+        analytic = numeric
+        rows = np.ones(ts.shape, dtype=bool)
+        k = general_qubit_kraus(rho0, numeric)
+    cols["r(t)"], cols["theta(t)"], cols["phi(t)"] = bloch_angles(analytic.mat)
+    if sc is None:
+        cols["r_t"] = cols["r(t)"].copy()
+    cols["completeness_residual"][rows] = k.completeness_residual()
+    cols["reconstruction_residual"][rows] = norm_max(apply_kraus_raw(k, rho0.mat) - numeric.mat[rows])
+    return cols
 
 
 def factor_local_unitary(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EPS, dag, eigh, identity, norm_max, unitarity_residual
+from .linalg import EPS, dag, eigh, identity, norm_max, qubit_matrix, unitarity_residual
 from .states import (
     BlochVector,
     DensityMatrix,
@@ -23,7 +23,13 @@ from .states import (
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """An ordered, non-empty set of same-shaped Kraus operators."""
+    """An ordered, non-empty set of same-shaped Kraus operators.
+
+    Each operator may also be a stack, shape (..., d_out, d_in): the set is
+    then a stack of sets, one per leading index, and ``completeness_residual``
+    and ``apply_kraus_raw`` give one result per set.  ``choi_matrix``,
+    ``apply_channel`` and ``verify_channel`` take a single set.
+    """
 
     ops: tuple[np.ndarray, ...]
     d_in: int
@@ -34,7 +40,7 @@ class KrausSet:
         if not ops:
             raise ValueError("a Kraus set must contain at least one operator")
         for op in ops:
-            if op.shape != (self.d_out, self.d_in):
+            if op.shape[-2:] != (self.d_out, self.d_in):
                 raise ValueError(
                     f"operator shape {op.shape} does not match ({self.d_out}, {self.d_in})"
                 )
@@ -43,7 +49,7 @@ class KrausSet:
     def __len__(self) -> int:
         return len(self.ops)
 
-    def completeness_residual(self) -> float:
+    def completeness_residual(self) -> float | np.ndarray:
         acc = sum(dag(op) @ op for op in self.ops)
         return norm_max(acc - identity(self.d_in))
 
@@ -56,7 +62,7 @@ class KrausSet:
 def kraus_set(ops, d_in: int | None = None, d_out: int | None = None) -> KrausSet:
     ops = [np.asarray(op, dtype=complex) for op in ops]
     if d_out is None or d_in is None:
-        d_out, d_in = ops[0].shape
+        d_out, d_in = ops[0].shape[-2:]
     return KrausSet(ops=tuple(ops), d_in=d_in, d_out=d_out)
 
 
@@ -96,40 +102,44 @@ def apply_kraus_raw(k: KrausSet, mat: np.ndarray) -> np.ndarray:
     return sum(op @ mat @ dag(op) for op in k.ops)
 
 
-def _sqrt_clamped(x: float, tol: float = EPS) -> float:
-    """Square root with rounding-noise clamping.
+def _sqrt_clamped(x, tol: float = EPS):
+    """Square root with rounding-noise clamping, elementwise.
 
     Radicands here are analytically nonnegative; anything in [-tol, 0) is
     rounding and clamps to zero, anything below -tol is a caller error.
     """
-    if x < -tol:
-        raise ValueError(f"negative radicand {x:.3e}")
-    return float(np.sqrt(max(x, 0.0)))
+    x = np.asarray(x, dtype=float)
+    if (x < -tol).any():
+        raise ValueError(f"negative radicand {x.min():.3e}")
+    return np.sqrt(np.maximum(x, 0.0))
 
 
 def diagonal_pair_kraus(r0: float, r: float) -> KrausSet:
     """Rank-2 Kraus pair connecting the two diagonalized qubit states.
 
     Maps diag((1-r0)/2, (1+r0)/2) to diag((1+r)/2, (1-r)/2); completeness
-    holds analytically for any r0, r in [0, 1].
+    holds analytically for any r0, r in [0, 1].  Radii that are arrays give
+    a stack of pairs.
     """
     for name, val in (("r0", r0), ("r", r)):
-        if val < -EPS or val > 1 + EPS:
+        val = np.asarray(val)
+        if not ((val >= -EPS) & (val <= 1 + EPS)).all():
             raise ValueError(f"{name} = {val} outside [0, 1]")
-    r0 = float(np.clip(r0, 0.0, 1.0))
-    r = float(np.clip(r, 0.0, 1.0))
-    m0 = np.array([[1, 0], [0, _sqrt_clamped((1 - r) / (1 + r0))]], dtype=complex)
-    m1 = np.array([[0, _sqrt_clamped((r + r0) / (1 + r0))], [0, 0]], dtype=complex)
+    r0 = np.minimum(np.maximum(r0, 0.0), 1.0)
+    r = np.minimum(np.maximum(r, 0.0), 1.0)
+    m0 = qubit_matrix(1, 0, 0, _sqrt_clamped((1 - r) / (1 + r0)))
+    m1 = qubit_matrix(0, _sqrt_clamped((r + r0) / (1 + r0)), 0, 0)
     return kraus_set([m0, m1])
 
 
 def conjugate_kraus(k: KrausSet, u_out: np.ndarray, u_in: np.ndarray, tol: float = EPS) -> KrausSet:
     """Replace every operator by u_out . M . u_in^dagger.
 
-    Completeness is preserved for unitary u_out, u_in.
+    Completeness is preserved for unitary u_out, u_in.  Either may be a
+    stack of unitaries, each of which must pass.
     """
     for name, u in (("u_out", u_out), ("u_in", u_in)):
-        res = unitarity_residual(np.asarray(u, dtype=complex))
+        res = float(unitarity_residual(np.asarray(u, dtype=complex)).max())
         if res > 10 * tol:
             raise ValueError(f"{name} is not unitary: residual {res:.3e}")
     return kraus_set([u_out @ op @ dag(u_in) for op in k.ops])
@@ -141,7 +151,8 @@ def general_qubit_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSet:
     Pipeline: diagonalize both states (initial minus-first, final
     plus-first), build the diagonal-pair operators from the Bloch radii,
     then conjugate back into the original bases.  Total on every valid
-    pair, including degenerate and rank-deficient states.
+    pair, including degenerate and rank-deficient states.  Either state may
+    be a stack, giving the stack of pairs.
     """
     d0 = diagonalize_state(rho0, Ordering.MINUS_FIRST)
     dt = diagonalize_state(rhot, Ordering.PLUS_FIRST)

@@ -1,7 +1,8 @@
 """Dense complex linear algebra helpers shared by the rest of the package.
 
 Everything operates on plain numpy arrays of dtype complex128. Matrices are
-small (a few dozen rows at most), so clarity beats performance throughout.
+small (a few dozen rows at most). Functions marked stack-aware also take a
+stack of matrices, shape (..., d, d), and work on each matrix of the stack.
 """
 
 from __future__ import annotations
@@ -23,25 +24,36 @@ def identity(d: int) -> np.ndarray:
 
 
 def dag(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose; stack-aware."""
+    return m.conj().swapaxes(-1, -2)
 
 
-def norm_max(m: np.ndarray) -> float:
-    """Entrywise max-abs norm."""
-    return float(np.max(np.abs(m))) if np.size(m) else 0.0
+def norm_max(m: np.ndarray) -> float | np.ndarray:
+    """Entrywise max-abs norm; stack-aware (one norm per matrix of a stack)."""
+    return np.abs(m).max(axis=(-2, -1), initial=0.0)
 
 
 def norm_fro(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def hermiticity_residual(m: np.ndarray) -> float:
+def hermiticity_residual(m: np.ndarray) -> float | np.ndarray:
     return norm_max(m - dag(m))
 
 
-def unitarity_residual(u: np.ndarray) -> float:
-    return norm_max(dag(u) @ u - identity(u.shape[0]))
+def unitarity_residual(u: np.ndarray) -> float | np.ndarray:
+    return norm_max(dag(u) @ u - identity(u.shape[-1]))
+
+
+def qubit_matrix(a, b, c, d) -> np.ndarray:
+    """The 2x2 matrix [[a, b], [c, d]]; entries that are arrays broadcast
+    to a stack of matrices."""
+    out = np.empty(np.broadcast(a, b, c, d).shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = a
+    out[..., 0, 1] = b
+    out[..., 1, 0] = c
+    out[..., 1, 1] = d
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,14 +104,16 @@ def eigh(m: np.ndarray, tol: float = EPS) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors)
 
 
-def expm_hermitian_generator(h: np.ndarray, t: float, tol: float = EPS) -> np.ndarray:
-    """exp(-i h t) for Hermitian h, via eigendecomposition.
+def expm_hermitian_generator(h: np.ndarray, t, tol: float = EPS) -> np.ndarray:
+    """exp(-i h t) for Hermitian h, via one eigendecomposition of h.
 
-    The result is unitary up to rounding for any real t.
+    ``t`` is a real time or an array of times; for an array of shape S the
+    result is the stack of shape S + h.shape.  Unitary up to rounding for
+    any real t.
     """
     decomp = eigh(h, tol=tol)
-    phases = np.exp(-1j * decomp.values * t)
-    return decomp.vectors @ np.diag(phases) @ dag(decomp.vectors)
+    phases = np.exp(-1j * np.multiply.outer(t, decomp.values))
+    return (decomp.vectors * phases[..., None, :]) @ dag(decomp.vectors)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -107,18 +121,18 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Trace out one tensor factor of a (d0*d1) x (d0*d1) matrix.
+    """Trace out one tensor factor of a (d0*d1) x (d0*d1) matrix; stack-aware.
 
     ``dims = (d0, d1)`` with the first factor index-major (row index is
     i0*d1 + i1).  ``keep`` selects the surviving factor, 0 or 1.
     """
     d0, d1 = dims
     m = np.asarray(m, dtype=complex)
-    if m.shape != (d0 * d1, d0 * d1):
+    if m.shape[-2:] != (d0 * d1, d0 * d1):
         raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-    t = m.reshape(d0, d1, d0, d1)
+    t = m.reshape(m.shape[:-2] + (d0, d1, d0, d1))
     if keep == 0:
-        return np.einsum("iaja->ij", t)
+        return np.einsum("...iaja->...ij", t)
     if keep == 1:
-        return np.einsum("aiaj->ij", t)
+        return np.einsum("...aiaj->...ij", t)
     raise ValueError(f"keep must be 0 or 1, got {keep}")

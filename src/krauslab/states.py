@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EPS, dag, eigh, identity, norm_max, pauli_x, pauli_y, pauli_z
+from .linalg import EPS, dag, eigh, identity, pauli_x, pauli_y, pauli_z, qubit_matrix
 
 
 class StateValidationError(ValueError):
@@ -24,30 +24,39 @@ class StateValidationError(ValueError):
 
 
 def density_violations(m: np.ndarray, tol: float = EPS) -> dict[str, float]:
-    """Residuals of the violated density-matrix invariants (empty if valid)."""
+    """Residuals of the violated density-matrix invariants (empty if valid).
+
+    Stack-aware: for a stack of matrices each residual is the worst over
+    the stack, so the stack passes exactly when every matrix does.
+    """
     m = np.asarray(m, dtype=complex)
     out: dict[str, float] = {}
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         out["square"] = float("inf")
         return out
     # Each check is written so that a NaN residual fails it.
-    herm = norm_max(m - dag(m))
+    m_dag = dag(m)
+    herm = float(abs(m - m_dag).max(initial=0.0))
     if not herm <= tol:
         out["hermitian"] = herm
-    tr = abs(np.trace(m) - 1.0)
+    tr = float(abs(m.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
     if not tr <= tol:
-        out["unit_trace"] = float(tr)
+        out["unit_trace"] = tr
     if not math.isfinite(herm):
         return out  # a non-finite entry, on which eigvalsh may not converge
-    eigs = np.linalg.eigvalsh((m + dag(m)) / 2)
-    if not eigs[0] >= -tol:
-        out["positive"] = float(-eigs[0])
+    low = float(np.linalg.eigvalsh((m + m_dag) / 2).min(initial=np.inf))
+    if not low >= -tol:
+        out["positive"] = -low
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A quantum state: Hermitian, unit-trace, positive semidefinite matrix."""
+    """A quantum state: Hermitian, unit-trace, positive semidefinite matrix.
+
+    ``mat`` may also be a stack of states, shape (..., d, d), validated as
+    one; ``eigenvalues`` and ``density_to_bloch`` take a single state.
+    """
 
     mat: np.ndarray
     tol: float = field(default=EPS, compare=False)
@@ -61,7 +70,7 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
     def eigenvalues(self) -> np.ndarray:
         return eigh(self.mat, tol=self.tol).values
@@ -117,8 +126,8 @@ class DiagonalizedState:
 
     def diagonal(self) -> np.ndarray:
         if self.ordering is Ordering.MINUS_FIRST:
-            return np.diag([self.eig_minus, self.eig_plus]).astype(complex)
-        return np.diag([self.eig_plus, self.eig_minus]).astype(complex)
+            return qubit_matrix(self.eig_minus, 0, 0, self.eig_plus)
+        return qubit_matrix(self.eig_plus, 0, 0, self.eig_minus)
 
     def reconstruct(self) -> np.ndarray:
         return self.basis @ self.diagonal() @ dag(self.basis)
@@ -136,30 +145,33 @@ def bloch_to_density(b: BlochVector) -> DensityMatrix:
     return DensityMatrix(bloch_matrix(b.cartesian()), tol=10 * EPS)
 
 
-def density_to_bloch(d: DensityMatrix) -> BlochVector:
-    """Inverse of bloch_to_density, with fixed conventions at the degeneracies.
+def bloch_angles(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, theta, phi) of a qubit density matrix; stack-aware.
 
-    r < EPS collapses to (0, 0, 0); a polar state (sin(theta) < EPS) gets
-    phi = 0.
+    The components are read off the matrix entries, x = tr(rho sigma_x)
+    = Re(rho_01 + rho_10) and so on.  r < EPS collapses to (0, 0, 0); a polar state
+    (r sin(theta) < EPS) gets phi = 0.
     """
+    m = np.asarray(m)
+    x = (m[..., 0, 1] + m[..., 1, 0]).real
+    y = m[..., 1, 0].imag - m[..., 0, 1].imag
+    z = (m[..., 0, 0] - m[..., 1, 1]).real
+    r = np.sqrt(x * x + y * y + z * z)
+    off_centre = r >= EPS  # multiplying by it zeroes the angles at the centre
+    r = np.minimum(np.maximum(r, EPS), 1.0)
+    theta = np.arccos(np.minimum(np.maximum(z / r, -1.0), 1.0))
+    phi = np.arctan2(y, x) % (2 * np.pi) * (off_centre & (r * np.sin(theta) >= EPS))
+    return r * off_centre, theta * off_centre, phi
+
+
+def density_to_bloch(d: DensityMatrix) -> BlochVector:
+    """Inverse of bloch_to_density, with the conventions of ``bloch_angles``."""
     if d.dim != 2:
         raise ValueError(f"Bloch parametrization needs a qubit, got dim {d.dim}")
-    x = float(np.real(np.trace(d.mat @ pauli_x)))
-    y = float(np.real(np.trace(d.mat @ pauli_y)))
-    z = float(np.real(np.trace(d.mat @ pauli_z)))
-    r = float(np.sqrt(x * x + y * y + z * z))
-    if r < EPS:
-        return BlochVector(0.0, 0.0, 0.0)
-    r = min(r, 1.0)
-    theta = float(np.arccos(np.clip(z / r, -1.0, 1.0)))
-    if r * np.sin(theta) < EPS:
-        phi = 0.0
-    else:
-        phi = float(np.arctan2(y, x) % (2 * np.pi))
-    return BlochVector(r, theta, phi)
+    return BlochVector(*map(float, bloch_angles(d.mat)))
 
 
-def _basis_minus_first(theta: float, phi: float) -> np.ndarray:
+def _basis_minus_first(theta, phi) -> np.ndarray:
     """Unitary whose first column is the low-eigenvalue eigenvector.
 
     Sign layout chosen so the closed-form Kraus expressions downstream come
@@ -167,36 +179,35 @@ def _basis_minus_first(theta: float, phi: float) -> np.ndarray:
     """
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     e = np.exp(1j * phi)
-    return np.array([[-s, c * e.conjugate()], [c * e, s]], dtype=complex)
+    return qubit_matrix(-s, c * e.conjugate(), c * e, s)
 
 
-def _basis_plus_first(theta: float, phi: float) -> np.ndarray:
+def _basis_plus_first(theta, phi) -> np.ndarray:
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     e = np.exp(1j * phi)
-    return np.array([[c, -s * e.conjugate()], [s * e, c]], dtype=complex)
+    return qubit_matrix(c, -s * e.conjugate(), s * e, c)
 
 
 def diagonalize_state(d: DensityMatrix, ordering: Ordering) -> DiagonalizedState:
     """Diagonalize a qubit state with the fixed basis-sign convention.
 
-    A maximally mixed input (r < EPS) gets the identity basis.
+    A maximally mixed input (r < EPS) gets the identity basis.  For a stack
+    of states the fields are stacks too.
     """
     if d.dim != 2:
         raise ValueError(f"diagonalize_state needs a qubit, got dim {d.dim}")
-    b = density_to_bloch(d)
-    eig_plus, eig_minus = (1 + b.r) / 2, (1 - b.r) / 2
-    if b.r < EPS:
-        basis = identity(2)
-    elif ordering is Ordering.MINUS_FIRST:
-        basis = _basis_minus_first(b.theta, b.phi)
+    r, theta, phi = bloch_angles(d.mat)
+    if ordering is Ordering.MINUS_FIRST:
+        basis = _basis_minus_first(theta, phi)
     else:
-        basis = _basis_plus_first(b.theta, b.phi)
-    return DiagonalizedState(eig_plus=eig_plus, eig_minus=eig_minus, basis=basis, ordering=ordering)
+        basis = _basis_plus_first(theta, phi)
+    basis = np.where((r < EPS)[..., None, None], identity(2), basis)
+    return DiagonalizedState(eig_plus=(1 + r) / 2, eig_minus=(1 - r) / 2, basis=basis, ordering=ordering)
 
 
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of (a - b)."""
+def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float | np.ndarray:
+    """Half the trace norm of (a - b); one distance per state of a stack."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     eigs = np.linalg.eigvalsh(a.mat - b.mat)
-    return float(0.5 * np.sum(np.abs(eigs)))
+    return 0.5 * np.abs(eigs).sum(axis=-1)

@@ -1,16 +1,17 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
 from krauslab import general_qubit_kraus, kron, pauli_x, pauli_z, validate_density
-from krauslab.cli import CSV_HEADER, main
+from krauslab.cli import CSV_HEADER, RESIDUAL_COLUMNS, main
 from krauslab.linalg import norm_max
 from krauslab.serialize import dump, kraus_to_json, matrix_from_json, matrix_to_json, state_to_json
 
-from conftest import random_density
+from conftest import random_density, random_hermitian
 
 
 @pytest.fixture
@@ -146,6 +147,46 @@ class TestSweep:
         first = capsys.readouterr().out
         main(args)
         assert capsys.readouterr().out == first
+
+    def test_r0_zero_through_t0(self, tmp_path, capsys):
+        """At r0 = 0, r_t = 0 at t = 0: that row's Kraus residuals are NaN and
+        the other rows decide the exit code."""
+        path = str(tmp_path / "r0.json")
+        dump({"scenario": "cnot", "r0": 0}, path)
+        with pytest.warns(UserWarning, match="endpoint"):
+            code = main(["sweep", path, "--t-start", "0", "--t-end", "1", "--steps", "3"])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        for col in ("completeness_residual", "reconstruction_residual"):
+            assert math.isnan(float(rows[0][col]))
+            assert all(float(row[col]) <= 1e-10 for row in rows[1:])
+
+    def test_trace_distance_needs_a_closed_form(self, cnot_scenario, tmp_path, rng, capsys):
+        """The CNOT closed form is compared with the numeric state; a custom
+        scenario has no closed form, so its distance column is NaN."""
+        custom = str(tmp_path / "custom.json")
+        dump(_custom(random_hermitian(rng, 4), rho=random_density(rng, d=4).mat), custom)
+        grid = ["--t-start", "0", "--t-end", "3", "--steps", "9", "--format", "json"]
+        for path, closed_form in ((cnot_scenario, True), (custom, False)):
+            assert main(["sweep", path, *grid]) == 0
+            dists = [row["trace_distance_analytic_vs_numeric"] for row in json.loads(capsys.readouterr().out)]
+            if closed_form:
+                assert all(d <= 1e-10 for d in dists)
+            else:
+                assert all(math.isnan(d) for d in dists)
+
+    def test_exit_1_names_column_worst_t_and_residual(self, cnot_scenario, capsys):
+        argv = ["--tol", "1e-18", "sweep", cnot_scenario, "--t-start", "0", "--t-end", "3", "--steps", "31"]
+        assert main([*argv, "--format", "json"]) == 1
+        out = capsys.readouterr()
+        rows = json.loads(out.out)
+        failing = [col for col in RESIDUAL_COLUMNS if max(row[col] for row in rows) > 1e-18]
+        assert failing
+        expected = []
+        for col in failing:
+            worst = max(rows, key=lambda row: row[col])
+            expected.append(f"sweep: {col} {worst[col]:.3e} > tol 1.000e-18, worst at t = {worst['t']:.12g}")
+        assert out.err.splitlines() == expected
 
 
 class TestVerify:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krauslab import (
     CnotScenario,
@@ -11,14 +13,18 @@ from krauslab import (
     cnot_unitary,
     correlation_operator,
     delta_rho,
+    density_to_bloch,
     evolve_joint,
     factor_local_unitary,
     factorable_kraus,
+    general_qubit_kraus,
     kron,
     reduced_state,
+    trace_distance,
     validate_density,
     verify_channel,
 )
+from krauslab.dynamics import SWEEP_COLUMNS, sweep_columns
 from krauslab.kraus import apply_kraus_raw
 from krauslab.linalg import (
     dag,
@@ -215,6 +221,22 @@ class TestCnotAnalyticKraus:
             assert rep.completeness_residual <= 1e-9
             assert rep.reconstruction_residual <= 1e-9
 
+    @given(
+        k=st.integers(0, 8),
+        log_offset=st.floats(-14, -5),
+        sign=st.sampled_from([-1, 1]),
+        r0=st.floats(0.05, 0.95),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_holds_near_multiples_of_half_pi(self, k, log_offset, sign, r0):
+        # The radicands vanish at t = k*pi/2; written as differences they
+        # lose half their digits there.
+        sc = CnotScenario(r0)
+        t = k * np.pi / 2 + sign * 10.0**log_offset
+        rep = verify_channel(cnot_analytic_kraus(sc, t), sc.initial_reduced(), cnot_analytic_rho(sc, t))
+        assert rep.completeness_residual <= 1e-10
+        assert rep.reconstruction_residual <= 1e-10
+
     def test_nonzero_delta_rho_does_not_block_kraus(self):
         # the central point: a valid Kraus pair exists while the
         # inhomogeneous term is far from zero
@@ -237,6 +259,49 @@ class TestSectionTwoChannelEquivalence:
             out_general = apply_kraus_raw(general_qubit_kraus(rho0, rhot), rho0.mat)
             out_analytic = apply_kraus_raw(cnot_analytic_kraus(sc, t), rho0.mat)
             assert norm_max(out_general - out_analytic) <= 1e-9
+
+
+def _scalar_sweep(h, joint, ts, sc):
+    """The sweep table built one t at a time from the public scalar API."""
+    rho0 = reduced_state(joint)
+    rows = []
+    for t in ts:
+        numeric = reduced_state(evolve_joint(h, joint, t))
+        analytic = cnot_analytic_rho(sc, t) if sc else numeric
+        k = cnot_analytic_kraus(sc, t) if sc else general_qubit_kraus(rho0, numeric)
+        b = density_to_bloch(analytic)
+        rows.append(
+            [
+                t,
+                b.r,
+                b.theta,
+                b.phi,
+                sc.r_t(t) if sc else b.r,
+                norm_max(delta_rho(h, joint, t)),
+                k.completeness_residual(),
+                norm_max(apply_kraus_raw(k, rho0.mat) - numeric.mat),
+                trace_distance(analytic, numeric) if sc else np.nan,
+            ]
+        )
+    return dict(zip(SWEEP_COLUMNS, np.array(rows, dtype=float).T))
+
+
+@pytest.mark.parametrize("kind", ["cnot", "custom2", "custom3"])
+def test_sweep_columns_match_the_scalar_api(kind, rng):
+    ts = np.linspace(-0.5, 2 * np.pi, 37)
+    if kind == "cnot":
+        sc = CnotScenario(0.6)
+        h, joint = cnot_hamiltonian(), sc.initial_joint()
+    else:
+        d_e = int(kind[-1])
+        sc = None
+        h = random_hermitian(rng, 2 * d_e)
+        joint = CompositeState(mat=random_density(rng, d=2 * d_e), d_i=2, d_e=d_e)
+    batched = sweep_columns(h, joint, ts, sc)
+    reference = _scalar_sweep(h, joint, ts, sc)
+    assert list(batched) == list(SWEEP_COLUMNS)
+    for col in SWEEP_COLUMNS:
+        np.testing.assert_allclose(batched[col], reference[col], rtol=0, atol=1e-12, err_msg=col)
 
 
 class TestFactorLocalUnitary:

@@ -15,6 +15,7 @@ from krauslab import (
     validate_density,
 )
 from krauslab.linalg import EPS, identity, norm_max, pauli_x, pauli_z
+from krauslab.states import density_violations
 
 from conftest import random_density
 
@@ -105,6 +106,19 @@ class TestValidateDensity:
         with pytest.raises(StateValidationError) as exc:
             validate_density(np.diag([1.5, -0.5]))
         assert "positive" in exc.value.violations
+
+    def test_stack_fails_on_its_worst_state(self, rng):
+        good = [random_density(rng).mat for _ in range(4)]
+        assert validate_density(np.stack(good)).dim == 2
+        bad = {
+            "hermitian": good[0] + 0.1 * pauli_x @ pauli_z,
+            "unit_trace": 1.1 * good[1],
+            "positive": np.diag([1.3, -0.3]),
+        }
+        for name, mat in bad.items():
+            with pytest.raises(StateValidationError) as exc:
+                validate_density(np.stack([good[2], mat, good[3]]))
+            assert exc.value.violations[name] == pytest.approx(density_violations(mat)[name])
 
     def test_accepts_all_bloch_states(self, rng):
         for _ in range(50):
