@@ -143,7 +143,7 @@ class CnotScenario:
             warnings.warn(
                 f"r0 = {self.r0} is at an endpoint: the joint state is factorable "
                 "and the correlated-dynamics features are trivial",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass-generated __init__ to the caller
             )
 
     def initial_joint(self) -> CompositeState:

@@ -104,6 +104,12 @@ def scenario_from_json(obj: Any, tol: float = EPS) -> tuple[np.ndarray, Composit
     "dims": [d_i, d_e]}.  A custom Hamiltonian must be Hermitian within
     ``tol``; its Hermitian part is returned.
     """
+    h, joint, _ = _scenario_from_json(obj, tol)
+    return h, joint
+
+
+def _scenario_from_json(obj: Any, tol: float) -> tuple[np.ndarray, CompositeState, CnotScenario | None]:
+    """scenario_from_json plus the decoded CnotScenario (None for a custom scenario)."""
     if not isinstance(obj, dict) or "scenario" not in obj:
         raise DecodeError("scenario object needs a 'scenario' key")
     kind = obj["scenario"]
@@ -112,7 +118,7 @@ def scenario_from_json(obj: Any, tol: float = EPS) -> tuple[np.ndarray, Composit
             sc = CnotScenario(float(obj["r0"]))
         except (TypeError, KeyError) as exc:
             raise DecodeError(f"cnot scenario needs 'r0': {exc}") from exc
-        return cnot_hamiltonian(), sc.initial_joint()
+        return cnot_hamiltonian(), sc.initial_joint(), sc
     if kind == "custom":
         try:
             h = matrix_from_json(obj["hamiltonian"])
@@ -128,7 +134,7 @@ def scenario_from_json(obj: Any, tol: float = EPS) -> tuple[np.ndarray, Composit
         if not herm <= tol:
             raise DecodeError(f"hamiltonian is not Hermitian: residual {herm:.3e} > tol {tol:.3e}")
         joint = CompositeState(mat=validate_density(rho, tol=tol), d_i=d_i, d_e=d_e)
-        return (h + dag(h)) / 2, joint
+        return (h + dag(h)) / 2, joint, None
     raise DecodeError(f"unknown scenario kind {kind!r}")
 
 

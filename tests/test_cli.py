@@ -2,14 +2,35 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from krauslab import general_qubit_kraus, kron, pauli_x, pauli_z, validate_density
-from krauslab.cli import CSV_HEADER, RESIDUAL_COLUMNS, main
-from krauslab.linalg import norm_max
-from krauslab.serialize import dump, kraus_to_json, matrix_from_json, matrix_to_json, state_to_json
+from krauslab import (
+    correlation_operator,
+    delta_rho,
+    evolve_joint,
+    general_qubit_kraus,
+    kron,
+    pauli_x,
+    pauli_z,
+    reduced_state,
+    validate_density,
+)
+from krauslab import cli
+from krauslab.cli import CSV_HEADER, RESIDUAL_COLUMNS, build_parser, main
+from krauslab.kraus import apply_kraus_raw, factorable_kraus
+from krauslab.linalg import expm_hermitian_generator, norm_max
+from krauslab.serialize import (
+    dump,
+    kraus_to_json,
+    load,
+    matrix_from_json,
+    matrix_to_json,
+    scenario_from_json,
+    state_to_json,
+)
 
 from conftest import random_density, random_hermitian
 
@@ -112,6 +133,41 @@ class TestEvolve:
         out = json.loads(capsys.readouterr().out)
         assert norm_max(matrix_from_json(out["delta_rho"])) <= 1e-10
 
+    @pytest.mark.parametrize("kind", ["cnot", "custom3"])
+    def test_diagonalises_h_once(self, kind, cnot_scenario, tmp_path, rng, monkeypatch, capsys):
+        """One eigh of the joint Hamiltonian per call, and the same output as
+        evolving, taking delta_rho and exponentiating h separately."""
+        path = cnot_scenario
+        if kind == "custom3":
+            path = str(tmp_path / "custom.json")
+            dump(_custom(random_hermitian(rng, 6), dims=(2, 3), rho=random_density(rng, d=6).mat), path)
+        t = 0.7
+        h, joint = scenario_from_json(load(path))
+        rho_t = reduced_state(evolve_joint(h, joint, t))
+        inhom = delta_rho(h, joint, t)
+        u = expm_hermitian_generator(h, t)
+        homogeneous = apply_kraus_raw(
+            factorable_kraus(u, joint.reduced_environment(), d_i=joint.d_i), joint.reduced_system().mat
+        )
+        expected = {
+            "t": t,
+            "rho_i_t": matrix_to_json(rho_t.mat),
+            "delta_rho": matrix_to_json(inhom),
+            "rho_cor_0": matrix_to_json(correlation_operator(joint)),
+            "decomposition_residual": norm_max(rho_t.mat - homogeneous - inhom),
+        }
+        shapes = []
+        numpy_eigh = np.linalg.eigh
+
+        def counting_eigh(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return numpy_eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        assert main(["evolve", path, "--t", repr(t)]) == 0
+        assert shapes.count(h.shape) == 1
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
 
 class TestSweep:
     def test_cnot_grid(self, cnot_scenario, capsys):
@@ -160,6 +216,20 @@ class TestSweep:
         for col in ("completeness_residual", "reconstruction_residual"):
             assert math.isnan(float(rows[0][col]))
             assert all(float(row[col]) <= 1e-10 for row in rows[1:])
+
+    def test_r0_zero_warns_once_at_the_caller(self, tmp_path, capsys):
+        """The endpoint warning is issued once, by the decoder that builds the
+        scenario, not by the dataclass-generated __init__."""
+        path = str(tmp_path / "r0.json")
+        dump({"scenario": "cnot", "r0": 0}, path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sweep", path, "--t-start", "0", "--t-end", "1", "--steps", "3"]) == 0
+        endpoint = [w for w in caught if issubclass(w.category, UserWarning)]
+        assert len(endpoint) == 1
+        assert "endpoint" in str(endpoint[0].message)
+        assert endpoint[0].filename != "<string>"
+        capsys.readouterr()
 
     def test_trace_distance_needs_a_closed_form(self, cnot_scenario, tmp_path, rng, capsys):
         """The CNOT closed form is compared with the numeric state; a custom
@@ -392,3 +462,73 @@ def test_parser_rejects(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     assert exc.value.code == 2
+
+
+def _call(argv, capsys, fresh=False):
+    """(exit code, stdout, stderr) of one in-process call; ``fresh`` builds a new parser for it."""
+    if fresh:
+        cli._parser.cache_clear()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_parser_is_built_once(monkeypatch):
+    monkeypatch.delenv("KRAUSLAB_TOL", raising=False)
+    assert build_parser() is build_parser()
+
+
+def test_tol_env_is_read_on_every_call(tmp_path, monkeypatch, capsys):
+    """A state valid only at 1e-3 follows KRAUSLAB_TOL as it is set and unset between calls."""
+    state = str(tmp_path / "loose.json")
+    dump({"matrix": matrix_to_json(np.diag([1 + 1e-4, -1e-4]))}, state)
+    monkeypatch.delenv("KRAUSLAB_TOL", raising=False)
+    assert main(["validate", state]) == 2
+    monkeypatch.setenv("KRAUSLAB_TOL", "1e-3")
+    assert main(["validate", state]) == 0
+    monkeypatch.delenv("KRAUSLAB_TOL")
+    assert main(["validate", state]) == 2
+    capsys.readouterr()
+
+
+def test_parse_error_leaves_the_parser_as_fresh(cnot_scenario, tmp_path, monkeypatch, capsys):
+    """A call that argparse rejects (exit 2) changes nothing for the next call."""
+    monkeypatch.delenv("KRAUSLAB_TOL", raising=False)
+    state = str(tmp_path / "loose.json")
+    dump({"matrix": matrix_to_json(np.diag([1 + 1e-4, -1e-4]))}, state)
+    bad = [
+        ["evolve", cnot_scenario, "--t", "inf"],
+        ["--tol", "1e-3", "sweep", cnot_scenario, "--t-start", "0", "--steps", "3"],
+        ["kraus", state, state, "--method", "closed-form", "--bogus"],
+    ]
+    good = ["validate", state]
+    for argv in bad:
+        for fresh in (False, True):
+            assert _call(argv, capsys, fresh)[0] == 2
+            assert _call(good, capsys) == _call(good, capsys, fresh=True)
+
+
+def test_no_subcommand_default_leaks_between_calls(cnot_scenario, tmp_path, rng, monkeypatch, capsys):
+    """Each call of an alternating sequence prints what it prints on a freshly built parser."""
+    monkeypatch.delenv("KRAUSLAB_TOL", raising=False)
+    a = write_state(tmp_path, "a.json", random_density(rng))
+    b = write_state(tmp_path, "b.json", random_density(rng))
+    grid = ["--t-start", "0", "--t-end", "1", "--steps", "3"]
+    sequence = [
+        ["kraus", a, b, "--method", "closed-form"],
+        ["--tol", "1e-9", "sweep", cnot_scenario, *grid, "--format", "json"],
+        ["validate", a],
+        ["evolve", cnot_scenario, "--t", "0.7"],
+        ["kraus", a, b],
+        ["sweep", cnot_scenario, *grid],
+        ["--tol", "1e-18", "evolve", cnot_scenario, "--t", "0.7"],
+        ["sweep", "--help"],
+        ["--help"],
+    ]
+    reused = [_call(argv, capsys) for argv in sequence * 2]
+    fresh = [_call(argv, capsys, fresh=True) for argv in sequence * 2]
+    assert reused == fresh
+    assert [code for code, _, _ in reused[: len(sequence)]] == [0, 0, 0, 0, 0, 0, 1, 0, 0]
