@@ -116,13 +116,11 @@ def cmd_evolve(args) -> int:
     t = args.t
     u = _propagator(h, joint, t)  # the one eigendecomposition of h
     rho_t = _evolve(u, joint).reduced_system()
-    cor = correlation_operator(joint)
-    inhom = _inhomogeneous(u, joint)
+    rho_i0, rho_e0 = joint.reduced_system(), joint.reduced_environment()
+    cor = correlation_operator(joint, rho_i0, rho_e0)
+    inhom = _inhomogeneous(u, joint, cor)
     # Decomposition check: reduced dynamics = factorable part + inhomogeneous term.
-    homogeneous = apply_kraus_raw(
-        factorable_kraus(u, joint.reduced_environment(), d_i=joint.d_i),
-        joint.reduced_system().mat,
-    )
+    homogeneous = apply_kraus_raw(factorable_kraus(u, rho_e0, d_i=joint.d_i), rho_i0.mat)
     residual = norm_max(rho_t.mat - homogeneous - inhom)
     _emit(
         {

@@ -66,8 +66,8 @@ def _evolve(u: np.ndarray, s: CompositeState) -> CompositeState:
     return CompositeState(mat=DensityMatrix(evolved, tol=100 * s.mat.tol), d_i=s.d_i, d_e=s.d_e)
 
 
-def _inhomogeneous(u: np.ndarray, s: CompositeState) -> np.ndarray:
-    cor = correlation_operator(s)
+def _inhomogeneous(u: np.ndarray, s: CompositeState, cor: np.ndarray) -> np.ndarray:
+    """tr_e{U cor U^dagger} for the correlation operator ``cor`` of ``s``."""
     return partial_trace(u @ cor @ dag(u), (s.d_i, s.d_e), keep=0)
 
 
@@ -84,14 +84,17 @@ def reduced_state(s: CompositeState) -> DensityMatrix:
     return s.reduced_system()
 
 
-def correlation_operator(s: CompositeState) -> np.ndarray:
+def correlation_operator(
+    s: CompositeState, rho_i: DensityMatrix | None = None, rho_e: DensityMatrix | None = None
+) -> np.ndarray:
     """rho_ie - rho_i (x) rho_e: the deviation of the joint state from product form.
 
-    Traceless and Hermitian; both partial traces vanish.
+    Traceless and Hermitian; both partial traces vanish.  ``rho_i`` and
+    ``rho_e`` are the reduced states of ``s``, computed here if not given.
     """
-    rho_i = s.reduced_system().mat
-    rho_e = s.reduced_environment().mat
-    return s.mat.mat - kron(rho_i, rho_e)
+    rho_i = s.reduced_system() if rho_i is None else rho_i
+    rho_e = s.reduced_environment() if rho_e is None else rho_e
+    return s.mat.mat - kron(rho_i.mat, rho_e.mat)
 
 
 def delta_rho(h: np.ndarray, s: CompositeState, t) -> np.ndarray:
@@ -100,7 +103,7 @@ def delta_rho(h: np.ndarray, s: CompositeState, t) -> np.ndarray:
     The obstruction to the textbook factorable-case Kraus form; traceless
     and Hermitian for every input.  A stack for an array of times.
     """
-    return _inhomogeneous(_propagator(h, s, t), s)
+    return _inhomogeneous(_propagator(h, s, t), s, correlation_operator(s))
 
 
 def cnot_hamiltonian() -> np.ndarray:
@@ -245,10 +248,10 @@ def sweep_columns(
     cols["t"] = ts
     u = _propagator(h, joint, ts)
     numeric = _evolve(u, joint).reduced_system()
-    cols["delta_rho_maxnorm"] = norm_max(_inhomogeneous(u, joint))
+    rho0 = joint.reduced_system()
+    cols["delta_rho_maxnorm"] = norm_max(_inhomogeneous(u, joint, correlation_operator(joint, rho_i=rho0)))
     if joint.d_i != 2:
         return cols
-    rho0 = joint.reduced_system()
     if sc is not None:
         analytic = cnot_analytic_rho(sc, ts)
         cols["trace_distance_analytic_vs_numeric"] = trace_distance(analytic, numeric)

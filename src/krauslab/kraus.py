@@ -12,94 +12,91 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EPS, dag, eigh, identity, norm_max, qubit_matrix, unitarity_residual
-from .states import (
-    BlochVector,
-    DensityMatrix,
-    Ordering,
-    diagonalize_state,
-)
+from .linalg import EPS, dag, eigh, identity, norm_max, unitarity_residual
+from .states import BlochVector, DensityMatrix, Ordering, diagonalize_state
 
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
     """An ordered, non-empty set of same-shaped Kraus operators.
 
-    Each operator may also be a stack, shape (..., d_out, d_in): the set is
-    then a stack of sets, one per leading index, and ``completeness_residual``
-    and ``apply_kraus_raw`` give one result per set.  ``choi_matrix``,
-    ``apply_channel`` and ``verify_channel`` take a single set.
+    ``ops`` is one complex array with the operator axis first, shape (n, ...,
+    d_out, d_in), given as such or as a sequence of operators.  Axes after the
+    operator axis make a stack of sets: every operation gives one result per set.
     """
 
-    ops: tuple[np.ndarray, ...]
+    ops: np.ndarray
     d_in: int
     d_out: int
 
     def __post_init__(self):
-        ops = tuple(np.asarray(op, dtype=complex) for op in self.ops)
-        if not ops:
+        ops = self.ops
+        if not isinstance(ops, np.ndarray):  # a named error, not numpy's for ragged input
+            for op in ops:
+                if np.shape(op) != np.shape(ops[0]):
+                    raise ValueError(f"operator shape {np.shape(op)} does not match {np.shape(ops[0])}")
+        ops = np.asarray(ops, dtype=complex)
+        if not len(ops):
             raise ValueError("a Kraus set must contain at least one operator")
-        for op in ops:
-            if op.shape[-2:] != (self.d_out, self.d_in):
-                raise ValueError(
-                    f"operator shape {op.shape} does not match ({self.d_out}, {self.d_in})"
-                )
+        if ops.ndim < 3 or ops.shape[-2:] != (self.d_out, self.d_in):
+            raise ValueError(f"operator shape {ops.shape[1:]} does not match ({self.d_out}, {self.d_in})")
         object.__setattr__(self, "ops", ops)
 
     def __len__(self) -> int:
         return len(self.ops)
 
     def completeness_residual(self) -> float | np.ndarray:
-        acc = sum(dag(op) @ op for op in self.ops)
-        return norm_max(acc - identity(self.d_in))
+        return norm_max((dag(self.ops) @ self.ops).sum(0) - identity(self.d_in))
 
     def choi_matrix(self) -> np.ndarray:
         """sum_mu vec(M_mu) vec(M_mu)^dagger with column-stacking vec."""
-        vecs = [op.reshape(-1, 1, order="F") for op in self.ops]
-        return sum(v @ dag(v) for v in vecs)
+        vecs = self.ops.swapaxes(-1, -2).reshape(self.ops.shape[:-2] + (-1,))
+        return (vecs[..., :, None] @ vecs[..., None, :].conj()).sum(0)
 
 
 def kraus_set(ops, d_in: int | None = None, d_out: int | None = None) -> KrausSet:
-    ops = [np.asarray(op, dtype=complex) for op in ops]
     if d_out is None or d_in is None:
-        d_out, d_in = ops[0].shape[-2:]
-    return KrausSet(ops=tuple(ops), d_in=d_in, d_out=d_out)
+        d_out, d_in = np.shape(ops[0])[-2:]
+    return KrausSet(ops=ops, d_in=d_in, d_out=d_out)
 
 
 @dataclass(frozen=True)
 class ChannelReport:
-    """Residuals from checking a Kraus set against a state pair."""
+    """Residuals from checking a Kraus set against a state pair; one value per set of a stack."""
 
-    completeness_residual: float
-    reconstruction_residual: float
-    choi_min_eigenvalue: float
-    output_trace_residual: float
-    output_min_eigenvalue: float
+    completeness_residual: float | np.ndarray
+    reconstruction_residual: float | np.ndarray
+    choi_min_eigenvalue: float | np.ndarray
+    output_trace_residual: float | np.ndarray
+    output_min_eigenvalue: float | np.ndarray
 
     def passes(self, tol: float) -> bool:
-        return (
-            self.completeness_residual <= tol
-            and self.reconstruction_residual <= tol
-            and self.choi_min_eigenvalue >= -tol
-            and self.output_trace_residual <= tol
-            and self.output_min_eigenvalue >= -tol
-        )
+        """True when every set passes every check; a NaN fails."""
+        residuals_ok = (self.completeness_residual <= tol) & (self.reconstruction_residual <= tol)
+        positive = (self.choi_min_eigenvalue >= -tol) & (self.output_min_eigenvalue >= -tol)
+        return bool(np.all(residuals_ok & (self.output_trace_residual <= tol) & positive))
+
+
+def _per_op(ops: np.ndarray, *mats: np.ndarray) -> np.ndarray:
+    """``ops`` with unit axes after the operator axis, so that it broadcasts
+    against matrix stacks with more stack axes than the set has."""
+    return ops.reshape(ops.shape[:1] + (1,) * (max(map(np.ndim, mats)) + 1 - ops.ndim) + ops.shape[1:])
 
 
 def apply_channel(k: KrausSet, rho: DensityMatrix, tol: float = EPS) -> DensityMatrix:
-    """sum_mu M_mu rho M_mu^dagger, validated as a density matrix."""
+    """sum_mu M_mu rho M_mu^dagger, validated as a density matrix; stack-aware."""
     if rho.dim != k.d_in:
         raise ValueError(f"state dim {rho.dim} does not match channel d_in {k.d_in}")
-    res = k.completeness_residual()
+    res = np.max(k.completeness_residual())
     if res > 10 * tol:
         raise ValueError(f"Kraus set violates completeness: residual {res:.3e}")
-    out = sum(op @ rho.mat @ dag(op) for op in k.ops)
-    return DensityMatrix(out, tol=100 * tol)
+    return DensityMatrix(apply_kraus_raw(k, rho.mat), tol=100 * tol)
 
 
 def apply_kraus_raw(k: KrausSet, mat: np.ndarray) -> np.ndarray:
     """Channel action on a raw matrix, no validation of either side."""
-    return sum(op @ mat @ dag(op) for op in k.ops)
+    ops = _per_op(k.ops, mat)
+    return (ops @ mat @ dag(ops)).sum(0)
 
 
 def _sqrt_clamped(x, tol: float = EPS):
@@ -122,14 +119,16 @@ def diagonal_pair_kraus(r0: float, r: float) -> KrausSet:
     a stack of pairs.
     """
     for name, val in (("r0", r0), ("r", r)):
-        val = np.asarray(val)
-        if not ((val >= -EPS) & (val <= 1 + EPS)).all():
+        if not np.asarray((val >= -EPS) & (val <= 1 + EPS)).all():
             raise ValueError(f"{name} = {val} outside [0, 1]")
     r0 = np.minimum(np.maximum(r0, 0.0), 1.0)
     r = np.minimum(np.maximum(r, 0.0), 1.0)
-    m0 = qubit_matrix(1, 0, 0, _sqrt_clamped((1 - r) / (1 + r0)))
-    m1 = qubit_matrix(0, _sqrt_clamped((r + r0) / (1 + r0)), 0, 0)
-    return kraus_set([m0, m1])
+    a, q = _sqrt_clamped(np.array([(1 - r) / (1 + r0), (r + r0) / (1 + r0)]))
+    ops = np.zeros((2, *a.shape, 2, 2), dtype=complex)
+    ops[0, ..., 0, 0] = 1
+    ops[0, ..., 1, 1] = a
+    ops[1, ..., 0, 1] = q
+    return KrausSet(ops, d_in=2, d_out=2)
 
 
 def conjugate_kraus(k: KrausSet, u_out: np.ndarray, u_in: np.ndarray, tol: float = EPS) -> KrausSet:
@@ -139,10 +138,10 @@ def conjugate_kraus(k: KrausSet, u_out: np.ndarray, u_in: np.ndarray, tol: float
     stack of unitaries, each of which must pass.
     """
     for name, u in (("u_out", u_out), ("u_in", u_in)):
-        res = float(unitarity_residual(np.asarray(u, dtype=complex)).max())
-        if res > 10 * tol:
-            raise ValueError(f"{name} is not unitary: residual {res:.3e}")
-    return kraus_set([u_out @ op @ dag(u_in) for op in k.ops])
+        res = unitarity_residual(np.asarray(u, dtype=complex))
+        if (res > 10 * tol).any():
+            raise ValueError(f"{name} is not unitary: residual {np.max(res):.3e}")
+    return KrausSet(u_out @ _per_op(k.ops, u_out, u_in) @ dag(u_in), d_in=k.d_in, d_out=k.d_out)
 
 
 def general_qubit_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSet:
@@ -204,16 +203,10 @@ def factorable_kraus(u_ie: np.ndarray, rho_e0: DensityMatrix, d_i: int, tol: flo
     if res > 10 * tol:
         raise ValueError(f"joint evolution is not unitary: residual {res:.3e}")
     env = eigh(rho_e0.mat, tol=rho_e0.tol)
-    # u as tensor [i_out, e_out, i_in, e_in]
-    u_t = u_ie.reshape(d_i, d_e, d_i, d_e)
-    ops = []
-    for mu in range(d_e):
-        for nu in range(d_e):
-            p = max(float(env.values[nu]), 0.0)
-            ket = env.vectors[:, nu]
-            # contract the input environment leg with |nu>, read out env row mu
-            ops.append(np.sqrt(p) * np.tensordot(u_t[:, mu, :, :], ket, axes=([2], [0])))
-    return kraus_set(ops, d_in=d_i, d_out=d_i)
+    # u as [e_out, 1, i_out * i_in, e_in]; one matrix-vector product per (mu, nu) contracts e_in with |nu>
+    u_t = u_ie.reshape(d_i, d_e, d_i, d_e).transpose(1, 0, 2, 3).reshape(d_e, 1, d_i * d_i, d_e)
+    ops = np.sqrt(np.maximum(env.values, 0.0))[:, None] * (u_t @ env.vectors.T[:, :, None])[..., 0]
+    return KrausSet(ops.reshape(d_e * d_e, d_i, d_i), d_in=d_i, d_out=d_i)
 
 
 def measure_prepare_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSet:
@@ -227,14 +220,10 @@ def measure_prepare_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSet:
         raise ValueError(f"dimension mismatch: {rho0.dim} vs {rhot.dim}")
     target = eigh(rhot.mat, tol=rhot.tol)
     source = eigh(rho0.mat, tol=rho0.tol)
-    ops = []
-    for j in range(rhot.dim):
-        q = max(float(target.values[j]), 0.0)
-        v = target.vectors[:, j].reshape(-1, 1)
-        for k in range(rho0.dim):
-            w = source.vectors[:, k].reshape(-1, 1)
-            ops.append(np.sqrt(q) * (v @ dag(w)))
-    return kraus_set(ops, d_in=rho0.dim, d_out=rhot.dim)
+    q = np.sqrt(np.maximum(target.values, 0.0))[:, None, None, None]
+    v = target.vectors.T[:, None, :, None]  # column v_j at [j, 0]
+    w = dag(source.vectors.T[None, :, :, None])  # row w_k^dagger at [0, k]
+    return KrausSet((q * (v @ w)).reshape(-1, rhot.dim, rho0.dim), d_in=rho0.dim, d_out=rhot.dim)
 
 
 def unitary_remix(k: KrausSet, v: np.ndarray, tol: float = EPS) -> KrausSet:
@@ -250,18 +239,19 @@ def unitary_remix(k: KrausSet, v: np.ndarray, tol: float = EPS) -> KrausSet:
     if res > 10 * tol:
         raise ValueError(f"remix matrix is not unitary: residual {res:.3e}")
     n = v.shape[0]
-    if n < len(k.ops):
-        raise ValueError(f"remix matrix size {n} smaller than set size {len(k.ops)}")
-    zero = np.zeros((k.d_out, k.d_in), dtype=complex)
-    padded = list(k.ops) + [zero] * (n - len(k.ops))
-    remixed = [sum(v[mu, nu] * padded[nu] for nu in range(n)) for mu in range(n)]
-    return kraus_set(remixed, d_in=k.d_in, d_out=k.d_out)
+    if n < len(k):
+        raise ValueError(f"remix matrix size {n} smaller than set size {len(k)}")
+    padded = np.zeros((n, *k.ops.shape[1:]), dtype=complex)
+    padded[: len(k)] = k.ops
+    v = v.reshape(v.shape + (1,) * (padded.ndim - 1))
+    return KrausSet((v * padded).sum(1), d_in=k.d_in, d_out=k.d_out)
 
 
 def verify_channel(k: KrausSet, rho0: DensityMatrix, rhot: DensityMatrix) -> ChannelReport:
     """Residuals of every channel axiom plus reconstruction of rhot from rho0.
 
-    Never raises on bad numbers; everything is reported.
+    Stack-aware: for a stack of sets (or of states) every field holds one
+    value per set.  Never raises on bad numbers; everything is reported.
     """
     if rho0.dim != k.d_in or rhot.dim != k.d_out:
         raise ValueError(
@@ -273,7 +263,8 @@ def verify_channel(k: KrausSet, rho0: DensityMatrix, rhot: DensityMatrix) -> Cha
     return ChannelReport(
         completeness_residual=k.completeness_residual(),
         reconstruction_residual=norm_max(out - rhot.mat),
-        choi_min_eigenvalue=float(choi_eigs[0]),
-        output_trace_residual=float(abs(np.trace(out) - 1.0)),
-        output_min_eigenvalue=float(out_eigs[0]),
+        # [()] turns the 0-d array of a single set into a scalar
+        choi_min_eigenvalue=choi_eigs[..., 0][()],
+        output_trace_residual=abs(out.trace(axis1=-2, axis2=-1) - 1.0),
+        output_min_eigenvalue=out_eigs[..., 0][()],
     )

@@ -7,6 +7,7 @@ stack of matrices, shape (..., d, d), and work on each matrix of the stack.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,12 @@ pauli_y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 pauli_z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+@functools.lru_cache(maxsize=None)
 def identity(d: int) -> np.ndarray:
-    return np.eye(d, dtype=complex)
+    """The d x d identity, shared between calls and therefore read-only."""
+    m = np.eye(d, dtype=complex)
+    m.flags.writeable = False
+    return m
 
 
 def dag(m: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from krauslab import (
     reduced_state,
     validate_density,
 )
-from krauslab import cli
+from krauslab import cli, states
 from krauslab.cli import CSV_HEADER, RESIDUAL_COLUMNS, build_parser, main
 from krauslab.kraus import apply_kraus_raw, factorable_kraus
 from krauslab.linalg import expm_hermitian_generator, norm_max
@@ -167,6 +167,20 @@ class TestEvolve:
         assert main(["evolve", path, "--t", repr(t)]) == 0
         assert shapes.count(h.shape) == 1
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+    def test_validates_each_state_once(self, cnot_scenario, monkeypatch, capsys):
+        """Five states, each validated once: the decoded joint state, rho_i(0),
+        rho_e(0), the evolved joint state and rho_i(t)."""
+        calls = []
+        violations = states.density_violations
+
+        def counting_violations(m, *args, **kwargs):
+            calls.append(np.shape(m))
+            return violations(m, *args, **kwargs)
+
+        monkeypatch.setattr(states, "density_violations", counting_violations)
+        assert main(["evolve", cnot_scenario, "--t", "0.7"]) == 0
+        assert sorted(calls) == [(2, 2)] * 3 + [(4, 4)] * 2
 
 
 class TestSweep:

@@ -20,7 +20,7 @@ from krauslab import (
     verify_channel,
 )
 from krauslab.kraus import apply_kraus_raw
-from krauslab.linalg import dag, identity, kron, norm_max, partial_trace, pauli_x
+from krauslab.linalg import dag, eigh, identity, kron, norm_max, partial_trace, pauli_x
 from krauslab.states import Ordering
 
 from conftest import random_density, random_unitary
@@ -34,6 +34,22 @@ class TestKrausSet:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             kraus_set([identity(2), identity(3)], d_in=2, d_out=2)
+
+    def test_mismatched_operators_get_the_named_error(self):
+        with pytest.raises(ValueError, match="does not match"):
+            kraus_set([identity(2), identity(3)])
+
+    def test_ops_is_one_array_with_the_operator_axis_first(self):
+        k = kraus_set([identity(2), 2 * identity(2), 3 * identity(2)])
+        assert isinstance(k.ops, np.ndarray) and k.ops.shape == (3, 2, 2)
+        assert len(k) == 3 and np.array_equal(k.ops[2], 3 * identity(2))
+
+    def test_choi_is_the_sum_of_column_stacked_outer_products(self, rng):
+        for n, d_out, d_in in [(1, 2, 2), (2, 2, 2), (4, 3, 3), (3, 2, 4)]:
+            shape = (n, d_out, d_in)
+            k = kraus_set(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            vecs = [op.reshape(-1, 1, order="F") for op in k.ops]
+            assert np.array_equal(k.choi_matrix(), sum(v @ dag(v) for v in vecs))
 
     def test_completeness_residual_of_dropped_operator(self):
         k = diagonal_pair_kraus(0.5, 0.3)
@@ -219,6 +235,19 @@ class TestFactorableKraus:
         k = factorable_kraus(random_unitary(rng, 4), random_density(rng), d_i=2)
         assert len(k) == 4
 
+    @pytest.mark.parametrize("d_i, d_e", [(2, 2), (2, 3), (3, 2)])
+    def test_matches_the_per_operator_contraction(self, rng, d_i, d_e):
+        u, rho_e = random_unitary(rng, d_i * d_e), random_density(rng, d=d_e)
+        env = eigh(rho_e.mat)
+        u_t = u.reshape(d_i, d_e, d_i, d_e)
+        p = [max(float(value), 0.0) for value in env.values]
+        expected = [
+            np.sqrt(p[nu]) * np.tensordot(u_t[:, mu], env.vectors[:, nu], axes=([2], [0]))
+            for mu in range(d_e)
+            for nu in range(d_e)
+        ]
+        assert np.array_equal(factorable_kraus(u, rho_e, d_i=d_i).ops, expected)
+
 
 class TestMeasurePrepareKraus:
     def test_constant_channel_qubit(self, rng):
@@ -245,6 +274,18 @@ class TestMeasurePrepareKraus:
     def test_dim_mismatch(self, rng):
         with pytest.raises(ValueError):
             measure_prepare_kraus(random_density(rng, d=2), random_density(rng, d=3))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_the_per_operator_products(self, rng, d):
+        rho0, rhot = random_density(rng, d=d), random_density(rng, d=d)
+        target, source = eigh(rhot.mat), eigh(rho0.mat)
+        q = [max(float(value), 0.0) for value in target.values]
+        expected = [
+            np.sqrt(q[j]) * (target.vectors[:, [j]] @ dag(source.vectors[:, [k]]))
+            for j in range(d)
+            for k in range(d)
+        ]
+        assert np.array_equal(measure_prepare_kraus(rho0, rhot).ops, expected)
 
 
 class TestUnitaryRemix:
@@ -274,6 +315,14 @@ class TestUnitaryRemix:
         out = unitary_remix(k, random_unitary(rng, 4))
         assert len(out) == 4
         assert out.completeness_residual() <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_matches_the_per_operator_sums(self, rng, n):
+        k = general_qubit_kraus(random_density(rng), random_density(rng))
+        v = random_unitary(rng, n)
+        padded = list(k.ops) + [np.zeros((2, 2), dtype=complex)] * (n - len(k))
+        expected = [sum(v[mu, nu] * padded[nu] for nu in range(n)) for mu in range(n)]
+        assert np.array_equal(unitary_remix(k, v).ops, expected)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -309,3 +358,52 @@ class TestVerifyChannel:
             verify_channel(
                 kraus_set([identity(2)]), random_density(rng, d=3), random_density(rng, d=3)
             )
+
+
+class TestStackedSets:
+    """A stack of sets gives, bit for bit, what each of its sets gives alone."""
+
+    @given(
+        n=st.integers(1, 5),
+        d=st.integers(2, 4),
+        batch=st.lists(st.integers(1, 3), max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stack_matches_each_set(self, n, d, batch, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n, *batch, d, d)
+        k = kraus_set(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        rho0, rhot = random_density(rng, d=d), random_density(rng, d=d)
+        completeness, out, choi = k.completeness_residual(), apply_kraus_raw(k, rho0.mat), k.choi_matrix()
+        report = verify_channel(k, rho0, rhot)
+        for idx in np.ndindex(*batch):
+            one = kraus_set(k.ops[(slice(None), *idx)])
+            assert np.array_equal(completeness[idx], one.completeness_residual())
+            assert np.array_equal(out[idx], apply_kraus_raw(one, rho0.mat))
+            assert np.array_equal(choi[idx], one.choi_matrix())
+            single = verify_channel(one, rho0, rhot)
+            for name, value in vars(report).items():
+                assert np.array_equal(np.asarray(value)[idx], getattr(single, name), equal_nan=True)
+
+    def test_passes_when_every_set_passes(self, rng):
+        rho0 = validate_density(np.stack([random_density(rng).mat for _ in range(3)]))
+        rhot = validate_density(np.stack([random_density(rng).mat for _ in range(3)]))
+        k = general_qubit_kraus(rho0, rhot)
+        report = verify_channel(k, rho0, rhot)
+        assert report.choi_min_eigenvalue.shape == (3,)
+        assert report.passes(1e-9)
+        ops = k.ops.copy()
+        ops[1, 2] = 0  # drop the second operator of the last set
+        assert not verify_channel(kraus_set(ops), rho0, rhot).passes(1e-9)
+
+    def test_single_set_report_holds_floats(self, rng):
+        rho0, rhot = random_density(rng), random_density(rng)
+        report = verify_channel(general_qubit_kraus(rho0, rhot), rho0, rhot)
+        assert all(isinstance(value, float) for value in vars(report).values())
+
+    def test_apply_channel_on_a_stack(self, rng):
+        rho0 = validate_density(np.stack([random_density(rng).mat for _ in range(4)]))
+        rhot = validate_density(np.stack([random_density(rng).mat for _ in range(4)]))
+        out = apply_channel(general_qubit_kraus(rho0, rhot), rho0)
+        assert norm_max(out.mat - rhot.mat).max() <= 1e-12

@@ -22,6 +22,12 @@ from krauslab.linalg import (
 from conftest import random_hermitian
 
 
+def test_identity_is_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        identity(2)[0, 1] = 1
+    assert np.array_equal(identity(2), np.eye(2))
+
+
 def test_pauli_matrices_hermitian():
     for p in (pauli_x, pauli_y, pauli_z):
         assert norm_max(p - dag(p)) == 0
