@@ -7,8 +7,6 @@ check failed, 2 the input was invalid (parse error or invalid state).
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import functools
 import json
 import math
@@ -73,13 +71,20 @@ def _load(path: str, decode, *args):
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _write(text: str, out: str | None, newline: str | None = None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout without one; an unwritable ``out`` is an InputError."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", newline=newline) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"{out}: {exc.strerror or exc}") from exc
+
+
 def _emit(obj, out: str | None) -> None:
-    text = json.dumps(obj, indent=2)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(serialize.dumps(obj) + "\n", out)
 
 
 def cmd_validate(args) -> int:
@@ -107,7 +112,7 @@ def cmd_kraus(args) -> int:
         k = measure_prepare_kraus(rho0, rhot)
     report = verify_channel(k, rho0, rhot)
     _emit(serialize.kraus_to_json(k), args.out)
-    print(json.dumps(serialize.report_to_json(report), indent=2))
+    _emit(serialize.report_to_json(report), None)
     return EXIT_OK if report.passes(args.tol) else EXIT_NUMERIC
 
 
@@ -142,14 +147,13 @@ def cmd_sweep(args) -> int:
     if args.t_end == args.t_start:
         raise InputError("degenerate grid: t_start equals t_end")
     cols = sweep_columns(h, joint, np.linspace(args.t_start, args.t_end, args.steps), sc)
-    rows = list(zip(*(cols[col].tolist() for col in CSV_HEADER)))
+    table = np.column_stack([cols[col] for col in CSV_HEADER])
     if args.format == "json":
-        _emit([dict(zip(CSV_HEADER, row)) for row in rows], args.out)
+        _emit([dict(zip(CSV_HEADER, row)) for row in table.tolist()], args.out)
     else:
-        with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            writer.writerows([f"{value:.12g}" for value in row] for row in rows)
+        # The bytes of csv.writer with f"{value:.12g}" cells: no cell needs quoting.
+        csv_rows = (",".join(["%.12g"] * len(CSV_HEADER)) + "\r\n") * len(table)
+        _write(",".join(CSV_HEADER) + "\r\n" + csv_rows % tuple(table.ravel().tolist()), args.out, newline="")
     ok = True
     for col in RESIDUAL_COLUMNS:
         finite = np.where(np.isfinite(cols[col]), cols[col], -np.inf)
@@ -169,7 +173,7 @@ def cmd_verify(args) -> int:
         report = verify_channel(k, rho0, rhot)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    print(json.dumps(serialize.report_to_json(report), indent=2))
+    _emit(serialize.report_to_json(report), None)
     return EXIT_OK if report.passes(args.tol) else EXIT_NUMERIC
 
 

@@ -7,8 +7,12 @@ data row-major.  Decimal round-trip is good to full double precision.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
-from dataclasses import asdict
+import math
+from dataclasses import fields
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -24,11 +28,11 @@ class DecodeError(ValueError):
 
 
 def matrix_to_json(m: np.ndarray) -> dict[str, Any]:
-    m = np.asarray(m, dtype=complex)
+    m = np.ascontiguousarray(m, dtype=complex)
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [[float(v.real), float(v.imag)] for v in m.reshape(-1)],
+        "data": m.reshape(-1).view(float).reshape(-1, 2).tolist(),
     }
 
 
@@ -77,6 +81,8 @@ def state_from_json(obj: Any, tol: float = EPS) -> DensityMatrix:
 
 
 def kraus_to_json(k: KrausSet) -> dict[str, Any]:
+    if k.ops.ndim > 3:
+        raise ValueError(f"cannot encode a stack of Kraus sets (stack shape {k.ops.shape[1:-2]}); encode each set")
     return {
         "d_in": k.d_in,
         "d_out": k.d_out,
@@ -93,7 +99,10 @@ def kraus_from_json(obj: Any) -> KrausSet:
 
 
 def report_to_json(report: ChannelReport) -> dict[str, float]:
-    return asdict(report)
+    shape = np.shape(report.completeness_residual)
+    if shape:
+        raise ValueError(f"cannot encode a stack of reports (stack shape {shape}); encode each set's report")
+    return {f.name: getattr(report, f.name) for f in fields(report)}
 
 
 def scenario_from_json(obj: Any, tol: float = EPS) -> tuple[np.ndarray, CompositeState]:
@@ -138,10 +147,56 @@ def _scenario_from_json(obj: Any, tol: float) -> tuple[np.ndarray, CompositeStat
     raise DecodeError(f"unknown scenario kind {kind!r}")
 
 
+_encode_leaf = json.JSONEncoder().encode  # compact, so the C encoder
+
+
+def dumps(obj: Any) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, without its pure-Python encoder.
+
+    A matrix's ``data`` (equal-width lists of finite floats) fills one cached
+    template.  What raises TypeError here (a non-``str`` key, an unknown type)
+    or recurses without end is left to ``json.dumps``.
+    """
+    try:
+        return _encode(obj, 0)
+    except (TypeError, RecursionError):
+        return json.dumps(obj, indent=2)
+
+
+def _encode(o: Any, depth: int) -> str:
+    if isinstance(o, float) and math.isfinite(o):
+        return float.__repr__(o)
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, int) and not isinstance(o, bool):
+        return int.__repr__(o)
+    if isinstance(o, dict) and o:
+        items = [encode_basestring_ascii(k) + ": " + _encode(v, depth + 1) for k, v in o.items()]
+        return _layout(items, depth, "{}")
+    if isinstance(o, (list, tuple)) and o:
+        width = len(o[0]) if type(o[0]) is list else 0
+        if width and set(map(type, o)) == {list} and set(map(len, o)) == {width}:
+            flat = list(chain.from_iterable(o))
+            if math.isfinite(sum(flat)):  # else a NaN or infinity: written entry by entry
+                return _grid_template(len(o), width, depth) % tuple(map(float.__repr__, flat))
+        return _layout([_encode(v, depth + 1) for v in o], depth)
+    return _encode_leaf(o)  # None, a bool, a non-finite float, an empty container
+
+
+def _layout(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """Encoded items in a container at ``depth``, laid out as ``json.dumps`` does with ``indent=2``."""
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+@functools.lru_cache(maxsize=64)
+def _grid_template(n_rows: int, width: int, depth: int) -> str:
+    return _layout([_layout(["%s"] * width, depth + 1)] * n_rows, depth)
+
+
 def dump(obj: Any, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(dumps(obj) + "\n")
 
 
 def load(path: str) -> Any:

@@ -1,7 +1,9 @@
 import csv
+import errno
 import io
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -18,8 +20,9 @@ from krauslab import (
     reduced_state,
     validate_density,
 )
-from krauslab import cli, states
+from krauslab import cli, serialize, states
 from krauslab.cli import CSV_HEADER, RESIDUAL_COLUMNS, build_parser, main
+from krauslab.dynamics import sweep_columns
 from krauslab.kraus import apply_kraus_raw, factorable_kraus
 from krauslab.linalg import expm_hermitian_generator, norm_max
 from krauslab.serialize import (
@@ -459,6 +462,62 @@ def test_sweep_format_json(cnot_scenario, capsys):
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 7
     assert all(list(row) == CSV_HEADER for row in rows)
+
+
+def test_sweep_csv_is_csv_writer_output(tmp_path, capsys):
+    """stdout and --out hold the bytes of csv.writer with f"{value:.12g}" cells,
+    here on the r0 = 0 grid through t = 0, whose row holds NaN."""
+    path = str(tmp_path / "r0.json")
+    dump({"scenario": "cnot", "r0": 0}, path)
+    with pytest.warns(UserWarning, match="endpoint"):
+        h, joint, sc = serialize._scenario_from_json(load(path), 1e-10)
+    cols = sweep_columns(h, joint, np.linspace(-1, 1, 5), sc)
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(CSV_HEADER)
+    writer.writerows([f"{value:.12g}" for value in row] for row in zip(*(cols[c].tolist() for c in CSV_HEADER)))
+    assert "nan" in expected.getvalue()
+    out = str(tmp_path / "sweep.csv")
+    argv = ["sweep", path, "--t-start", "-1", "--t-end", "1", "--steps", "5"]
+    with pytest.warns(UserWarning, match="endpoint"):
+        assert main(argv) == 0
+        assert main(["--out", out, *argv]) == 0
+    assert capsys.readouterr().out == expected.getvalue()
+    with open(out, "rb") as fh:
+        assert fh.read() == expected.getvalue().encode()
+
+
+OUT_WRITERS = {
+    "kraus": ["kraus", "{state}", "{state}"],
+    "evolve": ["evolve", "{scenario}", "--t", "1"],
+    "sweep-csv": ["sweep", "{scenario}", "--t-start", "0", "--t-end", "1", "--steps", "3"],
+    "sweep-json": ["sweep", "{scenario}", "--t-start", "0", "--t-end", "1", "--steps", "3", "--format", "json"],
+    "remix": ["remix", "{kraus}", "{unitary}"],
+    "factor": ["factor", "{product}", "--dims", "2", "2"],
+}
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+@pytest.mark.parametrize("argv", OUT_WRITERS.values(), ids=OUT_WRITERS)
+def test_unwritable_out_exits_2(tmp_path, cnot_scenario, argv, target, capsys):
+    """An --out that cannot be opened for writing is invalid input: exit 2 and one error line."""
+    mixed = validate_density(np.eye(2) / 2)
+    paths = {
+        "state": write_state(tmp_path, "mixed.json", mixed),
+        "scenario": cnot_scenario,
+        "kraus": str(tmp_path / "k.json"),
+        "unitary": str(tmp_path / "u.json"),
+        "product": str(tmp_path / "product.json"),
+    }
+    dump(kraus_to_json(general_qubit_kraus(mixed, mixed)), paths["kraus"])
+    dump(matrix_to_json(np.eye(2)), paths["unitary"])
+    dump(matrix_to_json(kron(pauli_x, pauli_z)), paths["product"])
+    if target == "directory":
+        out, code = str(tmp_path), errno.EISDIR
+    else:
+        out, code = str(tmp_path / "no-such-dir" / "out.json"), errno.ENOENT
+    assert main(["--out", out, *[a.format(**paths) for a in argv]]) == 2
+    assert capsys.readouterr().err == f"error: {out}: {os.strerror(code)}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,22 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from krauslab import general_qubit_kraus, kron, pauli_x, pauli_z
+from krauslab import general_qubit_kraus, kraus_set, kron, pauli_x, pauli_z, validate_density, verify_channel
+from krauslab.kraus import ChannelReport
 from krauslab.linalg import norm_max
 from krauslab import serialize
 from krauslab.serialize import (
     DecodeError,
+    dumps,
     kraus_from_json,
     kraus_to_json,
     matrix_from_json,
     matrix_to_json,
+    report_to_json,
     scenario_from_json,
     state_from_json,
     state_to_json,
@@ -196,3 +203,115 @@ class TestCustomHamiltonian:
     def test_dims_must_be_positive(self):
         with pytest.raises(DecodeError, match="dims"):
             scenario_from_json(self._scenario(np.eye(4), dims=(-2, -2)))
+
+
+# -- dumps writes the bytes of json.dumps(obj, indent=2) ----------------------
+
+EDGE_FLOATS = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1e300, -1e300, float("nan"), float("inf"), float("-inf")]
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+finite_floats = st.one_of(st.sampled_from([-0.0, 1e-300, 5e-324, 1e300]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def complex_matrices(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    parts = draw(st.lists(floats, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    return np.array(parts).view(complex).reshape(rows, cols)
+
+
+@st.composite
+def kraus_sets(draw):
+    d, n = draw(st.integers(2, 4)), draw(st.integers(1, 16))
+    parts = draw(st.lists(finite_floats, min_size=2 * n * d * d, max_size=2 * n * d * d))
+    return kraus_set(np.array(parts).view(complex).reshape(n, d, d))
+
+
+reports = st.builds(ChannelReport, *[floats.map(np.float64)] * 5)
+keys = st.one_of(st.sampled_from(["data", "rows", "", 'a "quoted" key', "unicod\u00e9 \u2603", "\\n"]), st.text())
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    floats,
+    floats.map(np.float64),
+    st.text(),
+)
+json_docs = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(keys, children, max_size=4),
+        # matrix-like and ragged `data`, empty rows and lists included
+        st.lists(st.lists(floats, max_size=3), max_size=4),
+        st.dictionaries(st.just("data"), st.lists(st.lists(children, min_size=2, max_size=2), max_size=3)),
+    ),
+    max_leaves=20,
+)
+
+
+@given(
+    st.one_of(
+        complex_matrices().map(matrix_to_json),
+        kraus_sets().map(kraus_to_json),
+        reports.map(report_to_json),
+        json_docs,
+    )
+)
+@settings(max_examples=400, deadline=None)
+def test_dumps_writes_the_bytes_of_json_dumps(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"data": [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]]},  # ragged, as many entries as a 3x2 grid
+        {"data": [[], []]},
+        {"data": [[1.0, 2.0], (3.0, 4.0)]},
+        {"data": [[1.0, 2.0], {3.0: "a", 4.0: "b"}]},  # a row of float keys is no grid row
+        {"data": [[1.0, 2], [3.0, True]]},
+        {"data": [[1e308, 1e308]]},  # finite, though the sum overflows
+        [[[1.0]], [[2.0]]],
+        {1: "one", 2.5: [1.0]},  # non-str keys
+        {"a": {None: True, False: -0.0}},
+        [{"x": 1}, {3: 4}],
+    ],
+)
+def test_dumps_edge_documents_as_json_dumps(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [{"a": object()}, [np.int64(3)], {"data": [[1.0, np.float32(2.0)]]}, {(1, 2): 3}])
+def test_dumps_unknown_type_raises_as_json_dumps(obj):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError) as got:
+        dumps(obj)
+    assert str(got.value) == str(expected.value)
+
+
+def test_dumps_cycle_raises_as_json_dumps():
+    doc = {"ops": []}
+    doc["ops"].append(doc)
+    with pytest.raises(ValueError, match="Circular reference"):
+        dumps(doc)
+
+
+# -- a single Kraus set round-trips; a stack has no document ------------------
+
+@given(kraus_sets())
+@settings(max_examples=100, deadline=None)
+def test_kraus_set_survives_dumps_and_loads(k):
+    back = kraus_from_json(json.loads(dumps(kraus_to_json(k))))
+    assert (back.d_in, back.d_out) == (k.d_in, k.d_out)
+    assert np.array_equal(back.ops, k.ops)
+
+
+def test_stacked_kraus_set_and_report_raise(rng):
+    stack0, stackt = (validate_density(np.stack([random_density(rng).mat for _ in range(3)])) for _ in range(2))
+    k = general_qubit_kraus(stack0, stackt)
+    with pytest.raises(ValueError, match=r"stack shape \(3,\)"):
+        kraus_to_json(k)
+    with pytest.raises(ValueError, match=r"stack shape \(3,\)"):
+        report_to_json(verify_channel(k, stack0, stackt))
