@@ -9,7 +9,6 @@ from .linalg import (
     eigh,
     expm_hermitian_generator,
     kron,
-    norm_fro,
     norm_max,
     partial_trace,
     pauli_x,
@@ -54,7 +53,6 @@ from .dynamics import (
     delta_rho,
     evolve_joint,
     factor_local_unitary,
-    reduced_state,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -52,7 +52,7 @@ RESIDUAL_COLUMNS = (
 )
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Anything wrong with the inputs; maps to exit code 2."""
 
 
@@ -169,10 +169,7 @@ def cmd_verify(args) -> int:
     k = _load(args.kraus, serialize.kraus_from_json)
     rho0 = _load(args.rho0, serialize.state_from_json, args.tol)
     rhot = _load(args.rhot, serialize.state_from_json, args.tol)
-    try:
-        report = verify_channel(k, rho0, rhot)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    report = verify_channel(k, rho0, rhot)
     _emit(serialize.report_to_json(report), None)
     return EXIT_OK if report.passes(args.tol) else EXIT_NUMERIC
 
@@ -180,10 +177,7 @@ def cmd_verify(args) -> int:
 def cmd_remix(args) -> int:
     k = _load(args.kraus, serialize.kraus_from_json)
     v = _load(args.unitary, serialize.matrix_from_json)
-    try:
-        remixed = unitary_remix(k, v, tol=args.tol)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    remixed = unitary_remix(k, v, tol=args.tol)
     _emit(serialize.kraus_to_json(remixed), args.out)
     return EXIT_OK
 
@@ -191,10 +185,7 @@ def cmd_remix(args) -> int:
 def cmd_factor(args) -> int:
     u = _load(args.unitary, serialize.matrix_from_json)
     d_i, d_e = args.dims
-    try:
-        factors = factor_local_unitary(u, (d_i, d_e), tol=args.tol)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    factors = factor_local_unitary(u, (d_i, d_e), tol=args.tol)
     if factors is None:
         print(json.dumps({"factorable": False}))
         return EXIT_NUMERIC
@@ -218,6 +209,13 @@ def finite(text: str) -> float:
     return value
 
 
+def tolerance(text: str) -> float:
+    """argparse type: a finite float >= 0."""
+    if not finite(text) >= 0:
+        raise ValueError(text)
+    return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, with ``--tol`` defaulting to ``KRAUSLAB_TOL`` as set now.
 
@@ -233,7 +231,7 @@ def _parser(default_tol: str) -> argparse.ArgumentParser:
         prog="krauslab",
         description="Construct and verify Kraus representations for open qubit systems.",
     )
-    parser.add_argument("--tol", type=finite, default=default_tol, help="absolute tolerance (max-norm)")
+    parser.add_argument("--tol", type=tolerance, default=default_tol, help="absolute tolerance (max-norm)")
     parser.add_argument("--out", default=None, help="write primary output to this path")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -287,7 +285,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except StateValidationError as exc:  # a computed state: a failed input state is an InputError
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

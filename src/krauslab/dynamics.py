@@ -20,6 +20,7 @@ from .linalg import (
     pauli_x,
     pauli_z,
     qubit_matrix,
+    require,
     unitarity_residual,
 )
 from .states import DensityMatrix, bloch_angles, trace_distance
@@ -77,11 +78,6 @@ def evolve_joint(h: np.ndarray, s: CompositeState, t) -> CompositeState:
     For an array of times the result holds the stack of evolved states.
     """
     return _evolve(_propagator(h, s, t), s)
-
-
-def reduced_state(s: CompositeState) -> DensityMatrix:
-    """Reduced system state, tr_e of the joint state."""
-    return s.reduced_system()
 
 
 def correlation_operator(
@@ -284,9 +280,7 @@ def factor_local_unitary(
     u = np.asarray(u, dtype=complex)
     if u.shape != (d_i * d_e, d_i * d_e):
         raise ValueError(f"unitary shape {u.shape} does not match dims {dims}")
-    res = unitarity_residual(u)
-    if res > 10 * max(tol, EPS):
-        raise ValueError(f"input is not unitary: residual {res:.3e}")
+    require(unitarity_residual(u), 10 * max(tol, EPS), "input is not unitary")
     # Van Loan rearrangement: row block index pairs with column block index.
     r = u.reshape(d_i, d_e, d_i, d_e).transpose(0, 2, 1, 3).reshape(d_i * d_i, d_e * d_e)
     left, sing, right = np.linalg.svd(r)

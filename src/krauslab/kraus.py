@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EPS, dag, eigh, identity, norm_max, unitarity_residual
+from .linalg import EPS, dag, eigh, identity, norm_max, require, unitarity_residual
 from .states import BlochVector, DensityMatrix, Ordering, diagonalize_state
 
 
@@ -83,14 +83,12 @@ def _per_op(ops: np.ndarray, *mats: np.ndarray) -> np.ndarray:
     return ops.reshape(ops.shape[:1] + (1,) * (max(map(np.ndim, mats)) + 1 - ops.ndim) + ops.shape[1:])
 
 
-def apply_channel(k: KrausSet, rho: DensityMatrix, tol: float = EPS) -> DensityMatrix:
+def apply_channel(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
     """sum_mu M_mu rho M_mu^dagger, validated as a density matrix; stack-aware."""
     if rho.dim != k.d_in:
         raise ValueError(f"state dim {rho.dim} does not match channel d_in {k.d_in}")
-    res = np.max(k.completeness_residual())
-    if res > 10 * tol:
-        raise ValueError(f"Kraus set violates completeness: residual {res:.3e}")
-    return DensityMatrix(apply_kraus_raw(k, rho.mat), tol=100 * tol)
+    require(k.completeness_residual(), 10 * EPS, "Kraus set violates completeness")
+    return DensityMatrix(apply_kraus_raw(k, rho.mat), tol=100 * EPS)
 
 
 def apply_kraus_raw(k: KrausSet, mat: np.ndarray) -> np.ndarray:
@@ -99,15 +97,14 @@ def apply_kraus_raw(k: KrausSet, mat: np.ndarray) -> np.ndarray:
     return (ops @ mat @ dag(ops)).sum(0)
 
 
-def _sqrt_clamped(x, tol: float = EPS):
+def _sqrt_clamped(x):
     """Square root with rounding-noise clamping, elementwise.
 
-    Radicands here are analytically nonnegative; anything in [-tol, 0) is
-    rounding and clamps to zero, anything below -tol is a caller error.
+    Radicands here are analytically nonnegative; anything in [-EPS, 0) is
+    rounding and clamps to zero, anything below -EPS (or NaN) is a caller error.
     """
     x = np.asarray(x, dtype=float)
-    if (x < -tol).any():
-        raise ValueError(f"negative radicand {x.min():.3e}")
+    require(-x, EPS, "negative radicand")
     return np.sqrt(np.maximum(x, 0.0))
 
 
@@ -131,16 +128,14 @@ def diagonal_pair_kraus(r0: float, r: float) -> KrausSet:
     return KrausSet(ops, d_in=2, d_out=2)
 
 
-def conjugate_kraus(k: KrausSet, u_out: np.ndarray, u_in: np.ndarray, tol: float = EPS) -> KrausSet:
+def conjugate_kraus(k: KrausSet, u_out: np.ndarray, u_in: np.ndarray) -> KrausSet:
     """Replace every operator by u_out . M . u_in^dagger.
 
     Completeness is preserved for unitary u_out, u_in.  Either may be a
     stack of unitaries, each of which must pass.
     """
     for name, u in (("u_out", u_out), ("u_in", u_in)):
-        res = unitarity_residual(np.asarray(u, dtype=complex))
-        if (res > 10 * tol).any():
-            raise ValueError(f"{name} is not unitary: residual {np.max(res):.3e}")
+        require(unitarity_residual(np.asarray(u, dtype=complex)), 10 * EPS, f"{name} is not unitary")
     return KrausSet(u_out @ _per_op(k.ops, u_out, u_in) @ dag(u_in), d_in=k.d_in, d_out=k.d_out)
 
 
@@ -187,7 +182,7 @@ def closed_form_qubit_kraus(b0: BlochVector, bt: BlochVector) -> KrausSet:
     return kraus_set([m0, m1])
 
 
-def factorable_kraus(u_ie: np.ndarray, rho_e0: DensityMatrix, d_i: int, tol: float = EPS) -> KrausSet:
+def factorable_kraus(u_ie: np.ndarray, rho_e0: DensityMatrix, d_i: int) -> KrausSet:
     """Textbook Kraus operators for a factorable initial joint state.
 
     M_{mu,nu} = sqrt(p_nu) <mu| U |nu> over the environment indices, with
@@ -199,9 +194,7 @@ def factorable_kraus(u_ie: np.ndarray, rho_e0: DensityMatrix, d_i: int, tol: flo
     u_ie = np.asarray(u_ie, dtype=complex)
     if u_ie.shape != (d_i * d_e, d_i * d_e):
         raise ValueError(f"unitary shape {u_ie.shape} does not match dims ({d_i}, {d_e})")
-    res = unitarity_residual(u_ie)
-    if res > 10 * tol:
-        raise ValueError(f"joint evolution is not unitary: residual {res:.3e}")
+    require(unitarity_residual(u_ie), 10 * EPS, "joint evolution is not unitary")
     env = eigh(rho_e0.mat, tol=rho_e0.tol)
     # u as [e_out, 1, i_out * i_in, e_in]; one matrix-vector product per (mu, nu) contracts e_in with |nu>
     u_t = u_ie.reshape(d_i, d_e, d_i, d_e).transpose(1, 0, 2, 3).reshape(d_e, 1, d_i * d_i, d_e)
@@ -235,9 +228,7 @@ def unitary_remix(k: KrausSet, v: np.ndarray, tol: float = EPS) -> KrausSet:
     v = np.asarray(v, dtype=complex)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValueError(f"remix matrix must be square, got {v.shape}")
-    res = unitarity_residual(v)
-    if res > 10 * tol:
-        raise ValueError(f"remix matrix is not unitary: residual {res:.3e}")
+    require(unitarity_residual(v), 10 * tol, "remix matrix is not unitary")
     n = v.shape[0]
     if n < len(k):
         raise ValueError(f"remix matrix size {n} smaller than set size {len(k)}")

@@ -38,8 +38,15 @@ def norm_max(m: np.ndarray) -> float | np.ndarray:
     return np.abs(m).max(axis=(-2, -1), initial=0.0)
 
 
-def norm_fro(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+def require(residual, bound: float, what: str, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless every residual is <= ``bound``: a NaN fails, an empty array passes.
+
+    This is the one pass/fail rule for residuals; the message names the
+    check (``what``), its worst residual and the bound.
+    """
+    passed = residual <= bound
+    if not (passed.all() if isinstance(passed, np.ndarray) else passed):  # a scalar skips the array reduction
+        raise error(f"{what}: residual {np.max(residual):.3e} > tol {bound:.3e}")
 
 
 def hermiticity_residual(m: np.ndarray) -> float | np.ndarray:
@@ -99,9 +106,7 @@ def eigh(m: np.ndarray, tol: float = EPS) -> EigenDecomposition:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    res = hermiticity_residual(m)
-    if res > tol:
-        raise ValueError(f"matrix is not Hermitian: residual {res:.3e} > tol {tol:.3e}")
+    require(hermiticity_residual(m), tol, "matrix is not Hermitian")
     values, vectors = np.linalg.eigh((m + dag(m)) / 2)
     order = np.argsort(values)[::-1]
     values = values[order]
@@ -109,14 +114,14 @@ def eigh(m: np.ndarray, tol: float = EPS) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors)
 
 
-def expm_hermitian_generator(h: np.ndarray, t, tol: float = EPS) -> np.ndarray:
+def expm_hermitian_generator(h: np.ndarray, t) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via one eigendecomposition of h.
 
     ``t`` is a real time or an array of times; for an array of shape S the
     result is the stack of shape S + h.shape.  Unitary up to rounding for
     any real t.
     """
-    decomp = eigh(h, tol=tol)
+    decomp = eigh(h)
     phases = np.exp(-1j * np.multiply.outer(t, decomp.values))
     return (decomp.vectors * phases[..., None, :]) @ dag(decomp.vectors)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import CnotScenario, CompositeState, cnot_hamiltonian
 from .kraus import ChannelReport, KrausSet, kraus_set
-from .linalg import EPS, dag, hermiticity_residual
+from .linalg import EPS, dag, hermiticity_residual, require
 from .states import BlochVector, DensityMatrix, bloch_matrix, validate_density
 
 
@@ -139,9 +139,7 @@ def _scenario_from_json(obj: Any, tol: float) -> tuple[np.ndarray, CompositeStat
             raise DecodeError(f"dims must be positive, got [{d_i}, {d_e}]")
         if h.shape != (d_i * d_e, d_i * d_e):
             raise DecodeError(f"hamiltonian shape {h.shape} does not match d_i*d_e = {d_i * d_e}")
-        herm = hermiticity_residual(h)
-        if not herm <= tol:
-            raise DecodeError(f"hamiltonian is not Hermitian: residual {herm:.3e} > tol {tol:.3e}")
+        require(hermiticity_residual(h), tol, "hamiltonian is not Hermitian", error=DecodeError)
         joint = CompositeState(mat=validate_density(rho, tol=tol), d_i=d_i, d_e=d_e)
         return (h + dag(h)) / 2, joint, None
     raise DecodeError(f"unknown scenario kind {kind!r}")

@@ -30,24 +30,17 @@ def density_violations(m: np.ndarray, tol: float = EPS) -> dict[str, float]:
     the stack, so the stack passes exactly when every matrix does.
     """
     m = np.asarray(m, dtype=complex)
-    out: dict[str, float] = {}
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        out["square"] = float("inf")
-        return out
-    # Each check is written so that a NaN residual fails it.
+        return {"square": float("inf")}
     m_dag = dag(m)
-    herm = float(abs(m - m_dag).max(initial=0.0))
-    if not herm <= tol:
-        out["hermitian"] = herm
-    tr = float(abs(m.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
-    if not tr <= tol:
-        out["unit_trace"] = tr
-    if not math.isfinite(herm):
-        return out  # a non-finite entry, on which eigvalsh may not converge
-    low = float(np.linalg.eigvalsh((m + m_dag) / 2).min(initial=np.inf))
-    if not low >= -tol:
-        out["positive"] = -low
-    return out
+    res = {
+        "hermitian": float(abs(m - m_dag).max(initial=0.0)),
+        "unit_trace": float(abs(m.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0)),
+    }
+    if math.isfinite(res["hermitian"]):  # else a non-finite entry, on which eigvalsh may not converge
+        res["positive"] = -float(np.linalg.eigvalsh((m + m_dag) / 2).min(initial=np.inf))
+    # The rule of linalg.require: a residual passes when it is <= tol, and a NaN fails.
+    return {name: r for name, r in res.items() if not r <= tol}
 
 
 @dataclass(frozen=True, eq=False)

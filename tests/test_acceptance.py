@@ -43,7 +43,7 @@ def test_02_cnot_reduced_dynamics_closed_forms():
             norm_max(joint.reduced_system().mat - sc.initial_reduced().mat),
         )
         for t in np.linspace(0, 2 * np.pi, 50):
-            numeric = kl.reduced_state(kl.evolve_joint(h, joint, t)).mat
+            numeric = kl.evolve_joint(h, joint, t).reduced_system().mat
             worst = max(worst, norm_max(numeric - kl.cnot_analytic_rho(sc, t).mat))
             worst = max(
                 worst,
@@ -157,7 +157,7 @@ def test_09_decomposition_identity():
         s = kl.CompositeState(mat=random_density(rng, d=4), d_i=2, d_e=2)
         h = random_hermitian(rng, 4)
         t = float(rng.uniform(-3, 3))
-        lhs = kl.reduced_state(kl.evolve_joint(h, s, t)).mat
+        lhs = kl.evolve_joint(h, s, t).reduced_system().mat
         u = kl.expm_hermitian_generator(h, t)
         k = kl.factorable_kraus(u, s.reduced_environment(), d_i=2)
         rhs = apply_kraus_raw(k, s.reduced_system().mat) + kl.delta_rho(h, s, t)

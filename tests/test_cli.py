@@ -17,7 +17,6 @@ from krauslab import (
     kron,
     pauli_x,
     pauli_z,
-    reduced_state,
     validate_density,
 )
 from krauslab import cli, serialize, states
@@ -146,7 +145,7 @@ class TestEvolve:
             dump(_custom(random_hermitian(rng, 6), dims=(2, 3), rho=random_density(rng, d=6).mat), path)
         t = 0.7
         h, joint = scenario_from_json(load(path))
-        rho_t = reduced_state(evolve_joint(h, joint, t))
+        rho_t = evolve_joint(h, joint, t).reduced_system()
         inhom = delta_rho(h, joint, t)
         u = expm_hermitian_generator(h, t)
         homogeneous = apply_kraus_raw(
@@ -454,6 +453,50 @@ def test_loose_tol_reaches_the_joint_state(tmp_path, capsys):
     assert main(["--tol", "1e-5", *sweep]) == 0
     assert main(["evolve", path, "--t", "0.7"]) == 2
     capsys.readouterr()
+
+
+def test_computed_state_missing_its_bound_exits_1(tmp_path, rng, capsys):
+    """At --tol 0 the decoded joint state passes (it is exact) but the evolved
+    one is re-validated at 100 * tol and misses it by rounding: exit 1 with one
+    stderr line, no traceback and no output."""
+    path = str(tmp_path / "scenario.json")
+    dump(_custom(random_hermitian(rng, 4), rho=np.diag([0.125, 0.25, 0.25, 0.375])), path)
+    for argv in (["evolve", path, "--t", "0.7"], ["sweep", path, "--t-start", "0", "--t-end", "1", "--steps", "3"]):
+        code, out, err = _call(["--tol", "0", *argv], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"{argv[0]}: not a valid density matrix: ")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "options,env", [(["--tol", "-1"], None), (["--tol=-1e-12"], None), ([], "-1")], ids=["-1", "-1e-12", "env"]
+)
+def test_negative_tol_exits_2(tmp_path, monkeypatch, capsys, options, env):
+    """A negative tolerance, from the option or from KRAUSLAB_TOL, is a parse error like a non-finite one."""
+    state = write_state(tmp_path, "mixed.json", validate_density(np.eye(2) / 2))
+    monkeypatch.delenv("KRAUSLAB_TOL", raising=False)
+    if env is not None:
+        monkeypatch.setenv("KRAUSLAB_TOL", env)
+    code, out, err = _call([*options, "validate", state], capsys)
+    assert code == 2
+    assert out == ""
+    assert "argument --tol: invalid tolerance value:" in err
+
+
+def test_sweep_with_every_kraus_row_undefined(tmp_path, capsys):
+    """At r0 = 0 over t in {0, pi}, r_t <= 1e-10 on both rows: the closed-form
+    pair is built on an empty stack of times, every Kraus residual is NaN and
+    the sweep still passes."""
+    path = str(tmp_path / "r0.json")
+    dump({"scenario": "cnot", "r0": 0}, path)
+    with pytest.warns(UserWarning, match="endpoint"):
+        code = main(["sweep", path, "--t-start", "0", "--t-end", repr(math.pi), "--steps", "2"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 2
+    for col in ("completeness_residual", "reconstruction_residual"):
+        assert all(math.isnan(float(row[col])) for row in rows)
 
 
 def test_sweep_format_json(cnot_scenario, capsys):

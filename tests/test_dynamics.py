@@ -19,7 +19,6 @@ from krauslab import (
     factorable_kraus,
     general_qubit_kraus,
     kron,
-    reduced_state,
     trace_distance,
     validate_density,
     verify_channel,
@@ -113,7 +112,7 @@ class TestReducedAndCorrelation:
     def test_product_state_reduction(self, rng):
         a, b = random_density(rng), random_density(rng)
         s = CompositeState(mat=validate_density(kron(a.mat, b.mat)), d_i=2, d_e=2)
-        assert norm_max(reduced_state(s).mat - a.mat) <= 1e-12
+        assert norm_max(s.reduced_system().mat - a.mat) <= 1e-12
 
     def test_factorable_correlation_vanishes(self, rng):
         a, b = random_density(rng), random_density(rng)
@@ -167,7 +166,7 @@ class TestDeltaRho:
             s = random_composite(rng)
             h = random_hermitian(rng, 4)
             t = float(rng.uniform(-3, 3))
-            lhs = reduced_state(evolve_joint(h, s, t)).mat
+            lhs = evolve_joint(h, s, t).reduced_system().mat
             u = expm_hermitian_generator(h, t)
             k = factorable_kraus(u, s.reduced_environment(), d_i=2)
             rhs = apply_kraus_raw(k, s.reduced_system().mat) + delta_rho(h, s, t)
@@ -194,7 +193,7 @@ class TestCnotAnalyticRho:
         joint = sc.initial_joint()
         h = cnot_hamiltonian()
         for t in np.linspace(0, 2 * np.pi, 50):
-            numeric = reduced_state(evolve_joint(h, joint, t)).mat
+            numeric = evolve_joint(h, joint, t).reduced_system().mat
             assert norm_max(numeric - cnot_analytic_rho(sc, t).mat) <= 1e-9
 
 
@@ -263,10 +262,10 @@ class TestSectionTwoChannelEquivalence:
 
 def _scalar_sweep(h, joint, ts, sc):
     """The sweep table built one t at a time from the public scalar API."""
-    rho0 = reduced_state(joint)
+    rho0 = joint.reduced_system()
     rows = []
     for t in ts:
-        numeric = reduced_state(evolve_joint(h, joint, t))
+        numeric = evolve_joint(h, joint, t).reduced_system()
         analytic = cnot_analytic_rho(sc, t) if sc else numeric
         k = cnot_analytic_kraus(sc, t) if sc else general_qubit_kraus(rho0, numeric)
         b = density_to_bloch(analytic)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krauslab import linalg
+from krauslab import dynamics, kraus, linalg, serialize
 from krauslab.linalg import (
     EPS,
     dag,
@@ -11,13 +11,14 @@ from krauslab.linalg import (
     expm_hermitian_generator,
     identity,
     kron,
-    norm_fro,
     norm_max,
     partial_trace,
     pauli_x,
     pauli_y,
     pauli_z,
+    require,
 )
+from krauslab.states import validate_density
 
 from conftest import random_hermitian
 
@@ -43,9 +44,73 @@ def test_trace_identity():
 
 
 def test_norms():
-    assert norm_fro(identity(2)) == pytest.approx(np.sqrt(2))
-    assert norm_fro(pauli_x) == pytest.approx(np.sqrt(2))
     assert norm_max(np.zeros((2, 2))) == 0.0
+
+
+class TestRequire:
+    def test_passes_at_the_bound_and_without_residuals(self):
+        require(1e-10, 1e-10, "check")
+        require(np.array([0.0, -1.0, 1e-10]), 1e-10, "check")
+        require(np.zeros((0, 3)), 0.0, "check")
+
+    def test_names_check_worst_residual_and_bound(self):
+        with pytest.raises(ValueError, match=r"^check: residual 3\.000e-01 > tol 1\.000e-10$"):
+            require(np.array([0.1, 0.3, 0.2]), 1e-10, "check")
+
+    def test_nan_fails(self):
+        with pytest.raises(ValueError, match=r"residual nan > tol"):
+            require(np.array([0.0, np.nan]), 1e-10, "check")
+
+    def test_raises_the_given_error(self):
+        class Custom(ValueError):
+            pass
+
+        with pytest.raises(Custom):
+            require(1.0, 0.5, "check", error=Custom)
+
+
+def _nan(d: int) -> np.ndarray:
+    """A d x d identity with one NaN off-diagonal entry."""
+    m = np.eye(d, dtype=complex)
+    m[0, 1] = np.nan
+    return m
+
+
+def _mixed():
+    return validate_density(np.eye(2) / 2)
+
+
+_NAN_SCENARIO = {
+    "scenario": "custom",
+    "hamiltonian": {"rows": 4, "cols": 4, "data": [[float("nan"), 0.0]] * 16},
+    "rho_ie0": serialize.matrix_to_json(np.eye(4) / 4),
+    "dims": [2, 2],
+}
+_PAIR = kraus.kraus_set([np.eye(2)])
+
+#: Every guard that compares a residual with a bound: entry point -> (call, error, words of its message).
+GUARDED = {
+    "eigh": (lambda: eigh(_nan(2)), ValueError, "not Hermitian: residual nan"),
+    "apply_channel": (
+        lambda: kraus.apply_channel(kraus.kraus_set([_nan(2)]), _mixed()), ValueError, "completeness: residual nan"
+    ),
+    "conjugate_kraus-u_out": (lambda: kraus.conjugate_kraus(_PAIR, _nan(2), np.eye(2)), ValueError, "u_out"),
+    "conjugate_kraus-u_in": (lambda: kraus.conjugate_kraus(_PAIR, np.eye(2), _nan(2)), ValueError, "u_in"),
+    "factorable_kraus": (lambda: kraus.factorable_kraus(_nan(4), _mixed(), d_i=2), ValueError, "unitary"),
+    "unitary_remix": (lambda: kraus.unitary_remix(_PAIR, _nan(2)), ValueError, "unitary"),
+    "_sqrt_clamped": (lambda: kraus._sqrt_clamped(np.array([0.25, np.nan])), ValueError, "radicand"),
+    "factor_local_unitary": (lambda: dynamics.factor_local_unitary(_nan(4), (2, 2)), ValueError, "unitary"),
+    # the decoder rejects the non-finite entry before the Hermiticity check
+    "scenario_from_json": (lambda: serialize.scenario_from_json(_NAN_SCENARIO), serialize.DecodeError, "non-finite"),
+}
+
+
+@pytest.mark.parametrize("name", list(GUARDED))
+def test_every_guard_rejects_nan(name):
+    """A NaN fails every residual check: each guarded entry point raises, none returns NaN."""
+    call, error, words = GUARDED[name]
+    with pytest.raises(error, match=words):
+        call()
 
 
 class TestEigh:
