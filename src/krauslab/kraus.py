@@ -108,35 +108,42 @@ def _sqrt_clamped(x):
     return np.sqrt(np.maximum(x, 0.0))
 
 
+def _diagonal_pair_ops(r0, r) -> np.ndarray:
+    """The (2, ..., 2, 2) operators of the diagonal pair; radii must already lie in [0, 1]."""
+    a, q = np.sqrt(np.array([(1 - r) / (1 + r0), (r + r0) / (1 + r0)]))
+    ops = np.zeros((2, *a.shape, 2, 2), dtype=complex)
+    ops[0, ..., 0, 0], ops[0, ..., 1, 1], ops[1, ..., 0, 1] = 1, a, q
+    return ops
+
+
 def diagonal_pair_kraus(r0: float, r: float) -> KrausSet:
     """Rank-2 Kraus pair connecting the two diagonalized qubit states.
 
     Maps diag((1-r0)/2, (1+r0)/2) to diag((1+r)/2, (1-r)/2); completeness
     holds analytically for any r0, r in [0, 1].  Radii that are arrays give
-    a stack of pairs.
+    a stack of pairs.  Guarded: a radius outside [-EPS, 1 + EPS] raises.
     """
     for name, val in (("r0", r0), ("r", r)):
         if not np.asarray((val >= -EPS) & (val <= 1 + EPS)).all():
             raise ValueError(f"{name} = {val} outside [0, 1]")
-    r0 = np.minimum(np.maximum(r0, 0.0), 1.0)
-    r = np.minimum(np.maximum(r, 0.0), 1.0)
-    a, q = _sqrt_clamped(np.array([(1 - r) / (1 + r0), (r + r0) / (1 + r0)]))
-    ops = np.zeros((2, *a.shape, 2, 2), dtype=complex)
-    ops[0, ..., 0, 0] = 1
-    ops[0, ..., 1, 1] = a
-    ops[1, ..., 0, 1] = q
-    return KrausSet(ops, d_in=2, d_out=2)
+    r0, r = np.minimum(np.maximum(r0, 0.0), 1.0), np.minimum(np.maximum(r, 0.0), 1.0)
+    return KrausSet(_diagonal_pair_ops(r0, r), d_in=2, d_out=2)
+
+
+def _conjugated(ops: np.ndarray, u_out: np.ndarray, u_in: np.ndarray) -> np.ndarray:
+    """u_out . M . u_in^dagger for every operator M of ``ops``, unchecked."""
+    return u_out @ _per_op(ops, u_out, u_in) @ dag(u_in)
 
 
 def conjugate_kraus(k: KrausSet, u_out: np.ndarray, u_in: np.ndarray) -> KrausSet:
     """Replace every operator by u_out . M . u_in^dagger.
 
     Completeness is preserved for unitary u_out, u_in.  Either may be a
-    stack of unitaries, each of which must pass.
+    stack of unitaries.  Guarded: each must be unitary to 10 * EPS.
     """
     for name, u in (("u_out", u_out), ("u_in", u_in)):
         require(unitarity_residual(np.asarray(u, dtype=complex)), 10 * EPS, f"{name} is not unitary")
-    return KrausSet(u_out @ _per_op(k.ops, u_out, u_in) @ dag(u_in), d_in=k.d_in, d_out=k.d_out)
+    return KrausSet(_conjugated(k.ops, u_out, u_in), d_in=k.d_in, d_out=k.d_out)
 
 
 def general_qubit_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSet:
@@ -146,14 +153,21 @@ def general_qubit_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSet:
     plus-first), build the diagonal-pair operators from the Bloch radii,
     then conjugate back into the original bases.  Total on every valid
     pair, including degenerate and rank-deficient states.  Either state may
-    be a stack, giving the stack of pairs.
+    be a stack, giving the stack of pairs.  Only the input is checked: the
+    radii and bases built here cannot fail the guards of the public steps.
     """
+    shape0, shape_t = rho0.mat.shape, rhot.mat.shape
+    if rho0.dim != 2 or rhot.dim != 2:
+        raise ValueError(f"general_qubit_kraus needs qubit states, got shapes {shape0} and {shape_t}")
+    if shape0 != shape_t:  # a single pair pays only this comparison
+        try:
+            np.broadcast_shapes(shape0, shape_t)
+        except ValueError:
+            raise ValueError(f"general_qubit_kraus: state shapes {shape0} and {shape_t} do not broadcast") from None
     d0 = diagonalize_state(rho0, Ordering.MINUS_FIRST)
     dt = diagonalize_state(rhot, Ordering.PLUS_FIRST)
-    r0 = d0.eig_plus - d0.eig_minus
-    r = dt.eig_plus - dt.eig_minus
-    diag_pair = diagonal_pair_kraus(r0, r)
-    return conjugate_kraus(diag_pair, u_out=dt.basis, u_in=d0.basis)
+    ops = _diagonal_pair_ops(d0.eig_plus - d0.eig_minus, dt.eig_plus - dt.eig_minus)
+    return KrausSet(_conjugated(ops, dt.basis, d0.basis), d_in=2, d_out=2)
 
 
 def closed_form_qubit_kraus(b0: BlochVector, bt: BlochVector) -> KrausSet:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from krauslab import validate_density
+
+# CI runs with --hypothesis-profile=ci: the same examples on every run, and a
+# failure prints the blob that replays it (@reproduce_failure).  Local runs
+# stay randomized under the default profile.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 def random_density(rng, d=2, rank=None):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from krauslab import (
     BlochVector,
     apply_channel,
+    bloch_to_density,
     closed_form_qubit_kraus,
     conjugate_kraus,
     density_to_bloch,
@@ -19,11 +22,54 @@ from krauslab import (
     validate_density,
     verify_channel,
 )
-from krauslab.kraus import apply_kraus_raw
-from krauslab.linalg import dag, eigh, identity, kron, norm_max, partial_trace, pauli_x
+from krauslab.kraus import _diagonal_pair_ops, apply_kraus_raw
+from krauslab.linalg import dag, eigh, identity, kron, norm_max, partial_trace, pauli_x, unitarity_residual
 from krauslab.states import Ordering
 
 from conftest import random_density, random_unitary
+
+#: Bloch radii at and near the branch points: the centre (r < EPS gets the
+#: identity basis), pure states and states with 1 - r down to 1e-12.
+radii = st.one_of(
+    st.just(0.0), st.floats(0, 1e-9), st.floats(-12, 0).map(lambda e: 1 - 10**e), st.just(1.0), st.floats(0, 1)
+)
+#: Polar angles at and near the poles, where phi is a convention, and anywhere.
+thetas = st.one_of(st.floats(0, 1e-12), st.floats(0, 1e-12).map(lambda d: np.pi - d), st.floats(0, np.pi))
+bloch_states = st.builds(
+    lambda r, theta, phi: bloch_to_density(BlochVector(r, theta, phi)).mat, radii, thetas, st.floats(0, 2 * np.pi)
+)
+#: Random full-rank and pure states.
+ginibre_states = st.builds(
+    lambda seed, rank: random_density(np.random.default_rng(seed), rank=rank).mat,
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 2),
+)
+#: Qubit state matrices of every kind: full, pure, near pure, polar and maximally mixed.
+qubit_states = st.one_of(ginibre_states, bloch_states)
+
+
+def ginibre_stack(rng, n):
+    """n random full-rank qubit state matrices."""
+    g = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    m = g @ dag(g)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+
+
+@st.composite
+def state_pairs(draw):
+    """(rho0, rhot) matrices: one pair, two stacks of pairs, or one rho0 against
+    a stack.  A stack holds up to 4 drawn states and 128 random full-rank ones:
+    an ulp of difference in a radius reaches the operators' bits only rarely."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 4))
+
+    def stack():
+        return np.concatenate([[draw(qubit_states) for _ in range(n)], ginibre_stack(rng, 128)])
+
+    layout = draw(st.sampled_from(["single", "stacks", "broadcast"]))
+    if layout == "single":
+        return draw(qubit_states), draw(qubit_states)
+    return (stack() if layout == "stacks" else draw(qubit_states)), stack()
 
 
 class TestKrausSet:
@@ -170,6 +216,54 @@ class TestGeneralQubitKraus:
         got = general_qubit_kraus(rho0, rhot)
         for a, b in zip(got.ops, expected.ops):
             assert norm_max(a - b) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "shape0, shape_t, message",
+        [
+            ((3, 3), (3, 3), r"general_qubit_kraus needs qubit states, got shapes \(3, 3\) and \(3, 3\)"),
+            ((2, 2), (3, 3), r"general_qubit_kraus needs qubit states, got shapes \(2, 2\) and \(3, 3\)"),
+            ((3, 2, 2), (2, 2, 2), r"general_qubit_kraus: state shapes \(3, 2, 2\) and \(2, 2, 2\) do not broadcast"),
+        ],
+    )
+    def test_input_errors_name_the_function(self, shape0, shape_t, message):
+        rho0, rhot = (validate_density(np.broadcast_to(identity(s[-1]) / s[-1], s)) for s in (shape0, shape_t))
+        with pytest.raises(ValueError, match=message):
+            general_qubit_kraus(rho0, rhot)
+
+
+class TestUncheckedQubitPair:
+    """general_qubit_kraus builds its radii and bases itself and skips the
+    guards of the public steps; these tests show those guards cannot fail there."""
+
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    @given(mats=st.lists(qubit_states, min_size=1, max_size=4), stacked=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_basis_unitarity_residual_is_a_few_ulps(self, ordering, mats, stacked):
+        states = [validate_density(np.stack(mats))] if stacked else [validate_density(m) for m in mats]
+        for rho in states:
+            assert np.max(unitarity_residual(diagonalize_state(rho, ordering).basis)) <= 4 * np.finfo(float).eps
+
+    @given(pair=state_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_same_bits_as_the_guarded_steps(self, pair):
+        rho0, rhot = map(validate_density, pair)
+        d0 = diagonalize_state(rho0, Ordering.MINUS_FIRST)
+        dt = diagonalize_state(rhot, Ordering.PLUS_FIRST)
+        pair_kraus = diagonal_pair_kraus(d0.eig_plus - d0.eig_minus, dt.eig_plus - dt.eig_minus)
+        expected = conjugate_kraus(pair_kraus, dt.basis, d0.basis)
+        assert np.array_equal(general_qubit_kraus(rho0, rhot).ops, expected.ops)
+
+    @given(radius_pairs=st.lists(st.tuples(radii, radii), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_diagonal_pair_ops_on_unit_radii(self, radius_pairs):
+        r0, r = np.array(radius_pairs).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for ops in (_diagonal_pair_ops(r0, r), _diagonal_pair_ops(r0[0], r[0])):
+                a, q = ops[0, ..., 1, 1], ops[1, ..., 0, 1]
+                assert np.isfinite(ops).all()
+                assert (a.imag == 0).all() and (a.real >= 0).all()
+                assert (q.imag == 0).all() and (q.real >= 0).all()
 
 
 class TestClosedFormQubitKraus:
