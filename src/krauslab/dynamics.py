@@ -11,6 +11,7 @@ import numpy as np
 from .kraus import KrausSet, apply_kraus_raw, general_qubit_kraus, kraus_set, _sqrt_clamped
 from .linalg import (
     EPS,
+    bound,
     dag,
     expm_hermitian_generator,
     identity,
@@ -43,15 +44,13 @@ class CompositeState:
                 f"joint dim {self.mat.dim} does not equal d_i * d_e = {self.d_i * self.d_e}"
             )
 
-    # Tracing out a d-dimensional factor can grow the joint state's Hermiticity
-    # and positivity residuals by at most a factor d.
     def reduced_system(self) -> DensityMatrix:
         rho = partial_trace(self.mat.mat, (self.d_i, self.d_e), keep=0)
-        return DensityMatrix(rho, tol=self.d_e * self.mat.tol)
+        return DensityMatrix(rho, tol=bound(self.mat.tol, self.d_e))
 
     def reduced_environment(self) -> DensityMatrix:
         rho = partial_trace(self.mat.mat, (self.d_i, self.d_e), keep=1)
-        return DensityMatrix(rho, tol=self.d_i * self.mat.tol)
+        return DensityMatrix(rho, tol=bound(self.mat.tol, self.d_i))
 
 
 def _propagator(h: np.ndarray, s: CompositeState, t) -> np.ndarray:
@@ -64,7 +63,7 @@ def _propagator(h: np.ndarray, s: CompositeState, t) -> np.ndarray:
 
 def _evolve(u: np.ndarray, s: CompositeState) -> CompositeState:
     evolved = u @ s.mat.mat @ dag(u)
-    return CompositeState(mat=DensityMatrix(evolved, tol=100 * s.mat.tol), d_i=s.d_i, d_e=s.d_e)
+    return CompositeState(mat=DensityMatrix(evolved, tol=bound(s.mat.tol, s.mat.dim)), d_i=s.d_i, d_e=s.d_e)
 
 
 def _inhomogeneous(u: np.ndarray, s: CompositeState, cor: np.ndarray) -> np.ndarray:
@@ -162,7 +161,7 @@ def cnot_analytic_rho(sc: CnotScenario, t) -> DensityMatrix:
     st2, ct2 = np.sin(t) ** 2, np.cos(t) ** 2
     off = -0.5j * (1 + sc.r0) * np.sin(t) * np.cos(t)
     mat = qubit_matrix(0.5 * (1 + st2 - sc.r0 * ct2), off, -off, 0.5 * (1 + sc.r0) * ct2)
-    return DensityMatrix(mat, tol=100 * EPS)
+    return DensityMatrix(mat, tol=bound(EPS, 2))
 
 
 def cnot_analytic_delta_rho(sc: CnotScenario, t: float) -> np.ndarray:
@@ -272,20 +271,18 @@ def factor_local_unitary(
     """Factor a joint unitary as U_i (x) U_e if possible, else None.
 
     Uses the nearest-Kronecker-product rearrangement: the reshuffled matrix
-    is rank one exactly when the unitary is a tensor product.  The second
-    singular value is tested against a fixed 1e-8 gap threshold, then the
-    reassembled product is checked against ``tol``.
+    is rank one exactly when the unitary is a tensor product.  Its leading
+    singular pair gives the factors, and U is factorable when their product
+    lies within ``tol`` of it (plus the rounding of ``bound(0, d)``).
     """
     d_i, d_e = dims
     u = np.asarray(u, dtype=complex)
     if u.shape != (d_i * d_e, d_i * d_e):
         raise ValueError(f"unitary shape {u.shape} does not match dims {dims}")
-    require(unitarity_residual(u), 10 * max(tol, EPS), "input is not unitary")
+    require(unitarity_residual(u), bound(tol, d_i * d_e), "input is not unitary")
     # Van Loan rearrangement: row block index pairs with column block index.
     r = u.reshape(d_i, d_e, d_i, d_e).transpose(0, 2, 1, 3).reshape(d_i * d_i, d_e * d_e)
-    left, sing, right = np.linalg.svd(r)
-    if len(sing) > 1 and sing[1] > 1e-8:
-        return None
+    left, _, right = np.linalg.svd(r)
     # The rank-one factors are the unitaries up to scale; take polar parts.
     u_i = _polar_unitary(left[:, 0].reshape(d_i, d_i))
     u_e = _polar_unitary(right[0, :].reshape(d_e, d_e))
@@ -294,7 +291,7 @@ def factor_local_unitary(
     if abs(phase) < 0.5:
         return None
     u_i = u_i * (phase / abs(phase))
-    if norm_max(kron(u_i, u_e) - u) > max(tol, 1e-9):
+    if not norm_max(kron(u_i, u_e) - u) <= tol + bound(0, d_i * d_e):
         return None
     return u_i, u_e
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EPS, dag, eigh, identity, norm_max, require, unitarity_residual
+from .linalg import EPS, bound, dag, eigh, identity, norm_max, require, unitarity_residual
 from .states import BlochVector, DensityMatrix, Ordering, diagonalize_state
 
 
@@ -87,8 +87,8 @@ def apply_channel(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
     """sum_mu M_mu rho M_mu^dagger, validated as a density matrix; stack-aware."""
     if rho.dim != k.d_in:
         raise ValueError(f"state dim {rho.dim} does not match channel d_in {k.d_in}")
-    require(k.completeness_residual(), 10 * EPS, "Kraus set violates completeness")
-    return DensityMatrix(apply_kraus_raw(k, rho.mat), tol=100 * EPS)
+    require(k.completeness_residual(), bound(EPS, k.d_in), "Kraus set violates completeness")
+    return DensityMatrix(apply_kraus_raw(k, rho.mat), tol=bound(rho.tol, k.d_in))
 
 
 def apply_kraus_raw(k: KrausSet, mat: np.ndarray) -> np.ndarray:
@@ -130,20 +130,15 @@ def diagonal_pair_kraus(r0: float, r: float) -> KrausSet:
     return KrausSet(_diagonal_pair_ops(r0, r), d_in=2, d_out=2)
 
 
-def _conjugated(ops: np.ndarray, u_out: np.ndarray, u_in: np.ndarray) -> np.ndarray:
-    """u_out . M . u_in^dagger for every operator M of ``ops``, unchecked."""
-    return u_out @ _per_op(ops, u_out, u_in) @ dag(u_in)
-
-
 def conjugate_kraus(k: KrausSet, u_out: np.ndarray, u_in: np.ndarray) -> KrausSet:
     """Replace every operator by u_out . M . u_in^dagger.
 
     Completeness is preserved for unitary u_out, u_in.  Either may be a
-    stack of unitaries.  Guarded: each must be unitary to 10 * EPS.
+    stack of unitaries.  Guarded: each d x d one must be unitary to bound(EPS, d).
     """
     for name, u in (("u_out", u_out), ("u_in", u_in)):
-        require(unitarity_residual(np.asarray(u, dtype=complex)), 10 * EPS, f"{name} is not unitary")
-    return KrausSet(_conjugated(k.ops, u_out, u_in), d_in=k.d_in, d_out=k.d_out)
+        require(unitarity_residual(np.asarray(u, dtype=complex)), bound(EPS, np.shape(u)[-1]), f"{name} is not unitary")
+    return KrausSet(u_out @ _per_op(k.ops, u_out, u_in) @ dag(u_in), d_in=k.d_in, d_out=k.d_out)
 
 
 def general_qubit_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSet:
@@ -167,7 +162,7 @@ def general_qubit_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSet:
     d0 = diagonalize_state(rho0, Ordering.MINUS_FIRST)
     dt = diagonalize_state(rhot, Ordering.PLUS_FIRST)
     ops = _diagonal_pair_ops(d0.eig_plus - d0.eig_minus, dt.eig_plus - dt.eig_minus)
-    return KrausSet(_conjugated(ops, dt.basis, d0.basis), d_in=2, d_out=2)
+    return KrausSet(dt.basis @ ops @ dag(d0.basis), d_in=2, d_out=2)
 
 
 def closed_form_qubit_kraus(b0: BlochVector, bt: BlochVector) -> KrausSet:
@@ -208,7 +203,7 @@ def factorable_kraus(u_ie: np.ndarray, rho_e0: DensityMatrix, d_i: int) -> Kraus
     u_ie = np.asarray(u_ie, dtype=complex)
     if u_ie.shape != (d_i * d_e, d_i * d_e):
         raise ValueError(f"unitary shape {u_ie.shape} does not match dims ({d_i}, {d_e})")
-    require(unitarity_residual(u_ie), 10 * EPS, "joint evolution is not unitary")
+    require(unitarity_residual(u_ie), bound(EPS, d_i * d_e), "joint evolution is not unitary")
     env = eigh(rho_e0.mat, tol=rho_e0.tol)
     # u as [e_out, 1, i_out * i_in, e_in]; one matrix-vector product per (mu, nu) contracts e_in with |nu>
     u_t = u_ie.reshape(d_i, d_e, d_i, d_e).transpose(1, 0, 2, 3).reshape(d_e, 1, d_i * d_i, d_e)
@@ -242,8 +237,8 @@ def unitary_remix(k: KrausSet, v: np.ndarray, tol: float = EPS) -> KrausSet:
     v = np.asarray(v, dtype=complex)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValueError(f"remix matrix must be square, got {v.shape}")
-    require(unitarity_residual(v), 10 * tol, "remix matrix is not unitary")
     n = v.shape[0]
+    require(unitarity_residual(v), bound(tol, n), "remix matrix is not unitary")
     if n < len(k):
         raise ValueError(f"remix matrix size {n} smaller than set size {len(k)}")
     padded = np.zeros((n, *k.ops.shape[1:]), dtype=complex)

@@ -49,6 +49,21 @@ def require(residual, bound: float, what: str, error: type[Exception] = ValueErr
         raise error(f"{what}: residual {np.max(residual):.3e} > tol {bound:.3e}")
 
 
+def bound(tol: float, d: int) -> float:
+    """Bound on a residual of a d-dimensional result computed from values that passed at ``tol``.
+
+    The one growth rule of the package: no operation here grows a max-norm
+    residual by more than d**2.  Conjugation by a unitary grows it by at most
+    d (|U E U^dagger|_max <= |E|_op <= d |E|_max), and so does tracing out a
+    d-dimensional factor (a sum of d entries).  A matrix entrywise within tol
+    of a unitary has unitarity residual up to 2 sqrt(d) tol, and a channel on
+    d_in dimensions grows a residual by d_in**2 (through the trace norm).  The
+    term 8 d**3 ulps, which does not shrink with tol, is the rounding of the
+    d**3 products; a direct distance, grown by nothing, gets tol + bound(0, d).
+    """
+    return d * d * tol + 8 * d**3 * 2.0**-52  # 2**-52: the machine epsilon of float64
+
+
 def hermiticity_residual(m: np.ndarray) -> float | np.ndarray:
     return norm_max(m - dag(m))
 

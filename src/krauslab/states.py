@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EPS, dag, eigh, identity, pauli_x, pauli_y, pauli_z, qubit_matrix
+from .linalg import EPS, bound, dag, eigh, identity, pauli_x, pauli_y, pauli_z, qubit_matrix
 
 
 class StateValidationError(ValueError):
@@ -134,8 +134,7 @@ def bloch_matrix(v: np.ndarray) -> np.ndarray:
 
 def bloch_to_density(b: BlochVector) -> DensityMatrix:
     """rho = (I + r . sigma) / 2."""
-    # Radii within EPS of 1 can push the smallest eigenvalue barely negative.
-    return DensityMatrix(bloch_matrix(b.cartesian()), tol=10 * EPS)
+    return DensityMatrix(bloch_matrix(b.cartesian()), tol=bound(EPS, 2))
 
 
 def bloch_angles(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from krauslab import validate_density
 
@@ -16,6 +17,28 @@ def random_density(rng, d=2, rank=None):
     g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     m = g @ g.conj().T
     return validate_density(m / np.trace(m).real)
+
+
+#: Tolerances from exact (0) and below rounding (1e-18) up to loose (1e-6).
+edge_tols = st.sampled_from([0.0, 1e-18, 1e-12, 1e-10, 1e-6])
+
+
+def edge_matrix(rng, d, tol, sign, rank=None):
+    """A random state pushed to the edge of ``tol``, not validated.
+
+    Its anti-Hermitian part is off-diagonal with max-norm just under tol/2,
+    and it is shifted by sign * tol/d times the identity, so that its trace
+    is off by tol.  Callers filter out the matrices that rounding pushes
+    past ``tol``.
+    """
+    m = random_density(rng, d, rank).mat
+    m = (m + m.conj().T) / 2  # exactly Hermitian
+    for _ in range(3):  # the trace exactly 1 as far as rounding allows
+        m[-1, -1] += 1 - m.trace().real
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    a = g - g.conj().T
+    np.fill_diagonal(a, 0)
+    return m + 0.49 * tol * a / np.abs(a).max() + sign * tol / d * np.eye(d)
 
 
 def random_unitary(rng, d):

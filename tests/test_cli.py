@@ -455,18 +455,45 @@ def test_loose_tol_reaches_the_joint_state(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_computed_state_missing_its_bound_exits_1(tmp_path, rng, capsys):
-    """At --tol 0 the decoded joint state passes (it is exact) but the evolved
-    one is re-validated at 100 * tol and misses it by rounding: exit 1 with one
-    stderr line, no traceback and no output."""
+def _tol_zero_scenario(tmp_path, rng):
+    """A custom scenario whose joint state is exact, so it passes --tol 0."""
     path = str(tmp_path / "scenario.json")
     dump(_custom(random_hermitian(rng, 4), rho=np.diag([0.125, 0.25, 0.25, 0.375])), path)
-    for argv in (["evolve", path, "--t", "0.7"], ["sweep", path, "--t-start", "0", "--t-end", "1", "--steps", "3"]):
-        code, out, err = _call(["--tol", "0", *argv], capsys)
+    return path
+
+
+def test_computed_state_missing_its_bound_exits_1(tmp_path, rng, monkeypatch, capsys):
+    """A propagator off by a factor 1 + 1e-6 gives an evolved joint state whose
+    trace misses its bound: exit 1 with one stderr line, no traceback and no output."""
+    path = _tol_zero_scenario(tmp_path, rng)
+    monkeypatch.setattr(
+        "krauslab.dynamics.expm_hermitian_generator", lambda h, t: (1 + 1e-6) * expm_hermitian_generator(h, t)
+    )
+    for cmd, *options in (["evolve", "--t", "0.7"], ["sweep", "--t-start", "0", "--t-end", "1", "--steps", "3"]):
+        code, out, err = _call(["--tol", "0", cmd, path, *options], capsys)
         assert code == 1
         assert out == ""
-        assert err.startswith(f"{argv[0]}: not a valid density matrix: ")
+        assert err.startswith(f"{cmd}: not a valid density matrix: ")
         assert err.count("\n") == 1
+
+
+def test_tol_zero_is_not_failed_by_rounding(tmp_path, rng, capsys):
+    """At --tol 0 the evolved and reduced states pass their bounds despite
+    rounding: each command writes its full output, and its exit code comes
+    from its own residuals alone."""
+    path = _tol_zero_scenario(tmp_path, rng)
+    code, out, err = _call(["--tol", "0", "evolve", path, "--t", "0.7"], capsys)
+    doc = json.loads(out)
+    assert list(doc) == ["t", "rho_i_t", "delta_rho", "rho_cor_0", "decomposition_residual"]
+    assert code == (0 if doc["decomposition_residual"] <= 0 else 1)
+    assert err == ""
+    code, out, err = _call(["--tol", "0", "sweep", path, "--t-start", "0", "--t-end", "1", "--steps", "3"], capsys)
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 3
+    failed = [col for col in RESIDUAL_COLUMNS if any(float(row[col]) > 0 for row in rows)]
+    assert code == (1 if failed else 0)
+    assert [line.split()[1] for line in err.splitlines()] == failed
+    assert "not a valid density matrix" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
+import contextlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from krauslab import (
@@ -26,6 +28,7 @@ from krauslab import (
 from krauslab.dynamics import SWEEP_COLUMNS, sweep_columns
 from krauslab.kraus import apply_kraus_raw
 from krauslab.linalg import (
+    EPS,
     dag,
     expm_hermitian_generator,
     identity,
@@ -33,12 +36,36 @@ from krauslab.linalg import (
     pauli_x,
     pauli_z,
 )
+from krauslab.states import DensityMatrix, density_violations
 
-from conftest import random_density, random_hermitian, random_unitary
+from conftest import edge_matrix, edge_tols, random_density, random_hermitian, random_unitary
 
 
 def random_composite(rng):
     return CompositeState(mat=random_density(rng, d=4), d_i=2, d_e=2)
+
+
+@given(
+    dims=st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 2)]),
+    tol=edge_tols,
+    sign=st.sampled_from([-1, 1]),
+    rank=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    ts=st.lists(st.floats(-10, 10), min_size=1, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_states_at_the_edge_of_tol_survive_evolution_and_reduction(dims, tol, sign, rank, seed, ts):
+    """A joint state that passes at tol, by as little as rounding allows, gives
+    an evolved state and reduced states that pass the bounds of linalg.bound."""
+    d_i, d_e = dims
+    rng = np.random.default_rng(seed)
+    m = edge_matrix(rng, d_i * d_e, tol, sign, min(rank, d_i * d_e))
+    assume(not density_violations(m, tol))
+    joint = CompositeState(mat=DensityMatrix(m, tol=tol), d_i=d_i, d_e=d_e)
+    evolved = evolve_joint(random_hermitian(rng, d_i * d_e), joint, np.array(ts))
+    for s in (joint, evolved):
+        s.reduced_system()
+        s.reduced_environment()
 
 
 class TestCnotHamiltonian:
@@ -224,14 +251,17 @@ class TestCnotAnalyticKraus:
         k=st.integers(0, 8),
         log_offset=st.floats(-14, -5),
         sign=st.sampled_from([-1, 1]),
-        r0=st.floats(0.05, 0.95),
+        r0=st.one_of(st.sampled_from([0.0, 1e-12, 1 - 1e-12, 1.0]), st.floats(0.05, 0.95)),
     )
     @settings(max_examples=300, deadline=None)
     def test_holds_near_multiples_of_half_pi(self, k, log_offset, sign, r0):
         # The radicands vanish at t = k*pi/2; written as differences they
-        # lose half their digits there.
-        sc = CnotScenario(r0)
+        # lose half their digits there.  At the endpoints of r0 the scenario warns.
+        endpoint = not EPS < r0 < 1 - EPS
+        with pytest.warns(UserWarning, match="endpoint") if endpoint else contextlib.nullcontext():
+            sc = CnotScenario(r0)
         t = k * np.pi / 2 + sign * 10.0**log_offset
+        assume(sc.r_t(t) > EPS)
         rep = verify_channel(cnot_analytic_kraus(sc, t), sc.initial_reduced(), cnot_analytic_rho(sc, t))
         assert rep.completeness_residual <= 1e-10
         assert rep.reconstruction_residual <= 1e-10
@@ -330,3 +360,16 @@ class TestFactorLocalUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             factor_local_unitary(np.ones((4, 4)), (2, 2))
+
+    @given(dims=st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 2)]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_products_factor_at_tol_zero(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        u = kron(random_unitary(rng, dims[0]), random_unitary(rng, dims[1]))
+        assert factor_local_unitary(u, dims, tol=0) is not None
+
+    def test_near_product_follows_tol(self):
+        """A product times exp(-i 1e-6 H_cnot) lies about 1e-6 from a product: --tol decides."""
+        u = kron(pauli_x, pauli_z) @ expm_hermitian_generator(cnot_hamiltonian(), 1e-6)
+        assert factor_local_unitary(u, (2, 2), tol=1e-5) is not None
+        assert factor_local_unitary(u, (2, 2), tol=1e-7) is None

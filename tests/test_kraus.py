@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from krauslab import (
@@ -24,9 +24,9 @@ from krauslab import (
 )
 from krauslab.kraus import _diagonal_pair_ops, apply_kraus_raw
 from krauslab.linalg import dag, eigh, identity, kron, norm_max, partial_trace, pauli_x, unitarity_residual
-from krauslab.states import Ordering
+from krauslab.states import DensityMatrix, Ordering, density_violations
 
-from conftest import random_density, random_unitary
+from conftest import edge_matrix, edge_tols, random_density, random_unitary
 
 #: Bloch radii at and near the branch points: the centre (r < EPS gets the
 #: identity basis), pure states and states with 1 - r down to 1e-12.
@@ -132,6 +132,23 @@ class TestApplyChannel:
             k = general_qubit_kraus(random_density(rng), random_density(rng))
             out = apply_channel(k, rho)  # DensityMatrix validation inside
             assert abs(np.trace(out.mat) - 1) <= 1e-12
+
+    @given(
+        tol=edge_tols,
+        sign=st.sampled_from([-1, 1]),
+        rank=st.integers(1, 2),
+        n=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_state_at_the_edge_of_tol_survives(self, tol, sign, rank, n, seed):
+        """A qubit state that passes at tol, by as little as rounding allows, maps
+        under a complete set to a state within the bound of linalg.bound."""
+        rng = np.random.default_rng(seed)
+        m = edge_matrix(rng, 2, tol, sign, rank)
+        assume(not density_violations(m, tol))
+        isometry = random_unitary(rng, 2 * n)[:, :2]  # the stacked operators of a complete set
+        apply_channel(kraus_set(isometry.reshape(n, 2, 2)), DensityMatrix(m, tol=tol))
 
 
 class TestDiagonalPair:

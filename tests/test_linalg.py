@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from krauslab import dynamics, kraus, linalg, serialize
 from krauslab.linalg import (
     EPS,
+    bound,
     dag,
     eigh,
     expm_hermitian_generator,
@@ -17,10 +18,11 @@ from krauslab.linalg import (
     pauli_y,
     pauli_z,
     require,
+    unitarity_residual,
 )
 from krauslab.states import validate_density
 
-from conftest import random_hermitian
+from conftest import edge_tols, random_hermitian, random_unitary
 
 
 def test_identity_is_read_only():
@@ -67,6 +69,37 @@ class TestRequire:
 
         with pytest.raises(Custom):
             require(1.0, 0.5, "check", error=Custom)
+
+
+class TestBound:
+    def test_values(self):
+        ulp = np.finfo(float).eps
+        assert bound(0, 4) == 512 * ulp
+        assert bound(1e-10, 2) == 4e-10 + 64 * ulp
+
+    @given(d=st.integers(2, 6), tol=edge_tols, seed=st.integers(0, 2**32 - 1), aligned=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_covers_a_perturbed_unitary(self, d, tol, seed, aligned):
+        """A unitary moved entrywise by at most tol has unitarity residual <= bound(tol, d).
+
+        Phases that follow the unitary's entries are the worst case: the
+        residual's diagonal grows by 2 tol times a column's 1-norm, up to 2 sqrt(d) tol.
+        """
+        rng = np.random.default_rng(seed)
+        u = random_unitary(rng, d)
+        if aligned:
+            e = tol * u / np.abs(u)
+        else:
+            e = tol * rng.random((d, d)) * np.exp(2j * np.pi * rng.random((d, d)))
+        assert unitarity_residual(u + e) <= bound(tol, d)
+
+    def test_growth_d_is_too_small(self):
+        """A flat unitary moved by tol along its own phases reaches 2 sqrt(d) tol > d tol at d = 2."""
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        tol = 1e-6
+        residual = unitarity_residual(h + tol * np.sign(h))
+        assert 2 * tol < residual <= bound(tol, 2)
+        assert residual == pytest.approx(2 * np.sqrt(2) * tol, rel=1e-6)
 
 
 def _nan(d: int) -> np.ndarray:
