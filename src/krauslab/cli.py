@@ -35,7 +35,7 @@ from .kraus import (
     unitary_remix,
     verify_channel,
 )
-from .linalg import EPS, norm_max
+from .linalg import EPS, failures, norm_max
 from .states import StateValidationError, density_to_bloch
 
 EXIT_OK = 0
@@ -45,11 +45,7 @@ EXIT_INVALID = 2
 CSV_HEADER = list(SWEEP_COLUMNS)
 
 #: The sweep columns checked against --tol; NaN entries are not checked.
-RESIDUAL_COLUMNS = (
-    "completeness_residual",
-    "reconstruction_residual",
-    "trace_distance_analytic_vs_numeric",
-)
+RESIDUAL_COLUMNS = ("completeness_residual", "reconstruction_residual", "trace_distance_analytic_vs_numeric")
 
 
 class InputError(ValueError):
@@ -87,6 +83,13 @@ def _emit(obj, out: str | None) -> None:
     _write(serialize.dumps(obj) + "\n", out)
 
 
+def _verdict(args, failed: dict[str, float], where=lambda check: "") -> int:
+    """Print ``<command>: <check> <worst> > tol <tol>`` + ``where(check)`` per failed check; return the exit code."""
+    for name, worst in failed.items():
+        print(f"{args.command}: {name} {worst:.3e} > tol {args.tol:.3e}{where(name)}", file=sys.stderr)
+    return EXIT_NUMERIC if failed else EXIT_OK
+
+
 def cmd_validate(args) -> int:
     try:
         state = _load(args.state, serialize.state_from_json, args.tol)
@@ -113,7 +116,7 @@ def cmd_kraus(args) -> int:
     report = verify_channel(k, rho0, rhot)
     _emit(serialize.kraus_to_json(k), args.out)
     _emit(serialize.report_to_json(report), None)
-    return EXIT_OK if report.passes(args.tol) else EXIT_NUMERIC
+    return _verdict(args, report.failures(args.tol))
 
 
 def cmd_evolve(args) -> int:
@@ -137,7 +140,7 @@ def cmd_evolve(args) -> int:
         },
         args.out,
     )
-    return EXIT_OK if residual <= args.tol else EXIT_NUMERIC
+    return _verdict(args, failures({"decomposition_residual": residual}, args.tol))
 
 
 def cmd_sweep(args) -> int:
@@ -154,15 +157,9 @@ def cmd_sweep(args) -> int:
         # The bytes of csv.writer with f"{value:.12g}" cells: no cell needs quoting.
         csv_rows = (",".join(["%.12g"] * len(CSV_HEADER)) + "\r\n") * len(table)
         _write(",".join(CSV_HEADER) + "\r\n" + csv_rows % tuple(table.ravel().tolist()), args.out, newline="")
-    ok = True
-    for col in RESIDUAL_COLUMNS:
-        finite = np.where(np.isfinite(cols[col]), cols[col], -np.inf)
-        worst = int(np.argmax(finite))
-        if finite[worst] > args.tol:
-            ok = False
-            t = cols["t"][worst]
-            print(f"sweep: {col} {finite[worst]:.3e} > tol {args.tol:.3e}, worst at t = {t:.12g}", file=sys.stderr)
-    return EXIT_OK if ok else EXIT_NUMERIC
+    checks = {col: np.where(np.isnan(cols[col]), -np.inf, cols[col]) for col in RESIDUAL_COLUMNS}  # NaN: unchecked
+    failed = failures(checks, args.tol)
+    return _verdict(args, failed, lambda col: f", worst at t = {cols['t'][np.argmax(checks[col])]:.12g}")
 
 
 def cmd_verify(args) -> int:
@@ -171,7 +168,7 @@ def cmd_verify(args) -> int:
     rhot = _load(args.rhot, serialize.state_from_json, args.tol)
     report = verify_channel(k, rho0, rhot)
     _emit(serialize.report_to_json(report), None)
-    return EXIT_OK if report.passes(args.tol) else EXIT_NUMERIC
+    return _verdict(args, report.failures(args.tol))
 
 
 def cmd_remix(args) -> int:
@@ -190,14 +187,7 @@ def cmd_factor(args) -> int:
         print(json.dumps({"factorable": False}))
         return EXIT_NUMERIC
     u_i, u_e = factors
-    _emit(
-        {
-            "factorable": True,
-            "u_i": serialize.matrix_to_json(u_i),
-            "u_e": serialize.matrix_to_json(u_e),
-        },
-        args.out,
-    )
+    _emit({"factorable": True, "u_i": serialize.matrix_to_json(u_i), "u_e": serialize.matrix_to_json(u_e)}, args.out)
     return EXIT_OK
 
 

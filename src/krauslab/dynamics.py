@@ -14,6 +14,7 @@ from .linalg import (
     bound,
     dag,
     expm_hermitian_generator,
+    failures,
     identity,
     kron,
     norm_max,
@@ -291,7 +292,7 @@ def factor_local_unitary(
     if abs(phase) < 0.5:
         return None
     u_i = u_i * (phase / abs(phase))
-    if not norm_max(kron(u_i, u_e) - u) <= tol + bound(0, d_i * d_e):
+    if failures({"product": norm_max(kron(u_i, u_e) - u)}, tol + bound(0, d_i * d_e)):
         return None
     return u_i, u_e
 

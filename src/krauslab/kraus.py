@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EPS, bound, dag, eigh, identity, norm_max, require, unitarity_residual
+from .linalg import EPS, bound, dag, eigh, failures, identity, norm_max, require, unitarity_residual
 from .states import BlochVector, DensityMatrix, Ordering, diagonalize_state
 
 
@@ -70,11 +70,17 @@ class ChannelReport:
     output_trace_residual: float | np.ndarray
     output_min_eigenvalue: float | np.ndarray
 
+    def failures(self, tol: float) -> dict[str, float]:
+        """``linalg.failures`` of the five checks; a positivity residual is the minimum eigenvalue negated."""
+        r = self
+        return failures(
+            {"completeness_residual": r.completeness_residual, "reconstruction_residual": r.reconstruction_residual,
+             "choi_positivity": -r.choi_min_eigenvalue, "output_trace_residual": r.output_trace_residual,
+             "output_positivity": -r.output_min_eigenvalue}, tol)
+
     def passes(self, tol: float) -> bool:
         """True when every set passes every check; a NaN fails."""
-        residuals_ok = (self.completeness_residual <= tol) & (self.reconstruction_residual <= tol)
-        positive = (self.choi_min_eigenvalue >= -tol) & (self.output_min_eigenvalue >= -tol)
-        return bool(np.all(residuals_ok & (self.output_trace_residual <= tol) & positive))
+        return not self.failures(tol)
 
 
 def _per_op(ops: np.ndarray, *mats: np.ndarray) -> np.ndarray:
@@ -87,8 +93,11 @@ def apply_channel(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
     """sum_mu M_mu rho M_mu^dagger, validated as a density matrix; stack-aware."""
     if rho.dim != k.d_in:
         raise ValueError(f"state dim {rho.dim} does not match channel d_in {k.d_in}")
-    require(k.completeness_residual(), bound(EPS, k.d_in), "Kraus set violates completeness")
-    return DensityMatrix(apply_kraus_raw(k, rho.mat), tol=bound(rho.tol, k.d_in))
+    completeness = k.completeness_residual()
+    require(completeness, bound(EPS, k.d_in), "Kraus set violates completeness")
+    # the set's error E = sum M^dagger M - I moves the output trace by tr(rho E), up to d_in |E|_max
+    tol = bound(rho.tol, k.d_in) + k.d_in * np.max(completeness, initial=0.0)
+    return DensityMatrix(apply_kraus_raw(k, rho.mat), tol=tol)
 
 
 def apply_kraus_raw(k: KrausSet, mat: np.ndarray) -> np.ndarray:

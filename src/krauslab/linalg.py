@@ -38,15 +38,22 @@ def norm_max(m: np.ndarray) -> float | np.ndarray:
     return np.abs(m).max(axis=(-2, -1), initial=0.0)
 
 
-def require(residual, bound: float, what: str, error: type[Exception] = ValueError) -> None:
-    """Raise ``error`` unless every residual is <= ``bound``: a NaN fails, an empty array passes.
+def failures(checks: dict, bound: float) -> dict[str, float]:
+    """The worst residual of each failing check, in the order of ``checks``: the one pass/fail rule.
 
-    This is the one pass/fail rule for residuals; the message names the
-    check (``what``), its worst residual and the bound.
-    """
-    passed = residual <= bound
-    if not (passed.all() if isinstance(passed, np.ndarray) else passed):  # a scalar skips the array reduction
-        raise error(f"{what}: residual {np.max(residual):.3e} > tol {bound:.3e}")
+    A residual, a scalar or a stack, passes when it is <= ``bound``; a NaN fails, an empty stack passes."""
+    failed = {}
+    for name, residual in checks.items():
+        passed = residual <= bound
+        if not (passed.all() if isinstance(passed, np.ndarray) else passed):  # a scalar skips the array reduction
+            failed[name] = float(np.max(residual))
+    return failed
+
+
+def require(residual, bound: float, what: str, error: type[Exception] = ValueError) -> None:
+    """Unless ``residual`` passes ``failures``, raise ``error`` naming the check, its worst residual and the bound."""
+    for worst in failures({what: residual}, bound).values():
+        raise error(f"{what}: residual {worst:.3e} > tol {bound:.3e}")
 
 
 def bound(tol: float, d: int) -> float:

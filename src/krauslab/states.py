@@ -8,18 +8,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EPS, bound, dag, eigh, identity, pauli_x, pauli_y, pauli_z, qubit_matrix
+from .linalg import EPS, bound, dag, eigh, failures, identity, pauli_x, pauli_y, pauli_z, qubit_matrix
 
 
 class StateValidationError(ValueError):
     """Raised when a matrix fails the density-matrix invariants.
 
-    ``violations`` maps an invariant name to its residual.
+    ``violations`` maps an invariant name to its residual; ``tol`` is the bound it missed.
     """
 
-    def __init__(self, violations: dict[str, float]):
+    def __init__(self, violations: dict[str, float], tol: float):
         self.violations = violations
-        details = ", ".join(f"{name} residual {res:.3e}" for name, res in violations.items())
+        details = ", ".join(f"{name} residual {res:.3e} > tol {tol:.3e}" for name, res in violations.items())
         super().__init__(f"not a valid density matrix: {details}")
 
 
@@ -39,8 +39,7 @@ def density_violations(m: np.ndarray, tol: float = EPS) -> dict[str, float]:
     }
     if math.isfinite(res["hermitian"]):  # else a non-finite entry, on which eigvalsh may not converge
         res["positive"] = -float(np.linalg.eigvalsh((m + m_dag) / 2).min(initial=np.inf))
-    # The rule of linalg.require: a residual passes when it is <= tol, and a NaN fails.
-    return {name: r for name, r in res.items() if not r <= tol}
+    return failures(res, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,9 +56,8 @@ class DensityMatrix:
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=complex)
         object.__setattr__(self, "mat", mat)
-        violations = density_violations(mat, tol=self.tol)
-        if violations:
-            raise StateValidationError(violations)
+        if violations := density_violations(mat, tol=self.tol):
+            raise StateValidationError(violations, self.tol)
 
     @property
     def dim(self) -> int:

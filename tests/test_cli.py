@@ -23,7 +23,7 @@ from krauslab import cli, serialize, states
 from krauslab.cli import CSV_HEADER, RESIDUAL_COLUMNS, build_parser, main
 from krauslab.dynamics import sweep_columns
 from krauslab.kraus import apply_kraus_raw, factorable_kraus
-from krauslab.linalg import expm_hermitian_generator, norm_max
+from krauslab.linalg import bound, expm_hermitian_generator, norm_max
 from krauslab.serialize import (
     dump,
     kraus_to_json,
@@ -473,7 +473,8 @@ def test_computed_state_missing_its_bound_exits_1(tmp_path, rng, monkeypatch, ca
         code, out, err = _call(["--tol", "0", cmd, path, *options], capsys)
         assert code == 1
         assert out == ""
-        assert err.startswith(f"{cmd}: not a valid density matrix: ")
+        assert err.startswith(f"{cmd}: not a valid density matrix: unit_trace residual ")
+        assert err.endswith(f" > tol {bound(0, 4):.3e}\n")
         assert err.count("\n") == 1
 
 
@@ -485,8 +486,9 @@ def test_tol_zero_is_not_failed_by_rounding(tmp_path, rng, capsys):
     code, out, err = _call(["--tol", "0", "evolve", path, "--t", "0.7"], capsys)
     doc = json.loads(out)
     assert list(doc) == ["t", "rho_i_t", "delta_rho", "rho_cor_0", "decomposition_residual"]
-    assert code == (0 if doc["decomposition_residual"] <= 0 else 1)
-    assert err == ""
+    residual = doc["decomposition_residual"]
+    assert code == (0 if residual <= 0 else 1)
+    assert err == ("" if code == 0 else f"evolve: decomposition_residual {residual:.3e} > tol 0.000e+00\n")
     code, out, err = _call(["--tol", "0", "sweep", path, "--t-start", "0", "--t-end", "1", "--steps", "3"], capsys)
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 3
@@ -494,6 +496,56 @@ def test_tol_zero_is_not_failed_by_rounding(tmp_path, rng, capsys):
     assert code == (1 if failed else 0)
     assert [line.split()[1] for line in err.splitlines()] == failed
     assert "not a valid density matrix" not in err
+
+
+#: The checks of a report document, each with the field it reads and its sign:
+#: a positivity residual is the minimum eigenvalue negated.
+REPORT_CHECKS = {
+    "completeness_residual": ("completeness_residual", 1),
+    "reconstruction_residual": ("reconstruction_residual", 1),
+    "choi_positivity": ("choi_min_eigenvalue", -1),
+    "output_trace_residual": ("output_trace_residual", 1),
+    "output_positivity": ("output_min_eigenvalue", -1),
+}
+
+
+@pytest.mark.parametrize(
+    "cmd,tol,code",
+    [
+        ("kraus", "1e-9", 0),
+        ("kraus", "1e-18", 1),
+        ("verify", "1e-9", 0),
+        ("verify", "1e-18", 1),
+        ("verify-other-target", "1e-9", 1),
+        ("evolve", "1e-9", 0),
+        ("evolve", "1e-18", 1),
+    ],
+)
+def test_exit_1_names_each_failing_check(cmd, tol, code, tmp_path, cnot_scenario, capsys):
+    """Exit 1 writes one stderr line per failing check, in the format of sweep,
+    with the residual read from the output; exit 0 writes nothing to stderr."""
+    rho0 = validate_density(np.array([[0.5, 0.25], [0.25, 0.5]]))  # exact entries: valid at any tol
+    rhot = validate_density(np.array([[0.75, 0.25j], [-0.25j, 0.25]]))
+    p0, pt = write_state(tmp_path, "rho0.json", rho0), write_state(tmp_path, "rhot.json", rhot)
+    po = write_state(tmp_path, "other.json", validate_density(np.eye(2) / 2))
+    kp = str(tmp_path / "k.json")
+    dump(kraus_to_json(general_qubit_kraus(rho0, rhot)), kp)
+    argv = {
+        "kraus": ["--out", str(tmp_path / "out.json"), "kraus", p0, pt],
+        "verify": ["verify", kp, p0, pt],
+        "verify-other-target": ["verify", kp, p0, po],
+        "evolve": ["evolve", cnot_scenario, "--t", "0.7"],
+    }[cmd]
+    exit_code, out, err = _call(["--tol", tol, *argv], capsys)
+    doc = json.loads(out)
+    if cmd == "evolve":
+        residuals = {"decomposition_residual": doc["decomposition_residual"]}
+    else:
+        residuals = {name: sign * doc[field] for name, (field, sign) in REPORT_CHECKS.items()}
+    failed = {name: res for name, res in residuals.items() if not res <= float(tol)}
+    assert exit_code == code == (1 if failed else 0)
+    command = cmd.split("-")[0]
+    assert err.splitlines() == [f"{command}: {check} {res:.3e} > tol {float(tol):.3e}" for check, res in failed.items()]
 
 
 @pytest.mark.parametrize(

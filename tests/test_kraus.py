@@ -22,11 +22,12 @@ from krauslab import (
     validate_density,
     verify_channel,
 )
-from krauslab.kraus import _diagonal_pair_ops, apply_kraus_raw
-from krauslab.linalg import dag, eigh, identity, kron, norm_max, partial_trace, pauli_x, unitarity_residual
+from krauslab.kraus import ChannelReport, _diagonal_pair_ops, apply_kraus_raw
+from krauslab.linalg import EPS, bound, dag, eigh, identity, kron, norm_max, partial_trace, pauli_x, unitarity_residual
 from krauslab.states import DensityMatrix, Ordering, density_violations
 
 from conftest import edge_matrix, edge_tols, random_density, random_unitary
+from test_serialize import reports
 
 #: Bloch radii at and near the branch points: the centre (r < EPS gets the
 #: identity basis), pure states and states with 1 - r down to 1e-12.
@@ -149,6 +150,15 @@ class TestApplyChannel:
         assume(not density_violations(m, tol))
         isometry = random_unitary(rng, 2 * n)[:, :2]  # the stacked operators of a complete set
         apply_channel(kraus_set(isometry.reshape(n, 2, 2)), DensityMatrix(m, tol=tol))
+
+    def test_output_bound_covers_the_sets_completeness_residual(self):
+        """A set just inside its completeness bound and a state at the edge of its
+        tol: the output's trace is off by the state's error plus d_in times the set's."""
+        k = kraus_set([np.sqrt(1 + 3.9e-10) * identity(2)])
+        assert k.completeness_residual() <= bound(EPS, 2)
+        rho = DensityMatrix(np.diag([0.5 + 0.45e-10, 0.5 + 0.45e-10]), tol=1e-10)
+        out = apply_channel(k, rho)
+        assert abs(np.trace(out.mat) - 1) == pytest.approx(4.8e-10, rel=1e-3)
 
 
 class TestDiagonalPair:
@@ -469,6 +479,45 @@ class TestVerifyChannel:
             verify_channel(
                 kraus_set([identity(2)]), random_density(rng, d=3), random_density(rng, d=3)
             )
+
+    def test_failures_name_each_failing_check_in_field_order(self):
+        report = ChannelReport(2e-9, 0.0, -3e-9, float("nan"), -1e-10)
+        assert report.failures(1e-9) == {
+            "completeness_residual": 2e-9,
+            "choi_positivity": 3e-9,
+            "output_trace_residual": pytest.approx(float("nan"), nan_ok=True),
+        }
+        assert not report.passes(1e-9)
+        assert ChannelReport(1e-9, 0.0, -1e-9, 1e-9, -0.0).failures(1e-9) == {}
+
+
+def _parent_passes(r: ChannelReport, tol: float) -> bool:
+    """The verdict of ``ChannelReport.passes`` as one five-field expression: the oracle of the test below."""
+    residuals_ok = (r.completeness_residual <= tol) & (r.reconstruction_residual <= tol)
+    positive = (r.choi_min_eigenvalue >= -tol) & (r.output_min_eigenvalue >= -tol)
+    return bool(np.all(residuals_ok & (r.output_trace_residual <= tol) & positive))
+
+
+@st.composite
+def verdict_cases(draw):
+    """(tol, report): a report from ``reports`` or a stack of 0 to 4 of them,
+    some fields moved to exactly tol or -tol."""
+    tol = draw(st.sampled_from([0.0, -0.0, 5e-324, 1e-10, 1.0]))
+    stacked = draw(st.booleans())
+    rows = draw(st.lists(reports, min_size=0 if stacked else 1, max_size=4))
+    values = np.array([list(vars(r).values()) for r in rows], dtype=float).reshape(-1, 5)
+    moves = draw(st.lists(st.sampled_from([None, tol, -tol]), min_size=values.size, max_size=values.size))
+    for i, value in enumerate(moves):
+        if value is not None:
+            values.flat[i] = value
+    return tol, ChannelReport(*(values.T if stacked else values[0]))
+
+
+@given(verdict_cases())
+@settings(max_examples=500, deadline=None)
+def test_passes_gives_the_parent_verdict(case):
+    tol, report = case
+    assert report.passes(tol) is _parent_passes(report, tol)
 
 
 class TestStackedSets:

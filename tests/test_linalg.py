@@ -10,6 +10,7 @@ from krauslab.linalg import (
     dag,
     eigh,
     expm_hermitian_generator,
+    failures,
     identity,
     kron,
     norm_max,
@@ -69,6 +70,39 @@ class TestRequire:
 
         with pytest.raises(Custom):
             require(1.0, 0.5, "check", error=Custom)
+
+    def test_failures_passes_at_the_bound(self):
+        assert failures({"scalar": 1e-10, "stack": np.array([0.0, -1.0, 1e-10])}, 1e-10) == {}
+        assert failures({"scalar": np.nextafter(1e-10, 1), "stack": np.array([0.0, 2e-10])}, 1e-10) == {
+            "scalar": np.nextafter(1e-10, 1),
+            "stack": 2e-10,
+        }
+
+    def test_failures_nan_fails_and_is_the_worst(self):
+        failed = failures({"scalar": float("nan"), "stack": np.array([0.0, np.nan, 1.0])}, 1e-10)
+        assert list(failed) == ["scalar", "stack"]
+        assert all(np.isnan(v) for v in failed.values())
+
+    def test_failures_empty_stack_passes(self):
+        assert failures({"empty": np.zeros(0), "empty2d": np.zeros((0, 3))}, 0.0) == {}
+        assert failures({}, 0.0) == {}
+
+    def test_failures_negative_zero(self):
+        """-0.0 is 0: it passes at a zero bound, as 0.0 does, and only a positive residual fails there."""
+        assert failures({"a": -0.0, "b": np.array([-0.0, 0.0])}, 0.0) == {}
+        assert failures({"a": 0.0}, -0.0) == {}
+        assert failures({"a": 5e-324}, -0.0) == {"a": 5e-324}
+
+    def test_failures_keep_the_order_given(self):
+        checks = {name: 1.0 + i for i, name in enumerate(["z", "a", "m", "b"])}
+        checks["ok"] = 0.0
+        assert list(failures(checks, 0.5)) == ["z", "a", "m", "b"]
+        assert list(failures(dict(reversed(checks.items())), 0.5)) == ["b", "m", "a", "z"]
+
+    def test_failures_values_are_floats(self):
+        failed = failures({"scalar": np.float64(2.0), "stack": np.array([[1.0, 3.0]])}, 0.5)
+        assert failed == {"scalar": 2.0, "stack": 3.0}
+        assert all(type(v) is float for v in failed.values())
 
 
 class TestBound:

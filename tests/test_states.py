@@ -107,6 +107,18 @@ class TestValidateDensity:
             validate_density(np.diag([1.5, -0.5]))
         assert "positive" in exc.value.violations
 
+    def test_message_names_each_residual_and_the_bound_it_missed(self):
+        with pytest.raises(StateValidationError) as exc:
+            validate_density(np.diag([0.5 + 2.4e-10, 0.5 + 2.4e-10]), tol=4e-10)
+        assert str(exc.value) == "not a valid density matrix: unit_trace residual 4.800e-10 > tol 4.000e-10"
+        assert exc.value.violations == {"unit_trace": pytest.approx(4.8e-10)}
+        with pytest.raises(StateValidationError) as exc:
+            validate_density(np.diag([1.5, -0.5]) + 0.1 * pauli_x @ pauli_z)
+        assert str(exc.value) == (
+            "not a valid density matrix: hermitian residual 2.000e-01 > tol 1.000e-10, "
+            "positive residual 5.000e-01 > tol 1.000e-10"
+        )
+
     def test_stack_fails_on_its_worst_state(self, rng):
         good = [random_density(rng).mat for _ in range(4)]
         assert validate_density(np.stack(good)).dim == 2
