@@ -53,6 +53,7 @@ from .dynamics import (
     delta_rho,
     evolve_joint,
     factor_local_unitary,
+    reduced_dynamics,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

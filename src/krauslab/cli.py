@@ -18,24 +18,13 @@ import numpy as np
 from . import serialize
 from .dynamics import (
     SWEEP_COLUMNS,
-    _evolve,
-    _inhomogeneous,
-    _propagator,
-    correlation_operator,
     evolve_joint,  # noqa: F401  (unused here; perfbench/test_perfbench.py traces this binding)
     factor_local_unitary,
+    reduced_dynamics,
     sweep_columns,
 )
-from .kraus import (
-    apply_kraus_raw,
-    closed_form_qubit_kraus,
-    factorable_kraus,
-    general_qubit_kraus,
-    measure_prepare_kraus,
-    unitary_remix,
-    verify_channel,
-)
-from .linalg import EPS, failures, norm_max
+from .kraus import closed_form_qubit_kraus, general_qubit_kraus, measure_prepare_kraus, unitary_remix, verify_channel
+from .linalg import EPS, bound, failures
 from .states import StateValidationError, density_to_bloch
 
 EXIT_OK = 0
@@ -120,22 +109,15 @@ def cmd_kraus(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    h, joint = _load(args.scenario, serialize.scenario_from_json, args.tol)
-    t = args.t
-    u = _propagator(h, joint, t)  # the one eigendecomposition of h
-    rho_t = _evolve(u, joint).reduced_system()
-    rho_i0, rho_e0 = joint.reduced_system(), joint.reduced_environment()
-    cor = correlation_operator(joint, rho_i0, rho_e0)
-    inhom = _inhomogeneous(u, joint, cor)
-    # Decomposition check: reduced dynamics = factorable part + inhomogeneous term.
-    homogeneous = apply_kraus_raw(factorable_kraus(u, rho_e0, d_i=joint.d_i), rho_i0.mat)
-    residual = norm_max(rho_t.mat - homogeneous - inhom)
+    h, joint, _ = _load(args.scenario, serialize.scenario_from_json, args.tol)
+    rd = reduced_dynamics(h, joint, args.t)
+    residual = rd.decomposition_residual()
     _emit(
         {
-            "t": t,
-            "rho_i_t": serialize.matrix_to_json(rho_t.mat),
-            "delta_rho": serialize.matrix_to_json(inhom),
-            "rho_cor_0": serialize.matrix_to_json(cor),
+            "t": args.t,
+            "rho_i_t": serialize.matrix_to_json(rd.rho_i_t.mat),
+            "delta_rho": serialize.matrix_to_json(rd.inhom),
+            "rho_cor_0": serialize.matrix_to_json(rd.cor),
             "decomposition_residual": residual,
         },
         args.out,
@@ -144,7 +126,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    h, joint, sc = _load(args.scenario, serialize._scenario_from_json, args.tol)
+    h, joint, sc = _load(args.scenario, serialize.scenario_from_json, args.tol)
     if args.steps < 2:
         raise InputError(f"steps must be >= 2, got {args.steps}")
     if args.t_end == args.t_start:
@@ -182,11 +164,11 @@ def cmd_remix(args) -> int:
 def cmd_factor(args) -> int:
     u = _load(args.unitary, serialize.matrix_from_json)
     d_i, d_e = args.dims
-    factors = factor_local_unitary(u, (d_i, d_e), tol=args.tol)
-    if factors is None:
+    u_i, u_e, residual = factor_local_unitary(u, (d_i, d_e), tol=args.tol)
+    failed = failures({"product": residual}, args.tol + bound(0, d_i * d_e))
+    if failed:
         print(json.dumps({"factorable": False}))
-        return EXIT_NUMERIC
-    u_i, u_e = factors
+        return _verdict(args, failed)
     _emit({"factorable": True, "u_i": serialize.matrix_to_json(u_i), "u_e": serialize.matrix_to_json(u_e)}, args.out)
     return EXIT_OK
 

@@ -8,13 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kraus import KrausSet, apply_kraus_raw, general_qubit_kraus, kraus_set, _sqrt_clamped
+from .kraus import KrausSet, apply_kraus_raw, factorable_kraus, general_qubit_kraus, kraus_set, _sqrt_clamped
 from .linalg import (
     EPS,
     bound,
     dag,
     expm_hermitian_generator,
-    failures,
     identity,
     kron,
     norm_max,
@@ -54,22 +53,42 @@ class CompositeState:
         return DensityMatrix(rho, tol=bound(self.mat.tol, self.d_i))
 
 
-def _propagator(h: np.ndarray, s: CompositeState, t) -> np.ndarray:
-    """U(t) = exp(-iht) on the joint space of ``s``; a stack for an array of times."""
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (s.mat.dim, s.mat.dim):
-        raise ValueError(f"Hamiltonian shape {h.shape} does not match joint dim {s.mat.dim}")
-    return expm_hermitian_generator(h, t)
+@dataclass(frozen=True, eq=False)
+class ReducedDynamics:
+    """The reduced dynamics of ``s`` under U(t): rho_i(t) = tr_e{U rho_ie U^dagger}.
+
+    It splits as the factorable Kraus part acting on rho_i(0) plus the
+    inhomogeneous term tr_e{U cor U^dagger} of the correlation operator
+    ``cor``.  For an array of times, u, joint_t, rho_i_t and inhom are stacks.
+    """
+
+    u: np.ndarray
+    joint_t: CompositeState
+    rho_i_t: DensityMatrix
+    rho_i0: DensityMatrix
+    rho_e0: DensityMatrix
+    cor: np.ndarray
+    inhom: np.ndarray
+
+    def decomposition_residual(self) -> float | np.ndarray:
+        """|rho_i(t) - (factorable part + inhomogeneous term)|_max, zero up to rounding."""
+        k = factorable_kraus(self.u, self.rho_e0, d_i=self.rho_i0.dim)
+        return norm_max(self.rho_i_t.mat - apply_kraus_raw(k, self.rho_i0.mat) - self.inhom)
 
 
-def _evolve(u: np.ndarray, s: CompositeState) -> CompositeState:
-    evolved = u @ s.mat.mat @ dag(u)
-    return CompositeState(mat=DensityMatrix(evolved, tol=bound(s.mat.tol, s.mat.dim)), d_i=s.d_i, d_e=s.d_e)
+def reduced_dynamics(h: np.ndarray, s: CompositeState, t) -> ReducedDynamics:
+    """The reduced dynamics of ``s`` under U(t) = exp(-iht), from one eigendecomposition of ``h``.
 
-
-def _inhomogeneous(u: np.ndarray, s: CompositeState, cor: np.ndarray) -> np.ndarray:
-    """tr_e{U cor U^dagger} for the correlation operator ``cor`` of ``s``."""
-    return partial_trace(u @ cor @ dag(u), (s.d_i, s.d_e), keep=0)
+    ``t`` is a time or an array of times.  Each state is validated once.
+    """
+    if np.shape(h) != (s.mat.dim, s.mat.dim):
+        raise ValueError(f"Hamiltonian shape {np.shape(h)} does not match joint dim {s.mat.dim}")
+    u = expm_hermitian_generator(h, t)
+    joint_t = CompositeState(DensityMatrix(u @ s.mat.mat @ dag(u), tol=bound(s.mat.tol, s.mat.dim)), s.d_i, s.d_e)
+    rho_i0, rho_e0 = s.reduced_system(), s.reduced_environment()
+    cor = correlation_operator(s, rho_i0, rho_e0)
+    inhom = partial_trace(u @ cor @ dag(u), (s.d_i, s.d_e), keep=0)
+    return ReducedDynamics(u, joint_t, joint_t.reduced_system(), rho_i0, rho_e0, cor, inhom)
 
 
 def evolve_joint(h: np.ndarray, s: CompositeState, t) -> CompositeState:
@@ -77,7 +96,7 @@ def evolve_joint(h: np.ndarray, s: CompositeState, t) -> CompositeState:
 
     For an array of times the result holds the stack of evolved states.
     """
-    return _evolve(_propagator(h, s, t), s)
+    return reduced_dynamics(h, s, t).joint_t
 
 
 def correlation_operator(
@@ -99,7 +118,7 @@ def delta_rho(h: np.ndarray, s: CompositeState, t) -> np.ndarray:
     The obstruction to the textbook factorable-case Kraus form; traceless
     and Hermitian for every input.  A stack for an array of times.
     """
-    return _inhomogeneous(_propagator(h, s, t), s, correlation_operator(s))
+    return reduced_dynamics(h, s, t).inhom
 
 
 def cnot_hamiltonian() -> np.ndarray:
@@ -242,10 +261,9 @@ def sweep_columns(
     ts = np.asarray(ts, dtype=float)
     cols = {name: np.full(ts.shape, np.nan) for name in SWEEP_COLUMNS}
     cols["t"] = ts
-    u = _propagator(h, joint, ts)
-    numeric = _evolve(u, joint).reduced_system()
-    rho0 = joint.reduced_system()
-    cols["delta_rho_maxnorm"] = norm_max(_inhomogeneous(u, joint, correlation_operator(joint, rho_i=rho0)))
+    rd = reduced_dynamics(h, joint, ts)
+    numeric, rho0 = rd.rho_i_t, rd.rho_i0
+    cols["delta_rho_maxnorm"] = norm_max(rd.inhom)
     if joint.d_i != 2:
         return cols
     if sc is not None:
@@ -268,13 +286,14 @@ def sweep_columns(
 
 def factor_local_unitary(
     u: np.ndarray, dims: tuple[int, int], tol: float = EPS
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Factor a joint unitary as U_i (x) U_e if possible, else None.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The nearest product U_i (x) U_e to a joint unitary, and its distance |U_i (x) U_e - U|_max.
 
     Uses the nearest-Kronecker-product rearrangement: the reshuffled matrix
     is rank one exactly when the unitary is a tensor product.  Its leading
-    singular pair gives the factors, and U is factorable when their product
-    lies within ``tol`` of it (plus the rounding of ``bound(0, d)``).
+    singular pair gives the factors.  ``tol`` bounds only the unitarity of
+    the input; U is factorable when the returned distance is within the
+    caller's tolerance (plus the rounding of ``bound(0, d)``).
     """
     d_i, d_e = dims
     u = np.asarray(u, dtype=complex)
@@ -289,12 +308,8 @@ def factor_local_unitary(
     u_e = _polar_unitary(right[0, :].reshape(d_e, d_e))
     # Absorb the remaining global phase into the system factor.
     phase = np.trace(dag(kron(u_i, u_e)) @ u) / (d_i * d_e)
-    if abs(phase) < 0.5:
-        return None
     u_i = u_i * (phase / abs(phase))
-    if failures({"product": norm_max(kron(u_i, u_e) - u)}, tol + bound(0, d_i * d_e)):
-        return None
-    return u_i, u_e
+    return u_i, u_e, norm_max(kron(u_i, u_e) - u)
 
 
 def _polar_unitary(m: np.ndarray) -> np.ndarray:

@@ -206,18 +206,20 @@ def factorable_kraus(u_ie: np.ndarray, rho_e0: DensityMatrix, d_i: int) -> Kraus
     M_{mu,nu} = sqrt(p_nu) <mu| U |nu> over the environment indices, with
     (p_nu, |nu>) the eigensystem of the environment state and |mu> the
     computational environment basis.  Matches the partial-trace reduced
-    dynamics exactly when the joint state is a product.
+    dynamics exactly when the joint state is a product.  A stack of
+    unitaries, shape (..., d_i * d_e, d_i * d_e), gives a stack of sets.
     """
     d_e = rho_e0.dim
     u_ie = np.asarray(u_ie, dtype=complex)
-    if u_ie.shape != (d_i * d_e, d_i * d_e):
+    stack = u_ie.shape[:-2]
+    if u_ie.shape[-2:] != (d_i * d_e, d_i * d_e):
         raise ValueError(f"unitary shape {u_ie.shape} does not match dims ({d_i}, {d_e})")
     require(unitarity_residual(u_ie), bound(EPS, d_i * d_e), "joint evolution is not unitary")
     env = eigh(rho_e0.mat, tol=rho_e0.tol)
-    # u as [e_out, 1, i_out * i_in, e_in]; one matrix-vector product per (mu, nu) contracts e_in with |nu>
-    u_t = u_ie.reshape(d_i, d_e, d_i, d_e).transpose(1, 0, 2, 3).reshape(d_e, 1, d_i * d_i, d_e)
+    # u as [e_out, ..., 1, i_out * i_in, e_in]; one matrix-vector product per (mu, nu) contracts e_in with |nu>
+    u_t = np.moveaxis(u_ie.reshape(stack + (d_i, d_e, d_i, d_e)), -3, 0).reshape((d_e,) + stack + (1, d_i * d_i, d_e))
     ops = np.sqrt(np.maximum(env.values, 0.0))[:, None] * (u_t @ env.vectors.T[:, :, None])[..., 0]
-    return KrausSet(ops.reshape(d_e * d_e, d_i, d_i), d_in=d_i, d_out=d_i)
+    return KrausSet(np.moveaxis(ops, -2, 1).reshape((d_e * d_e,) + stack + (d_i, d_i)), d_in=d_i, d_out=d_i)
 
 
 def measure_prepare_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSet:

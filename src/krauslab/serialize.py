@@ -105,20 +105,14 @@ def report_to_json(report: ChannelReport) -> dict[str, float]:
     return {f.name: getattr(report, f.name) for f in fields(report)}
 
 
-def scenario_from_json(obj: Any, tol: float = EPS) -> tuple[np.ndarray, CompositeState]:
-    """Decode a scenario document into (hamiltonian, initial joint state).
+def scenario_from_json(obj: Any, tol: float = EPS) -> tuple[np.ndarray, CompositeState, CnotScenario | None]:
+    """Decode a scenario document into (hamiltonian, initial joint state, CnotScenario or None).
 
     Two forms: {"scenario": "cnot", "r0": x} or
     {"scenario": "custom", "hamiltonian": <matrix>, "rho_ie0": <matrix>,
-    "dims": [d_i, d_e]}.  A custom Hamiltonian must be Hermitian within
-    ``tol``; its Hermitian part is returned.
+    "dims": [d_i, d_e]}; a custom scenario has no CnotScenario.  A custom
+    Hamiltonian must be Hermitian within ``tol``; its Hermitian part is returned.
     """
-    h, joint, _ = _scenario_from_json(obj, tol)
-    return h, joint
-
-
-def _scenario_from_json(obj: Any, tol: float) -> tuple[np.ndarray, CompositeState, CnotScenario | None]:
-    """scenario_from_json plus the decoded CnotScenario (None for a custom scenario)."""
     if not isinstance(obj, dict) or "scenario" not in obj:
         raise DecodeError("scenario object needs a 'scenario' key")
     kind = obj["scenario"]
@@ -152,12 +146,13 @@ def dumps(obj: Any) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, without its pure-Python encoder.
 
     A matrix's ``data`` (equal-width lists of finite floats) fills one cached
-    template.  What raises TypeError here (a non-``str`` key, an unknown type)
-    or recurses without end is left to ``json.dumps``.
+    template.  What raises TypeError or ValueError here (a non-``str`` key, an
+    unknown type, a grid row that holds a container) or recurses without end
+    is left to ``json.dumps``.
     """
     try:
         return _encode(obj, 0)
-    except (TypeError, RecursionError):
+    except (TypeError, ValueError, RecursionError):
         return json.dumps(obj, indent=2)
 
 

@@ -13,17 +13,18 @@ from krauslab import (
     correlation_operator,
     delta_rho,
     evolve_joint,
+    factor_local_unitary,
     general_qubit_kraus,
     kron,
     pauli_x,
     pauli_z,
     validate_density,
 )
-from krauslab import cli, serialize, states
+from krauslab import cli, states
 from krauslab.cli import CSV_HEADER, RESIDUAL_COLUMNS, build_parser, main
 from krauslab.dynamics import sweep_columns
 from krauslab.kraus import apply_kraus_raw, factorable_kraus
-from krauslab.linalg import bound, expm_hermitian_generator, norm_max
+from krauslab.linalg import EPS, bound, expm_hermitian_generator, norm_max
 from krauslab.serialize import (
     dump,
     kraus_to_json,
@@ -144,7 +145,7 @@ class TestEvolve:
             path = str(tmp_path / "custom.json")
             dump(_custom(random_hermitian(rng, 6), dims=(2, 3), rho=random_density(rng, d=6).mat), path)
         t = 0.7
-        h, joint = scenario_from_json(load(path))
+        h, joint, _ = scenario_from_json(load(path))
         rho_t = evolve_joint(h, joint, t).reduced_system()
         inhom = delta_rho(h, joint, t)
         u = expm_hermitian_generator(h, t)
@@ -333,7 +334,10 @@ class TestFactor:
         up = str(tmp_path / "u.json")
         dump(matrix_to_json(cnot_unitary(np.pi / 4)), up)
         assert main(["factor", up, "--dims", "2", "2"]) == 1
-        assert json.loads(capsys.readouterr().out)["factorable"] is False
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["factorable"] is False
+        residual = factor_local_unitary(cnot_unitary(np.pi / 4), (2, 2))[2]
+        assert captured.err == f"factor: product {residual:.3e} > tol {EPS:.3e}\n"
 
 
 def test_tol_env_override(tmp_path, rng, monkeypatch, capsys):
@@ -592,7 +596,7 @@ def test_sweep_csv_is_csv_writer_output(tmp_path, capsys):
     path = str(tmp_path / "r0.json")
     dump({"scenario": "cnot", "r0": 0}, path)
     with pytest.warns(UserWarning, match="endpoint"):
-        h, joint, sc = serialize._scenario_from_json(load(path), 1e-10)
+        h, joint, sc = scenario_from_json(load(path))
     cols = sweep_columns(h, joint, np.linspace(-1, 1, 5), sc)
     expected = io.StringIO()
     writer = csv.writer(expected)

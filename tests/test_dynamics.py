@@ -25,12 +25,14 @@ from krauslab import (
     validate_density,
     verify_channel,
 )
-from krauslab.dynamics import SWEEP_COLUMNS, sweep_columns
+from krauslab.dynamics import SWEEP_COLUMNS, reduced_dynamics, sweep_columns
 from krauslab.kraus import apply_kraus_raw
 from krauslab.linalg import (
     EPS,
+    bound,
     dag,
     expm_hermitian_generator,
+    failures,
     identity,
     norm_max,
     pauli_x,
@@ -333,29 +335,49 @@ def test_sweep_columns_match_the_scalar_api(kind, rng):
         np.testing.assert_allclose(batched[col], reference[col], rtol=0, atol=1e-12, err_msg=col)
 
 
+@pytest.mark.parametrize("kind", ["cnot", "custom1", "custom2", "custom3"])
+def test_decomposition_residual_on_a_grid_matches_each_time(kind, rng):
+    """On a grid of times the residual of the decomposition is the scalar
+    call's at each time, and zero to within the rounding of bound(EPS, d)."""
+    ts = np.linspace(-1.5, 7, 9)
+    if kind == "cnot":
+        h, joint = cnot_hamiltonian(), CnotScenario(0.3).initial_joint()
+    else:
+        d_e = int(kind[-1])
+        h = random_hermitian(rng, 2 * d_e)
+        joint = CompositeState(mat=random_density(rng, d=2 * d_e), d_i=2, d_e=d_e)
+    batched = reduced_dynamics(h, joint, ts).decomposition_residual()
+    scalar = [reduced_dynamics(h, joint, t).decomposition_residual() for t in ts]
+    np.testing.assert_allclose(batched, scalar, rtol=0, atol=bound(0, 2 * joint.d_e))
+    assert not failures({"decomposition_residual": batched}, bound(EPS, 2 * joint.d_e))
+
+
 class TestFactorLocalUnitary:
     def test_exact_product(self):
-        res = factor_local_unitary(kron(pauli_x, pauli_z), (2, 2), tol=1e-9)
-        assert res is not None
-        u_i, u_e = res
+        u_i, u_e, residual = factor_local_unitary(kron(pauli_x, pauli_z), (2, 2), tol=1e-9)
+        assert residual <= 1e-9
         assert norm_max(kron(u_i, u_e) - kron(pauli_x, pauli_z)) <= 1e-9
 
     def test_identity(self):
-        res = factor_local_unitary(identity(4), (2, 2), tol=1e-9)
-        assert res is not None
-        u_i, u_e = res
+        u_i, u_e, residual = factor_local_unitary(identity(4), (2, 2), tol=1e-9)
+        assert residual <= 1e-9
         assert norm_max(kron(u_i, u_e) - identity(4)) <= 1e-9
 
     def test_cnot_not_factorable(self):
-        assert factor_local_unitary(cnot_unitary(np.pi / 4), (2, 2), tol=1e-9) is None
+        assert factor_local_unitary(cnot_unitary(np.pi / 4), (2, 2), tol=1e-9)[2] > 1e-9
 
     def test_random_products_factor(self, rng):
         for _ in range(50):
             u_i, u_e = random_unitary(rng, 2), random_unitary(rng, 2)
-            res = factor_local_unitary(kron(u_i, u_e), (2, 2), tol=1e-9)
-            assert res is not None
-            f_i, f_e = res
+            f_i, f_e, residual = factor_local_unitary(kron(u_i, u_e), (2, 2), tol=1e-9)
+            assert residual <= 1e-9
             assert norm_max(kron(f_i, f_e) - kron(u_i, u_e)) <= 1e-9
+
+    def test_residual_is_the_product_distance(self, rng):
+        """Factorable or not, the third value is |U_i (x) U_e - U|_max of the returned factors."""
+        for u in (cnot_unitary(0.7), random_unitary(rng, 4), kron(random_unitary(rng, 2), random_unitary(rng, 2))):
+            u_i, u_e, residual = factor_local_unitary(u, (2, 2))
+            assert residual == norm_max(kron(u_i, u_e) - u)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -366,10 +388,11 @@ class TestFactorLocalUnitary:
     def test_products_factor_at_tol_zero(self, dims, seed):
         rng = np.random.default_rng(seed)
         u = kron(random_unitary(rng, dims[0]), random_unitary(rng, dims[1]))
-        assert factor_local_unitary(u, dims, tol=0) is not None
+        assert factor_local_unitary(u, dims, tol=0)[2] <= bound(0, dims[0] * dims[1])
 
     def test_near_product_follows_tol(self):
         """A product times exp(-i 1e-6 H_cnot) lies about 1e-6 from a product: --tol decides."""
         u = kron(pauli_x, pauli_z) @ expm_hermitian_generator(cnot_hamiltonian(), 1e-6)
-        assert factor_local_unitary(u, (2, 2), tol=1e-5) is not None
-        assert factor_local_unitary(u, (2, 2), tol=1e-7) is None
+        residual = factor_local_unitary(u, (2, 2), tol=1e-7)[2]
+        assert not failures({"product": residual}, 1e-5 + bound(0, 4))
+        assert failures({"product": residual}, 1e-7 + bound(0, 4))

@@ -369,6 +369,16 @@ class TestFactorableKraus:
         ]
         assert np.array_equal(factorable_kraus(u, rho_e, d_i=d_i).ops, expected)
 
+    @pytest.mark.parametrize("d_e", [1, 2, 3])
+    def test_stack_of_unitaries_is_the_per_unitary_loop(self, rng, d_e):
+        """A (3, 2) stack of U gives the sets of a loop over each U, bit for bit, on the axes after the operator axis."""
+        us = np.stack([random_unitary(rng, 2 * d_e) for _ in range(6)]).reshape(3, 2, 2 * d_e, 2 * d_e)
+        rho_e = random_density(rng, d=d_e)
+        stacked = factorable_kraus(us, rho_e, d_i=2).ops
+        loop = [[factorable_kraus(u, rho_e, d_i=2).ops for u in row] for row in us]
+        assert stacked.shape == (d_e * d_e, 3, 2, 2, 2)
+        assert np.array_equal(stacked, np.moveaxis(np.array(loop), 2, 0))
+
 
 class TestMeasurePrepareKraus:
     def test_constant_channel_qubit(self, rng):
