@@ -19,7 +19,6 @@ from .states import (
     BlochVector,
     DensityMatrix,
     DiagonalizedState,
-    Ordering,
     StateValidationError,
     bloch_to_density,
     density_to_bloch,
@@ -36,7 +35,6 @@ from .kraus import (
     diagonal_pair_kraus,
     factorable_kraus,
     general_qubit_kraus,
-    kraus_set,
     measure_prepare_kraus,
     unitary_remix,
     verify_channel,
@@ -50,7 +48,6 @@ from .dynamics import (
     cnot_hamiltonian,
     cnot_unitary,
     correlation_operator,
-    delta_rho,
     evolve_joint,
     factor_local_unitary,
     reduced_dynamics,

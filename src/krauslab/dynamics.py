@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kraus import KrausSet, apply_kraus_raw, factorable_kraus, general_qubit_kraus, kraus_set, _sqrt_clamped
+from .kraus import KrausSet, apply_kraus_raw, factorable_kraus, general_qubit_kraus, _sqrt_clamped
 from .linalg import (
     EPS,
     bound,
@@ -99,26 +99,13 @@ def evolve_joint(h: np.ndarray, s: CompositeState, t) -> CompositeState:
     return reduced_dynamics(h, s, t).joint_t
 
 
-def correlation_operator(
-    s: CompositeState, rho_i: DensityMatrix | None = None, rho_e: DensityMatrix | None = None
-) -> np.ndarray:
+def correlation_operator(s: CompositeState, rho_i: DensityMatrix, rho_e: DensityMatrix) -> np.ndarray:
     """rho_ie - rho_i (x) rho_e: the deviation of the joint state from product form.
 
     Traceless and Hermitian; both partial traces vanish.  ``rho_i`` and
-    ``rho_e`` are the reduced states of ``s``, computed here if not given.
+    ``rho_e`` are the reduced states of ``s``.
     """
-    rho_i = s.reduced_system() if rho_i is None else rho_i
-    rho_e = s.reduced_environment() if rho_e is None else rho_e
     return s.mat.mat - kron(rho_i.mat, rho_e.mat)
-
-
-def delta_rho(h: np.ndarray, s: CompositeState, t) -> np.ndarray:
-    """Inhomogeneous term: tr_e{U(t) rho_cor U(t)^dagger}.
-
-    The obstruction to the textbook factorable-case Kraus form; traceless
-    and Hermitian for every input.  A stack for an array of times.
-    """
-    return reduced_dynamics(h, s, t).inhom
 
 
 def cnot_hamiltonian() -> np.ndarray:
@@ -228,7 +215,7 @@ def cnot_analytic_kraus(sc: CnotScenario, t) -> KrausSet:
     )
     q = norm * _sqrt_clamped(rt + r0)
     m1 = qubit_matrix(0, q * _sqrt_clamped(plus), 0, q * i_br * _sqrt_clamped(minus))
-    return kraus_set([m0, m1])
+    return KrausSet([m0, m1])
 
 
 #: The columns of ``sweep_columns``, in table order.
@@ -296,6 +283,8 @@ def factor_local_unitary(
     caller's tolerance (plus the rounding of ``bound(0, d)``).
     """
     d_i, d_e = dims
+    if min(dims) < 1:
+        raise ValueError(f"dims must be positive, got {list(dims)}")
     u = np.asarray(u, dtype=complex)
     if u.shape != (d_i * d_e, d_i * d_e):
         raise ValueError(f"unitary shape {u.shape} does not match dims {dims}")

@@ -8,12 +8,12 @@ compare actions unless a specific entrywise convention is being pinned down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import EPS, bound, dag, eigh, failures, identity, norm_max, require, unitarity_residual
-from .states import BlochVector, DensityMatrix, Ordering, diagonalize_state
+from .states import BlochVector, DensityMatrix, diagonalize_state
 
 
 @dataclass(frozen=True, eq=False)
@@ -21,13 +21,14 @@ class KrausSet:
     """An ordered, non-empty set of same-shaped Kraus operators.
 
     ``ops`` is one complex array with the operator axis first, shape (n, ...,
-    d_out, d_in), given as such or as a sequence of operators.  Axes after the
-    operator axis make a stack of sets: every operation gives one result per set.
+    d_out, d_in), given as such or as a sequence of operators; ``d_out`` and
+    ``d_in`` are read from it.  Axes after the operator axis make a stack of
+    sets: every operation gives one result per set.
     """
 
     ops: np.ndarray
-    d_in: int
-    d_out: int
+    d_in: int = field(init=False)
+    d_out: int = field(init=False)
 
     def __post_init__(self):
         ops = self.ops
@@ -38,9 +39,11 @@ class KrausSet:
         ops = np.asarray(ops, dtype=complex)
         if not len(ops):
             raise ValueError("a Kraus set must contain at least one operator")
-        if ops.ndim < 3 or ops.shape[-2:] != (self.d_out, self.d_in):
-            raise ValueError(f"operator shape {ops.shape[1:]} does not match ({self.d_out}, {self.d_in})")
+        if ops.ndim < 3:
+            raise ValueError(f"operator shape {ops.shape[1:]} is not a matrix")
         object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "d_out", ops.shape[-2])
+        object.__setattr__(self, "d_in", ops.shape[-1])
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -52,12 +55,6 @@ class KrausSet:
         """sum_mu vec(M_mu) vec(M_mu)^dagger with column-stacking vec."""
         vecs = self.ops.swapaxes(-1, -2).reshape(self.ops.shape[:-2] + (-1,))
         return (vecs[..., :, None] @ vecs[..., None, :].conj()).sum(0)
-
-
-def kraus_set(ops, d_in: int | None = None, d_out: int | None = None) -> KrausSet:
-    if d_out is None or d_in is None:
-        d_out, d_in = np.shape(ops[0])[-2:]
-    return KrausSet(ops=ops, d_in=d_in, d_out=d_out)
 
 
 @dataclass(frozen=True)
@@ -136,7 +133,7 @@ def diagonal_pair_kraus(r0: float, r: float) -> KrausSet:
         if not np.asarray((val >= -EPS) & (val <= 1 + EPS)).all():
             raise ValueError(f"{name} = {val} outside [0, 1]")
     r0, r = np.minimum(np.maximum(r0, 0.0), 1.0), np.minimum(np.maximum(r, 0.0), 1.0)
-    return KrausSet(_diagonal_pair_ops(r0, r), d_in=2, d_out=2)
+    return KrausSet(_diagonal_pair_ops(r0, r))
 
 
 def conjugate_kraus(k: KrausSet, u_out: np.ndarray, u_in: np.ndarray) -> KrausSet:
@@ -147,7 +144,7 @@ def conjugate_kraus(k: KrausSet, u_out: np.ndarray, u_in: np.ndarray) -> KrausSe
     """
     for name, u in (("u_out", u_out), ("u_in", u_in)):
         require(unitarity_residual(np.asarray(u, dtype=complex)), bound(EPS, np.shape(u)[-1]), f"{name} is not unitary")
-    return KrausSet(u_out @ _per_op(k.ops, u_out, u_in) @ dag(u_in), d_in=k.d_in, d_out=k.d_out)
+    return KrausSet(u_out @ _per_op(k.ops, u_out, u_in) @ dag(u_in))
 
 
 def general_qubit_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSet:
@@ -168,10 +165,10 @@ def general_qubit_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSet:
             np.broadcast_shapes(shape0, shape_t)
         except ValueError:
             raise ValueError(f"general_qubit_kraus: state shapes {shape0} and {shape_t} do not broadcast") from None
-    d0 = diagonalize_state(rho0, Ordering.MINUS_FIRST)
-    dt = diagonalize_state(rhot, Ordering.PLUS_FIRST)
+    d0 = diagonalize_state(rho0, plus_first=False)
+    dt = diagonalize_state(rhot, plus_first=True)
     ops = _diagonal_pair_ops(d0.eig_plus - d0.eig_minus, dt.eig_plus - dt.eig_minus)
-    return KrausSet(dt.basis @ ops @ dag(d0.basis), d_in=2, d_out=2)
+    return KrausSet(dt.basis @ ops @ dag(d0.basis))
 
 
 def closed_form_qubit_kraus(b0: BlochVector, bt: BlochVector) -> KrausSet:
@@ -197,7 +194,7 @@ def closed_form_qubit_kraus(b0: BlochVector, bt: BlochVector) -> KrausSet:
         [[c * c0 * e0, c * s0], [s * c0 * e * e0, s * s0 * e]],
         dtype=complex,
     )
-    return kraus_set([m0, m1])
+    return KrausSet([m0, m1])
 
 
 def factorable_kraus(u_ie: np.ndarray, rho_e0: DensityMatrix, d_i: int) -> KrausSet:
@@ -219,7 +216,7 @@ def factorable_kraus(u_ie: np.ndarray, rho_e0: DensityMatrix, d_i: int) -> Kraus
     # u as [e_out, ..., 1, i_out * i_in, e_in]; one matrix-vector product per (mu, nu) contracts e_in with |nu>
     u_t = np.moveaxis(u_ie.reshape(stack + (d_i, d_e, d_i, d_e)), -3, 0).reshape((d_e,) + stack + (1, d_i * d_i, d_e))
     ops = np.sqrt(np.maximum(env.values, 0.0))[:, None] * (u_t @ env.vectors.T[:, :, None])[..., 0]
-    return KrausSet(np.moveaxis(ops, -2, 1).reshape((d_e * d_e,) + stack + (d_i, d_i)), d_in=d_i, d_out=d_i)
+    return KrausSet(np.moveaxis(ops, -2, 1).reshape((d_e * d_e,) + stack + (d_i, d_i)))
 
 
 def measure_prepare_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSet:
@@ -236,7 +233,7 @@ def measure_prepare_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSet:
     q = np.sqrt(np.maximum(target.values, 0.0))[:, None, None, None]
     v = target.vectors.T[:, None, :, None]  # column v_j at [j, 0]
     w = dag(source.vectors.T[None, :, :, None])  # row w_k^dagger at [0, k]
-    return KrausSet((q * (v @ w)).reshape(-1, rhot.dim, rho0.dim), d_in=rho0.dim, d_out=rhot.dim)
+    return KrausSet((q * (v @ w)).reshape(-1, rhot.dim, rho0.dim))
 
 
 def unitary_remix(k: KrausSet, v: np.ndarray, tol: float = EPS) -> KrausSet:
@@ -255,7 +252,7 @@ def unitary_remix(k: KrausSet, v: np.ndarray, tol: float = EPS) -> KrausSet:
     padded = np.zeros((n, *k.ops.shape[1:]), dtype=complex)
     padded[: len(k)] = k.ops
     v = v.reshape(v.shape + (1,) * (padded.ndim - 1))
-    return KrausSet((v * padded).sum(1), d_in=k.d_in, d_out=k.d_out)
+    return KrausSet((v * padded).sum(1))
 
 
 def verify_channel(k: KrausSet, rho0: DensityMatrix, rhot: DensityMatrix) -> ChannelReport:

@@ -101,9 +101,6 @@ class EigenDecomposition:
     values: np.ndarray
     vectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return self.vectors @ np.diag(self.values.astype(complex)) @ dag(self.vectors)
-
 
 def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first largest-modulus entry is real >= 0."""

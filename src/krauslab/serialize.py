@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .dynamics import CnotScenario, CompositeState, cnot_hamiltonian
-from .kraus import ChannelReport, KrausSet, kraus_set
+from .kraus import ChannelReport, KrausSet
 from .linalg import EPS, dag, hermiticity_residual, require
 from .states import BlochVector, DensityMatrix, bloch_matrix, validate_density
 
@@ -36,11 +36,21 @@ def matrix_to_json(m: np.ndarray) -> dict[str, Any]:
     }
 
 
+def _positive_int(value: Any, name: str) -> int:
+    """A positive integral number (``2`` or ``2.0``) as an int; anything else is a DecodeError naming ``name``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int or value < 1:
+        raise DecodeError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj: Any) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (TypeError, KeyError, ValueError) as exc:
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except (TypeError, KeyError) as exc:
         raise DecodeError(f"not a matrix object: missing {exc}") from exc
+    rows, cols = _positive_int(rows, "rows"), _positive_int(cols, "cols")
     try:
         values = [complex(re, im) for re, im in data]
     except (TypeError, ValueError) as exc:
@@ -50,12 +60,6 @@ def matrix_from_json(obj: Any) -> np.ndarray:
     if not all(map(cmath.isfinite, values)):
         raise DecodeError("matrix data has a non-finite entry")
     return np.array(values).reshape(rows, cols)
-
-
-def state_to_json(state: DensityMatrix | BlochVector) -> dict[str, Any]:
-    if isinstance(state, BlochVector):
-        return {"bloch": {"r": state.r, "theta": state.theta, "phi": state.phi}}
-    return {"matrix": matrix_to_json(state.mat)}
 
 
 def state_from_json(obj: Any, tol: float = EPS) -> DensityMatrix:
@@ -91,11 +95,16 @@ def kraus_to_json(k: KrausSet) -> dict[str, Any]:
 
 
 def kraus_from_json(obj: Any) -> KrausSet:
+    """Decode a Kraus set; its declared ``d_out`` and ``d_in`` must match every operator."""
     try:
-        ops = [matrix_from_json(o) for o in obj["ops"]]
-        return kraus_set(ops, d_in=int(obj["d_in"]), d_out=int(obj["d_out"]))
+        ops, d_in, d_out = [matrix_from_json(o) for o in obj["ops"]], obj["d_in"], obj["d_out"]
     except (TypeError, KeyError) as exc:
         raise DecodeError(f"not a Kraus-set object: {exc}") from exc
+    shape = (_positive_int(d_out, "d_out"), _positive_int(d_in, "d_in"))
+    k = KrausSet(ops)
+    if k.ops.shape[1:] != shape:
+        raise DecodeError(f"operator shape {k.ops.shape[1:]} does not match {shape}")
+    return k
 
 
 def report_to_json(report: ChannelReport) -> dict[str, float]:
@@ -126,11 +135,12 @@ def scenario_from_json(obj: Any, tol: float = EPS) -> tuple[np.ndarray, Composit
         try:
             h = matrix_from_json(obj["hamiltonian"])
             rho = matrix_from_json(obj["rho_ie0"])
-            d_i, d_e = (int(d) for d in obj["dims"])
+            dims = obj["dims"]
         except (TypeError, KeyError, ValueError) as exc:
             raise DecodeError(f"bad custom scenario: {exc}") from exc
-        if min(d_i, d_e) < 1:
-            raise DecodeError(f"dims must be positive, got [{d_i}, {d_e}]")
+        if not isinstance(dims, list) or len(dims) != 2:
+            raise DecodeError(f"dims must be a list [d_i, d_e], got {dims!r}")
+        d_i, d_e = (_positive_int(d, "dims") for d in dims)
         if h.shape != (d_i * d_e, d_i * d_e):
             raise DecodeError(f"hamiltonian shape {h.shape} does not match d_i*d_e = {d_i * d_e}")
         require(hermiticity_residual(h), tol, "hamiltonian is not Hermitian", error=DecodeError)
@@ -185,11 +195,6 @@ def _layout(items: list[str], depth: int, brackets: str = "[]") -> str:
 @functools.lru_cache(maxsize=64)
 def _grid_template(n_rows: int, width: int, depth: int) -> str:
     return _layout([_layout(["%s"] * width, depth + 1)] * n_rows, depth)
-
-
-def dump(obj: Any, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps(obj) + "\n")
 
 
 def load(path: str) -> Any:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EPS, bound, dag, eigh, failures, identity, pauli_x, pauli_y, pauli_z, qubit_matrix
+from .linalg import EPS, bound, dag, failures, identity, pauli_x, pauli_y, pauli_z, qubit_matrix
 
 
 class StateValidationError(ValueError):
@@ -47,7 +46,7 @@ class DensityMatrix:
     """A quantum state: Hermitian, unit-trace, positive semidefinite matrix.
 
     ``mat`` may also be a stack of states, shape (..., d, d), validated as
-    one; ``eigenvalues`` and ``density_to_bloch`` take a single state.
+    one; ``density_to_bloch`` takes a single state.
     """
 
     mat: np.ndarray
@@ -62,9 +61,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[-1]
-
-    def eigenvalues(self) -> np.ndarray:
-        return eigh(self.mat, tol=self.tol).values
 
 
 def validate_density(m: np.ndarray, tol: float = EPS) -> DensityMatrix:
@@ -96,32 +92,13 @@ class BlochVector:
         )
 
 
-class Ordering(enum.Enum):
-    """Which eigenvalue sits first on the diagonal after diagonalization."""
-
-    MINUS_FIRST = "minus-first"
-    PLUS_FIRST = "plus-first"
-
-
 @dataclass(frozen=True, eq=False)
 class DiagonalizedState:
-    """A qubit state written as basis . diag . basis^dagger.
-
-    ``eig_plus`` >= ``eig_minus``; the diagonal is laid out per ``ordering``.
-    """
+    """A qubit state written as basis . diag . basis^dagger, ``eig_plus`` >= ``eig_minus``."""
 
     eig_plus: float
     eig_minus: float
     basis: np.ndarray
-    ordering: Ordering
-
-    def diagonal(self) -> np.ndarray:
-        if self.ordering is Ordering.MINUS_FIRST:
-            return qubit_matrix(self.eig_minus, 0, 0, self.eig_plus)
-        return qubit_matrix(self.eig_plus, 0, 0, self.eig_minus)
-
-    def reconstruct(self) -> np.ndarray:
-        return self.basis @ self.diagonal() @ dag(self.basis)
 
 
 def bloch_matrix(v: np.ndarray) -> np.ndarray:
@@ -161,38 +138,25 @@ def density_to_bloch(d: DensityMatrix) -> BlochVector:
     return BlochVector(*map(float, bloch_angles(d.mat)))
 
 
-def _basis_minus_first(theta, phi) -> np.ndarray:
-    """Unitary whose first column is the low-eigenvalue eigenvector.
-
-    Sign layout chosen so the closed-form Kraus expressions downstream come
-    out entrywise deterministic.
-    """
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    e = np.exp(1j * phi)
-    return qubit_matrix(-s, c * e.conjugate(), c * e, s)
-
-
-def _basis_plus_first(theta, phi) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    e = np.exp(1j * phi)
-    return qubit_matrix(c, -s * e.conjugate(), s * e, c)
-
-
-def diagonalize_state(d: DensityMatrix, ordering: Ordering) -> DiagonalizedState:
+def diagonalize_state(d: DensityMatrix, plus_first: bool) -> DiagonalizedState:
     """Diagonalize a qubit state with the fixed basis-sign convention.
 
-    A maximally mixed input (r < EPS) gets the identity basis.  For a stack
-    of states the fields are stacks too.
+    The basis puts ``eig_plus`` first on the diagonal if ``plus_first``, else
+    ``eig_minus``; its sign layout makes the closed-form Kraus expressions
+    downstream come out entrywise deterministic.  A maximally mixed input
+    (r < EPS) gets the identity basis.  For a stack of states the fields are
+    stacks too.
     """
     if d.dim != 2:
         raise ValueError(f"diagonalize_state needs a qubit, got dim {d.dim}")
     r, theta, phi = bloch_angles(d.mat)
-    if ordering is Ordering.MINUS_FIRST:
-        basis = _basis_minus_first(theta, phi)
+    c, s, e = np.cos(theta / 2), np.sin(theta / 2), np.exp(1j * phi)
+    if plus_first:
+        basis = qubit_matrix(c, -s * e.conjugate(), s * e, c)
     else:
-        basis = _basis_plus_first(theta, phi)
+        basis = qubit_matrix(-s, c * e.conjugate(), c * e, s)
     basis = np.where((r < EPS)[..., None, None], identity(2), basis)
-    return DiagonalizedState(eig_plus=(1 + r) / 2, eig_minus=(1 - r) / 2, basis=basis, ordering=ordering)
+    return DiagonalizedState(eig_plus=(1 + r) / 2, eig_minus=(1 - r) / 2, basis=basis)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float | np.ndarray:

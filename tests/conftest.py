@@ -4,6 +4,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from krauslab import validate_density
+from krauslab.serialize import dumps, matrix_to_json
 
 # CI runs with --hypothesis-profile=ci: the same examples on every run, and a
 # failure prints the blob that replays it (@reproduce_failure).  Local runs
@@ -50,6 +51,19 @@ def random_unitary(rng, d):
 def random_hermitian(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (g + g.conj().T) / 2
+
+
+def dump(obj, path):
+    """Write ``obj`` to ``path`` as the CLI writes its JSON output."""
+    with open(path, "w") as fh:
+        fh.write(dumps(obj) + "\n")
+
+
+def write_state(tmp_path, name, rho):
+    """Write the state ``rho`` in the matrix encoding to ``tmp_path / name``; return the path."""
+    path = str(tmp_path / name)
+    dump({"matrix": matrix_to_json(rho.mat)}, path)
+    return path
 
 
 @pytest.fixture

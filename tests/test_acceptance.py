@@ -11,9 +11,9 @@ import krauslab as kl
 from krauslab.cli import CSV_HEADER, main as cli_main
 from krauslab.kraus import apply_kraus_raw
 from krauslab.linalg import dag, kron, norm_max, partial_trace
-from krauslab.serialize import dump, matrix_to_json
+from krauslab.serialize import matrix_to_json
 
-from conftest import random_density, random_hermitian, random_unitary
+from conftest import dump, random_density, random_hermitian, random_unitary
 
 
 def report(name, ok):
@@ -36,7 +36,7 @@ def test_02_cnot_reduced_dynamics_closed_forms():
     for r0 in (0.1, 0.3, 0.5, 0.7, 0.9):
         sc = kl.CnotScenario(r0)
         joint = sc.initial_joint()
-        cor = kl.correlation_operator(joint)
+        cor = kl.correlation_operator(joint, joint.reduced_system(), joint.reduced_environment())
         worst = max(worst, norm_max(cor - 0.25 * (1 - r0**2) * kron(kl.pauli_z, kl.pauli_z)))
         worst = max(
             worst,
@@ -47,7 +47,7 @@ def test_02_cnot_reduced_dynamics_closed_forms():
             worst = max(worst, norm_max(numeric - kl.cnot_analytic_rho(sc, t).mat))
             worst = max(
                 worst,
-                norm_max(kl.delta_rho(h, joint, t) - kl.cnot_analytic_delta_rho(sc, t)),
+                norm_max(kl.reduced_dynamics(h, joint, t).inhom - kl.cnot_analytic_delta_rho(sc, t)),
             )
     report("2 reduced state / correlation / inhomogeneous closed forms <= 1e-9", worst <= 1e-9)
 
@@ -116,7 +116,7 @@ def test_06_factorable_consistency():
         worst = max(worst, norm_max(out - ref), k.completeness_residual())
         s = kl.CompositeState(mat=kl.validate_density(kron(rho_i.mat, rho_e.mat)), d_i=2, d_e=2)
         h = random_hermitian(rng, 4)
-        worst_delta = max(worst_delta, norm_max(kl.delta_rho(h, s, float(rng.uniform(0, 3)))))
+        worst_delta = max(worst_delta, norm_max(kl.reduced_dynamics(h, s, float(rng.uniform(0, 3))).inhom))
     report("6 factorable Kraus matches partial trace, delta zero", worst <= 1e-9 and worst_delta <= 1e-9)
 
 
@@ -160,7 +160,7 @@ def test_09_decomposition_identity():
         lhs = kl.evolve_joint(h, s, t).reduced_system().mat
         u = kl.expm_hermitian_generator(h, t)
         k = kl.factorable_kraus(u, s.reduced_environment(), d_i=2)
-        rhs = apply_kraus_raw(k, s.reduced_system().mat) + kl.delta_rho(h, s, t)
+        rhs = apply_kraus_raw(k, s.reduced_system().mat) + kl.reduced_dynamics(h, s, t).inhom
         worst = max(worst, norm_max(lhs - rhs))
     report("9 reduced dynamics = factorable part + inhomogeneous term", worst <= 1e-9)
 

@@ -11,13 +11,13 @@ import pytest
 
 from krauslab import (
     correlation_operator,
-    delta_rho,
     evolve_joint,
     factor_local_unitary,
     general_qubit_kraus,
     kron,
     pauli_x,
     pauli_z,
+    reduced_dynamics,
     validate_density,
 )
 from krauslab import cli, states
@@ -25,29 +25,15 @@ from krauslab.cli import CSV_HEADER, RESIDUAL_COLUMNS, build_parser, main
 from krauslab.dynamics import sweep_columns
 from krauslab.kraus import apply_kraus_raw, factorable_kraus
 from krauslab.linalg import EPS, bound, expm_hermitian_generator, norm_max
-from krauslab.serialize import (
-    dump,
-    kraus_to_json,
-    load,
-    matrix_from_json,
-    matrix_to_json,
-    scenario_from_json,
-    state_to_json,
-)
+from krauslab.serialize import kraus_to_json, load, matrix_from_json, matrix_to_json, scenario_from_json
 
-from conftest import random_density, random_hermitian
+from conftest import dump, random_density, random_hermitian, write_state
 
 
 @pytest.fixture
 def cnot_scenario(tmp_path):
     path = str(tmp_path / "cnot.json")
     dump({"scenario": "cnot", "r0": 0.5}, path)
-    return path
-
-
-def write_state(tmp_path, name, rho):
-    path = str(tmp_path / name)
-    dump(state_to_json(rho), path)
     return path
 
 
@@ -139,24 +125,25 @@ class TestEvolve:
     @pytest.mark.parametrize("kind", ["cnot", "custom3"])
     def test_diagonalises_h_once(self, kind, cnot_scenario, tmp_path, rng, monkeypatch, capsys):
         """One eigh of the joint Hamiltonian per call, and the same output as
-        evolving, taking delta_rho and exponentiating h separately."""
+        evolving, taking the inhomogeneous term and exponentiating h separately."""
         path = cnot_scenario
         if kind == "custom3":
             path = str(tmp_path / "custom.json")
             dump(_custom(random_hermitian(rng, 6), dims=(2, 3), rho=random_density(rng, d=6).mat), path)
         t = 0.7
         h, joint, _ = scenario_from_json(load(path))
+        rho_i0, rho_e0 = joint.reduced_system(), joint.reduced_environment()
         rho_t = evolve_joint(h, joint, t).reduced_system()
-        inhom = delta_rho(h, joint, t)
+        inhom = reduced_dynamics(h, joint, t).inhom
         u = expm_hermitian_generator(h, t)
         homogeneous = apply_kraus_raw(
-            factorable_kraus(u, joint.reduced_environment(), d_i=joint.d_i), joint.reduced_system().mat
+            factorable_kraus(u, rho_e0, d_i=joint.d_i), rho_i0.mat
         )
         expected = {
             "t": t,
             "rho_i_t": matrix_to_json(rho_t.mat),
             "delta_rho": matrix_to_json(inhom),
-            "rho_cor_0": matrix_to_json(correlation_operator(joint)),
+            "rho_cor_0": matrix_to_json(correlation_operator(joint, rho_i0, rho_e0)),
             "decomposition_residual": norm_max(rho_t.mat - homogeneous - inhom),
         }
         shapes = []
@@ -383,6 +370,8 @@ BAD_SCENARIOS = {
         "hamiltonian": {"rows": 4, "cols": 4, "data": [1] * 16},
     },
     "dims-negative": _custom(np.eye(4), dims=(-2, -2)),
+    "dims-string": {**_custom(np.eye(4)), "dims": "22"},
+    "dims-fractional": _custom(np.eye(2), dims=(2.7, 1), rho=np.eye(2) / 2),
     "cnot-r0-nan": {"scenario": "cnot", "r0": float("nan")},
 }
 CONTRACT_CASES = [
@@ -404,6 +393,9 @@ CONTRACT_CASES = [
      ["kraus", "{bad}", "{good}", "--method", "measure-prepare"]),
     ("qutrit-vs-qubit-kraus-set", {"matrix": matrix_to_json(np.eye(3) / 3)},
      ["verify", "{kraus}", "{bad}", "{bad}"]),
+    ("kraus-d-out-fractional", {"d_in": "2", "d_out": 2.9, "ops": [matrix_to_json(np.eye(2))]},
+     ["verify", "{bad}", "{good}", "{good}"]),
+    ("empty-unitary", {"rows": 0, "cols": 0, "data": []}, ["factor", "{bad}", "--dims", "0", "5"]),
     ("no-such-file", None, ["validate", "{bad}"]),
     ("directory", None, ["validate", "{dir}"]),
 ]

@@ -14,7 +14,6 @@ from krauslab import (
     cnot_hamiltonian,
     cnot_unitary,
     correlation_operator,
-    delta_rho,
     density_to_bloch,
     evolve_joint,
     factor_local_unitary,
@@ -146,11 +145,12 @@ class TestReducedAndCorrelation:
     def test_factorable_correlation_vanishes(self, rng):
         a, b = random_density(rng), random_density(rng)
         s = CompositeState(mat=validate_density(kron(a.mat, b.mat)), d_i=2, d_e=2)
-        assert norm_max(correlation_operator(s)) <= 1e-12
+        assert norm_max(correlation_operator(s, s.reduced_system(), s.reduced_environment())) <= 1e-12
 
     def test_cnot_correlation_closed_form(self):
         sc = CnotScenario(0.5)
-        cor = correlation_operator(sc.initial_joint())
+        joint = sc.initial_joint()
+        cor = correlation_operator(joint, joint.reduced_system(), joint.reduced_environment())
         expected = 0.25 * (1 - 0.25) * kron(pauli_z, pauli_z)
         assert norm_max(cor - expected) <= 1e-12
 
@@ -158,7 +158,7 @@ class TestReducedAndCorrelation:
         from krauslab.linalg import partial_trace
 
         s = random_composite(rng)
-        cor = correlation_operator(s)
+        cor = correlation_operator(s, s.reduced_system(), s.reduced_environment())
         assert abs(np.trace(cor)) <= 1e-12
         assert norm_max(partial_trace(cor, (2, 2), 0)) <= 1e-12
         assert norm_max(partial_trace(cor, (2, 2), 1)) <= 1e-12
@@ -169,23 +169,23 @@ class TestDeltaRho:
         a, b = random_density(rng), random_density(rng)
         s = CompositeState(mat=validate_density(kron(a.mat, b.mat)), d_i=2, d_e=2)
         for t in (0.3, 1.7):
-            assert norm_max(delta_rho(random_hermitian(rng, 4), s, t)) <= 1e-10
+            assert norm_max(reduced_dynamics(random_hermitian(rng, 4), s, t).inhom) <= 1e-10
 
     def test_cnot_closed_form(self):
         sc = CnotScenario(0.5)
         joint = sc.initial_joint()
         h = cnot_hamiltonian()
         for t in np.linspace(0, 2 * np.pi, 20):
-            assert norm_max(delta_rho(h, joint, t) - cnot_analytic_delta_rho(sc, t)) <= 1e-10
+            assert norm_max(reduced_dynamics(h, joint, t).inhom - cnot_analytic_delta_rho(sc, t)) <= 1e-10
 
     def test_cnot_value_at_half_pi(self):
         sc = CnotScenario(0.5)
-        d = delta_rho(cnot_hamiltonian(), sc.initial_joint(), np.pi / 2)
+        d = reduced_dynamics(cnot_hamiltonian(), sc.initial_joint(), np.pi / 2).inhom
         assert norm_max(d - np.diag([0.375, -0.375])) <= 1e-10
 
     def test_traceless_hermitian(self, rng):
         s = random_composite(rng)
-        d = delta_rho(random_hermitian(rng, 4), s, 1.3)
+        d = reduced_dynamics(random_hermitian(rng, 4), s, 1.3).inhom
         assert abs(np.trace(d)) <= 1e-12
         assert norm_max(d - dag(d)) <= 1e-12
 
@@ -198,7 +198,7 @@ class TestDeltaRho:
             lhs = evolve_joint(h, s, t).reduced_system().mat
             u = expm_hermitian_generator(h, t)
             k = factorable_kraus(u, s.reduced_environment(), d_i=2)
-            rhs = apply_kraus_raw(k, s.reduced_system().mat) + delta_rho(h, s, t)
+            rhs = apply_kraus_raw(k, s.reduced_system().mat) + reduced_dynamics(h, s, t).inhom
             assert norm_max(lhs - rhs) <= 1e-9
 
 
@@ -308,7 +308,7 @@ def _scalar_sweep(h, joint, ts, sc):
                 b.theta,
                 b.phi,
                 sc.r_t(t) if sc else b.r,
-                norm_max(delta_rho(h, joint, t)),
+                norm_max(reduced_dynamics(h, joint, t).inhom),
                 k.completeness_residual(),
                 norm_max(apply_kraus_raw(k, rho0.mat) - numeric.mat),
                 trace_distance(analytic, numeric) if sc else np.nan,
@@ -382,6 +382,12 @@ class TestFactorLocalUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             factor_local_unitary(np.ones((4, 4)), (2, 2))
+
+    @pytest.mark.parametrize("dims", [(0, 5), (5, 0), (0, 0), (-1, -2)])
+    def test_rejects_dims_below_one(self, dims):
+        u = identity(max(dims[0] * dims[1], 0))  # the shape the dims ask for
+        with pytest.raises(ValueError, match=rf"dims must be positive, got \[{dims[0]}, {dims[1]}\]"):
+            factor_local_unitary(u, dims)
 
     @given(dims=st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 2)]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from krauslab import (
     BlochVector,
+    KrausSet,
     apply_channel,
     bloch_to_density,
     closed_form_qubit_kraus,
@@ -16,7 +17,6 @@ from krauslab import (
     diagonalize_state,
     factorable_kraus,
     general_qubit_kraus,
-    kraus_set,
     measure_prepare_kraus,
     unitary_remix,
     validate_density,
@@ -24,7 +24,7 @@ from krauslab import (
 )
 from krauslab.kraus import ChannelReport, _diagonal_pair_ops, apply_kraus_raw
 from krauslab.linalg import EPS, bound, dag, eigh, identity, kron, norm_max, partial_trace, pauli_x, unitarity_residual
-from krauslab.states import DensityMatrix, Ordering, density_violations
+from krauslab.states import DensityMatrix, density_violations
 
 from conftest import edge_matrix, edge_tols, random_density, random_unitary
 from test_serialize import reports
@@ -76,31 +76,37 @@ def state_pairs(draw):
 class TestKrausSet:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):
-            kraus_set([], d_in=2, d_out=2)
+            KrausSet([])
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            kraus_set([identity(2), identity(3)], d_in=2, d_out=2)
+        with pytest.raises(ValueError, match="not a matrix"):
+            KrausSet(identity(2))  # two vectors, not operators
 
     def test_mismatched_operators_get_the_named_error(self):
         with pytest.raises(ValueError, match="does not match"):
-            kraus_set([identity(2), identity(3)])
+            KrausSet([identity(2), identity(3)])
 
     def test_ops_is_one_array_with_the_operator_axis_first(self):
-        k = kraus_set([identity(2), 2 * identity(2), 3 * identity(2)])
+        k = KrausSet([identity(2), 2 * identity(2), 3 * identity(2)])
         assert isinstance(k.ops, np.ndarray) and k.ops.shape == (3, 2, 2)
         assert len(k) == 3 and np.array_equal(k.ops[2], 3 * identity(2))
+
+    def test_dims_are_read_from_the_operators(self):
+        k = KrausSet(np.zeros((2, 5, 3, 4)))  # a stack of 5 sets of two 3x4 operators
+        assert (k.d_out, k.d_in) == (3, 4)
+        with pytest.raises(TypeError):
+            KrausSet([identity(2)], d_in=2, d_out=2)
 
     def test_choi_is_the_sum_of_column_stacked_outer_products(self, rng):
         for n, d_out, d_in in [(1, 2, 2), (2, 2, 2), (4, 3, 3), (3, 2, 4)]:
             shape = (n, d_out, d_in)
-            k = kraus_set(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            k = KrausSet(rng.normal(size=shape) + 1j * rng.normal(size=shape))
             vecs = [op.reshape(-1, 1, order="F") for op in k.ops]
             assert np.array_equal(k.choi_matrix(), sum(v @ dag(v) for v in vecs))
 
     def test_completeness_residual_of_dropped_operator(self):
         k = diagonal_pair_kraus(0.5, 0.3)
-        partial = kraus_set([k.ops[0]])
+        partial = KrausSet([k.ops[0]])
         m1 = k.ops[1]
         assert partial.completeness_residual() == pytest.approx(norm_max(dag(m1) @ m1))
 
@@ -108,7 +114,7 @@ class TestKrausSet:
 class TestApplyChannel:
     def test_identity_channel(self, rng):
         rho = random_density(rng)
-        out = apply_channel(kraus_set([identity(2)]), rho)
+        out = apply_channel(KrausSet([identity(2)]), rho)
         assert norm_max(out.mat - rho.mat) == 0
 
     def test_diagonal_pair_on_diagonal_state(self):
@@ -120,10 +126,10 @@ class TestApplyChannel:
 
     def test_dim_mismatch(self, rng):
         with pytest.raises(ValueError, match="dim"):
-            apply_channel(kraus_set([identity(2)]), random_density(rng, d=3))
+            apply_channel(KrausSet([identity(2)]), random_density(rng, d=3))
 
     def test_rejects_incomplete_set(self, rng):
-        bad = kraus_set([identity(2) * 0.5])
+        bad = KrausSet([identity(2) * 0.5])
         with pytest.raises(ValueError, match="completeness"):
             apply_channel(bad, random_density(rng))
 
@@ -149,12 +155,12 @@ class TestApplyChannel:
         m = edge_matrix(rng, 2, tol, sign, rank)
         assume(not density_violations(m, tol))
         isometry = random_unitary(rng, 2 * n)[:, :2]  # the stacked operators of a complete set
-        apply_channel(kraus_set(isometry.reshape(n, 2, 2)), DensityMatrix(m, tol=tol))
+        apply_channel(KrausSet(isometry.reshape(n, 2, 2)), DensityMatrix(m, tol=tol))
 
     def test_output_bound_covers_the_sets_completeness_residual(self):
         """A set just inside its completeness bound and a state at the edge of its
         tol: the output's trace is off by the state's error plus d_in times the set's."""
-        k = kraus_set([np.sqrt(1 + 3.9e-10) * identity(2)])
+        k = KrausSet([np.sqrt(1 + 3.9e-10) * identity(2)])
         assert k.completeness_residual() <= bound(EPS, 2)
         rho = DensityMatrix(np.diag([0.5 + 0.45e-10, 0.5 + 0.45e-10]), tol=1e-10)
         out = apply_channel(k, rho)
@@ -236,8 +242,8 @@ class TestGeneralQubitKraus:
 
     def test_matches_diagonalization_pipeline(self, rng):
         rho0, rhot = random_density(rng), random_density(rng)
-        d0 = diagonalize_state(rho0, Ordering.MINUS_FIRST)
-        dt = diagonalize_state(rhot, Ordering.PLUS_FIRST)
+        d0 = diagonalize_state(rho0, plus_first=False)
+        dt = diagonalize_state(rhot, plus_first=True)
         pair = diagonal_pair_kraus(d0.eig_plus - d0.eig_minus, dt.eig_plus - dt.eig_minus)
         expected = conjugate_kraus(pair, dt.basis, d0.basis)
         got = general_qubit_kraus(rho0, rhot)
@@ -262,20 +268,20 @@ class TestUncheckedQubitPair:
     """general_qubit_kraus builds its radii and bases itself and skips the
     guards of the public steps; these tests show those guards cannot fail there."""
 
-    @pytest.mark.parametrize("ordering", list(Ordering))
+    @pytest.mark.parametrize("plus_first", [False, True], ids=["minus-first", "plus-first"])
     @given(mats=st.lists(qubit_states, min_size=1, max_size=4), stacked=st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_basis_unitarity_residual_is_a_few_ulps(self, ordering, mats, stacked):
+    def test_basis_unitarity_residual_is_a_few_ulps(self, plus_first, mats, stacked):
         states = [validate_density(np.stack(mats))] if stacked else [validate_density(m) for m in mats]
         for rho in states:
-            assert np.max(unitarity_residual(diagonalize_state(rho, ordering).basis)) <= 4 * np.finfo(float).eps
+            assert np.max(unitarity_residual(diagonalize_state(rho, plus_first).basis)) <= 4 * np.finfo(float).eps
 
     @given(pair=state_pairs())
     @settings(max_examples=200, deadline=None)
     def test_same_bits_as_the_guarded_steps(self, pair):
         rho0, rhot = map(validate_density, pair)
-        d0 = diagonalize_state(rho0, Ordering.MINUS_FIRST)
-        dt = diagonalize_state(rhot, Ordering.PLUS_FIRST)
+        d0 = diagonalize_state(rho0, plus_first=False)
+        dt = diagonalize_state(rhot, plus_first=True)
         pair_kraus = diagonal_pair_kraus(d0.eig_plus - d0.eig_minus, dt.eig_plus - dt.eig_minus)
         expected = conjugate_kraus(pair_kraus, dt.basis, d0.basis)
         assert np.array_equal(general_qubit_kraus(rho0, rhot).ops, expected.ops)
@@ -479,7 +485,7 @@ class TestVerifyChannel:
 
     def test_missing_operator_reported(self, rng):
         k = general_qubit_kraus(random_density(rng), random_density(rng))
-        dropped = kraus_set([k.ops[0]])
+        dropped = KrausSet([k.ops[0]])
         rep = verify_channel(dropped, random_density(rng), random_density(rng))
         m1 = k.ops[1]
         assert rep.completeness_residual == pytest.approx(norm_max(dag(m1) @ m1))
@@ -487,7 +493,7 @@ class TestVerifyChannel:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
             verify_channel(
-                kraus_set([identity(2)]), random_density(rng, d=3), random_density(rng, d=3)
+                KrausSet([identity(2)]), random_density(rng, d=3), random_density(rng, d=3)
             )
 
     def test_failures_name_each_failing_check_in_field_order(self):
@@ -543,12 +549,12 @@ class TestStackedSets:
     def test_stack_matches_each_set(self, n, d, batch, seed):
         rng = np.random.default_rng(seed)
         shape = (n, *batch, d, d)
-        k = kraus_set(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        k = KrausSet(rng.normal(size=shape) + 1j * rng.normal(size=shape))
         rho0, rhot = random_density(rng, d=d), random_density(rng, d=d)
         completeness, out, choi = k.completeness_residual(), apply_kraus_raw(k, rho0.mat), k.choi_matrix()
         report = verify_channel(k, rho0, rhot)
         for idx in np.ndindex(*batch):
-            one = kraus_set(k.ops[(slice(None), *idx)])
+            one = KrausSet(k.ops[(slice(None), *idx)])
             assert np.array_equal(completeness[idx], one.completeness_residual())
             assert np.array_equal(out[idx], apply_kraus_raw(one, rho0.mat))
             assert np.array_equal(choi[idx], one.choi_matrix())
@@ -565,7 +571,7 @@ class TestStackedSets:
         assert report.passes(1e-9)
         ops = k.ops.copy()
         ops[1, 2] = 0  # drop the second operator of the last set
-        assert not verify_channel(kraus_set(ops), rho0, rhot).passes(1e-9)
+        assert not verify_channel(KrausSet(ops), rho0, rhot).passes(1e-9)
 
     def test_single_set_report_holds_floats(self, rng):
         rho0, rhot = random_density(rng), random_density(rng)

@@ -153,13 +153,13 @@ _NAN_SCENARIO = {
     "rho_ie0": serialize.matrix_to_json(np.eye(4) / 4),
     "dims": [2, 2],
 }
-_PAIR = kraus.kraus_set([np.eye(2)])
+_PAIR = kraus.KrausSet([np.eye(2)])
 
 #: Every guard that compares a residual with a bound: entry point -> (call, error, words of its message).
 GUARDED = {
     "eigh": (lambda: eigh(_nan(2)), ValueError, "not Hermitian: residual nan"),
     "apply_channel": (
-        lambda: kraus.apply_channel(kraus.kraus_set([_nan(2)]), _mixed()), ValueError, "completeness: residual nan"
+        lambda: kraus.apply_channel(kraus.KrausSet([_nan(2)]), _mixed()), ValueError, "completeness: residual nan"
     ),
     "conjugate_kraus-u_out": (lambda: kraus.conjugate_kraus(_PAIR, _nan(2), np.eye(2)), ValueError, "u_out"),
     "conjugate_kraus-u_in": (lambda: kraus.conjugate_kraus(_PAIR, np.eye(2), _nan(2)), ValueError, "u_in"),
@@ -202,7 +202,7 @@ class TestEigh:
     def test_degenerate(self):
         decomp = eigh(identity(2) / 2)
         assert np.allclose(decomp.values, [0.5, 0.5])
-        assert norm_max(decomp.reconstruct() - identity(2) / 2) <= 10 * EPS
+        assert norm_max(decomp.vectors @ np.diag(decomp.values) @ dag(decomp.vectors) - identity(2) / 2) <= 10 * EPS
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
@@ -217,7 +217,7 @@ class TestEigh:
         for _ in range(20):
             m = random_hermitian(rng, d)
             decomp = eigh(m)
-            assert norm_max(decomp.reconstruct() - m) <= 1e-12 * max(1, norm_max(m))
+            assert norm_max(decomp.vectors @ np.diag(decomp.values) @ dag(decomp.vectors) - m) <= 1e-12 * max(1, norm_max(m))
             assert norm_max(dag(decomp.vectors) @ decomp.vectors - identity(d)) <= 1e-12
             assert all(x >= y for x, y in zip(decomp.values, decomp.values[1:]))
 

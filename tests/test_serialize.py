@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from krauslab import general_qubit_kraus, kraus_set, kron, pauli_x, pauli_z, validate_density, verify_channel
+from krauslab import KrausSet, general_qubit_kraus, kron, pauli_x, pauli_z, validate_density, verify_channel
 from krauslab.kraus import ChannelReport
 from krauslab.linalg import norm_max
 from krauslab import serialize
@@ -19,11 +20,10 @@ from krauslab.serialize import (
     report_to_json,
     scenario_from_json,
     state_from_json,
-    state_to_json,
 )
 from krauslab.states import BlochVector, StateValidationError, bloch_to_density
 
-from conftest import random_density
+from conftest import dump, random_density
 
 
 class TestMatrixRoundTrip:
@@ -55,7 +55,7 @@ class TestMatrixRoundTrip:
 class TestStateEncoding:
     def test_matrix_form_round_trip(self, rng):
         rho = random_density(rng)
-        back = state_from_json(state_to_json(rho))
+        back = state_from_json({"matrix": matrix_to_json(rho.mat)})
         assert norm_max(back.mat - rho.mat) == 0
 
     def test_bloch_form(self):
@@ -85,6 +85,11 @@ class TestKrausEncoding:
         with pytest.raises(DecodeError):
             kraus_from_json({"ops": []})
 
+    def test_declared_dims_must_match_the_operators(self):
+        doc = {"d_in": 3, "d_out": 3, "ops": [matrix_to_json(np.eye(2))]}
+        with pytest.raises(DecodeError, match=r"operator shape \(2, 2\) does not match \(3, 3\)"):
+            kraus_from_json(doc)
+
 
 class TestScenarioEncoding:
     def test_cnot(self):
@@ -113,7 +118,7 @@ class TestScenarioEncoding:
 def test_file_round_trip(tmp_path, rng):
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     path = str(tmp_path / "m.json")
-    serialize.dump(matrix_to_json(m), path)
+    dump(matrix_to_json(m), path)
     assert norm_max(matrix_from_json(serialize.load(path)) - m) == 0
 
 
@@ -205,6 +210,44 @@ class TestCustomHamiltonian:
             scenario_from_json(self._scenario(np.eye(4), dims=(-2, -2)))
 
 
+# -- every size field is a positive integral number -----------------------------
+
+NOT_COUNTS = [2.5, "2", True, [2], 0, -1, None, float("inf")]
+
+
+def _size_docs(value):
+    """(field, decoder, document) with one size field set to ``value``."""
+    matrix = matrix_to_json(np.eye(2))
+    kraus = {"d_in": 2, "d_out": 2, "ops": [matrix]}
+    scenario = {"scenario": "custom", "hamiltonian": matrix, "rho_ie0": matrix_to_json(np.eye(2) / 2)}
+    return [
+        ("rows", matrix_from_json, {**matrix, "rows": value}),
+        ("cols", matrix_from_json, {**matrix, "cols": value}),
+        ("d_in", kraus_from_json, {**kraus, "d_in": value}),
+        ("d_out", kraus_from_json, {**kraus, "d_out": value}),
+        ("dims", scenario_from_json, {**scenario, "dims": [1, value]}),
+    ]
+
+
+@pytest.mark.parametrize("value", NOT_COUNTS, ids=repr)
+def test_size_fields_reject_what_is_not_a_positive_integer(value):
+    for name, decode, doc in _size_docs(value):
+        with pytest.raises(DecodeError, match=f"^{name} must be a positive integer, got {re.escape(repr(value))}$"):
+            decode(doc)
+
+
+def test_size_fields_accept_integral_floats():
+    for _, decode, doc in _size_docs(2.0):
+        decode(doc)
+
+
+@pytest.mark.parametrize("dims", ["22", [2], [2, 1, 1], {"d_i": 2}])
+def test_dims_must_be_a_pair(dims):
+    doc = {"scenario": "custom", "hamiltonian": matrix_to_json(np.eye(2)), "rho_ie0": matrix_to_json(np.eye(2) / 2)}
+    with pytest.raises(DecodeError, match="dims must be a list"):
+        scenario_from_json({**doc, "dims": dims})
+
+
 # -- dumps writes the bytes of json.dumps(obj, indent=2) ----------------------
 
 EDGE_FLOATS = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1e300, -1e300, float("nan"), float("inf"), float("-inf")]
@@ -223,7 +266,7 @@ def complex_matrices(draw):
 def kraus_sets(draw):
     d, n = draw(st.integers(2, 4)), draw(st.integers(1, 16))
     parts = draw(st.lists(finite_floats, min_size=2 * n * d * d, max_size=2 * n * d * d))
-    return kraus_set(np.array(parts).view(complex).reshape(n, d, d))
+    return KrausSet(np.array(parts).view(complex).reshape(n, d, d))
 
 
 reports = st.builds(ChannelReport, *[floats.map(np.float64)] * 5)
