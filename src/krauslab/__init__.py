@@ -16,12 +16,11 @@ from .linalg import (
     pauli_z,
 )
 from .states import (
-    BlochVector,
     DensityMatrix,
     DiagonalizedState,
     StateValidationError,
-    bloch_to_density,
-    density_to_bloch,
+    bloch_angles,
+    bloch_matrix,
     diagonalize_state,
     trace_distance,
     validate_density,

@@ -10,7 +10,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -25,13 +24,20 @@ from .dynamics import (
 )
 from .kraus import closed_form_qubit_kraus, general_qubit_kraus, measure_prepare_kraus, unitary_remix, verify_channel
 from .linalg import EPS, bound, failures
-from .states import StateValidationError, density_to_bloch
+from .states import StateValidationError
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_INVALID = 2
 
 CSV_HEADER = list(SWEEP_COLUMNS)
+
+#: ``kraus --method`` -> the constructor it calls on the two states.
+KRAUS_METHODS = {
+    "general": general_qubit_kraus,
+    "closed-form": closed_form_qubit_kraus,
+    "measure-prepare": measure_prepare_kraus,
+}
 
 #: The sweep columns checked against --tol; NaN entries are not checked.
 RESIDUAL_COLUMNS = ("completeness_residual", "reconstruction_residual", "trace_distance_analytic_vs_numeric")
@@ -94,14 +100,10 @@ def cmd_validate(args) -> int:
 def cmd_kraus(args) -> int:
     rho0 = _load(args.rho0, serialize.state_from_json, args.tol)
     rhot = _load(args.rhot, serialize.state_from_json, args.tol)
-    if rho0.dim != rhot.dim or (args.method != "measure-prepare" and rho0.dim != 2):
-        raise InputError(f"--method {args.method} cannot connect states of dims {rho0.dim} and {rhot.dim}")
-    if args.method == "general":
-        k = general_qubit_kraus(rho0, rhot)
-    elif args.method == "closed-form":
-        k = closed_form_qubit_kraus(density_to_bloch(rho0), density_to_bloch(rhot))
-    else:
-        k = measure_prepare_kraus(rho0, rhot)
+    try:
+        k = KRAUS_METHODS[args.method](rho0, rhot)
+    except ValueError as exc:
+        raise InputError(f"--method {args.method} cannot connect states of dims {rho0.dim} and {rhot.dim}") from exc
     report = verify_channel(k, rho0, rhot)
     _emit(serialize.kraus_to_json(k), args.out)
     _emit(serialize.report_to_json(report), None)
@@ -188,22 +190,14 @@ def tolerance(text: str) -> float:
     return float(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, with ``--tol`` defaulting to ``KRAUSLAB_TOL`` as set now.
-
-    The environment is read on every call; the parser for the latest default
-    is kept and shared between calls, so callers must not modify it.
-    """
-    return _parser(os.environ.get("KRAUSLAB_TOL", str(EPS)))
-
-
 @functools.lru_cache(maxsize=1)
-def _parser(default_tol: str) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once and shared between calls, so callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="krauslab",
         description="Construct and verify Kraus representations for open qubit systems.",
     )
-    parser.add_argument("--tol", type=tolerance, default=default_tol, help="absolute tolerance (max-norm)")
+    parser.add_argument("--tol", type=tolerance, default=EPS, help="absolute tolerance (max-norm)")
     parser.add_argument("--out", default=None, help="write primary output to this path")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -214,11 +208,7 @@ def _parser(default_tol: str) -> argparse.ArgumentParser:
     p = sub.add_parser("kraus", help="construct a Kraus set connecting two states")
     p.add_argument("rho0")
     p.add_argument("rhot")
-    p.add_argument(
-        "--method",
-        choices=["general", "closed-form", "measure-prepare"],
-        default="general",
-    )
+    p.add_argument("--method", choices=list(KRAUS_METHODS), default="general")
     p.set_defaults(func=cmd_kraus)
 
     p = sub.add_parser("evolve", help="evolve a scenario and report the inhomogeneous term")

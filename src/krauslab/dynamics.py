@@ -117,18 +117,14 @@ def cnot_hamiltonian() -> np.ndarray:
     return kron(pauli_x, (identity(2) - pauli_z) / 2) + kron(identity(2), (identity(2) + pauli_z) / 2)
 
 
-def cnot_unitary(t: float) -> np.ndarray:
-    """Closed form of exp(-i H t) for the CNOT Hamiltonian."""
+def cnot_unitary(t) -> np.ndarray:
+    """Closed form of exp(-i H t) for the CNOT Hamiltonian; a stack for an array of times."""
     c, s, p = np.cos(t), np.sin(t), np.exp(-1j * t)
-    return np.array(
-        [
-            [p, 0, 0, 0],
-            [0, c, 0, -1j * s],
-            [0, 0, p, 0],
-            [0, -1j * s, 0, c],
-        ],
-        dtype=complex,
-    )
+    u = np.zeros(np.shape(t) + (4, 4), dtype=complex)
+    u[..., 0, 0] = u[..., 2, 2] = p
+    u[..., 1, 1] = u[..., 3, 3] = c
+    u[..., 1, 3] = u[..., 3, 1] = -1j * s
+    return u
 
 
 @dataclass(frozen=True)
@@ -142,8 +138,7 @@ class CnotScenario:
     r0: float
 
     def __post_init__(self):
-        if not -EPS <= self.r0 <= 1 + EPS:
-            raise ValueError(f"r0 = {self.r0} outside [0, 1]")
+        require(np.maximum(-self.r0, self.r0 - 1), EPS, "r0 outside [0, 1]")
         if self.r0 <= EPS or self.r0 >= 1 - EPS:
             warnings.warn(
                 f"r0 = {self.r0} is at an endpoint: the joint state is factorable "
@@ -171,16 +166,10 @@ def cnot_analytic_rho(sc: CnotScenario, t) -> DensityMatrix:
     return DensityMatrix(mat, tol=bound(EPS, 2))
 
 
-def cnot_analytic_delta_rho(sc: CnotScenario, t: float) -> np.ndarray:
-    """Closed form of the inhomogeneous term for the CNOT scenario."""
+def cnot_analytic_delta_rho(sc: CnotScenario, t) -> np.ndarray:
+    """Closed form of the inhomogeneous term for the CNOT scenario; a stack for an array of times."""
     pre = 0.25 * (1 - sc.r0**2)
-    return pre * np.array(
-        [
-            [2 * np.sin(t) ** 2, -1j * np.sin(2 * t)],
-            [1j * np.sin(2 * t), -2 * np.sin(t) ** 2],
-        ],
-        dtype=complex,
-    )
+    return pre * qubit_matrix(2 * np.sin(t) ** 2, -1j * np.sin(2 * t), 1j * np.sin(2 * t), -2 * np.sin(t) ** 2)
 
 
 def cnot_analytic_kraus(sc: CnotScenario, t) -> KrausSet:

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EPS, bound, dag, eigh, failures, identity, norm_max, require, unitarity_residual
-from .states import BlochVector, DensityMatrix, diagonalize_state
+from .linalg import EPS, bound, dag, eigh, failures, identity, norm_max, qubit_matrix, require, unitarity_residual
+from .states import DensityMatrix, bloch_angles, diagonalize_state
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,11 +127,10 @@ def diagonal_pair_kraus(r0: float, r: float) -> KrausSet:
 
     Maps diag((1-r0)/2, (1+r0)/2) to diag((1+r)/2, (1-r)/2); completeness
     holds analytically for any r0, r in [0, 1].  Radii that are arrays give
-    a stack of pairs.  Guarded: a radius outside [-EPS, 1 + EPS] raises.
+    a stack of pairs.  Guarded: a radius more than EPS outside [0, 1] raises.
     """
     for name, val in (("r0", r0), ("r", r)):
-        if not np.asarray((val >= -EPS) & (val <= 1 + EPS)).all():
-            raise ValueError(f"{name} = {val} outside [0, 1]")
+        require(np.maximum(-val, val - 1), EPS, f"{name} outside [0, 1]")
     r0, r = np.minimum(np.maximum(r0, 0.0), 1.0), np.minimum(np.maximum(r, 0.0), 1.0)
     return KrausSet(_diagonal_pair_ops(r0, r))
 
@@ -147,6 +146,18 @@ def conjugate_kraus(k: KrausSet, u_out: np.ndarray, u_in: np.ndarray) -> KrausSe
     return KrausSet(u_out @ _per_op(k.ops, u_out, u_in) @ dag(u_in))
 
 
+def _require_qubit_pair(name: str, rho0: DensityMatrix, rhot: DensityMatrix) -> None:
+    """The input guard of the qubit constructors: two qubit states, or stacks of them, whose shapes broadcast."""
+    shape0, shape_t = rho0.mat.shape, rhot.mat.shape
+    if rho0.dim != 2 or rhot.dim != 2:
+        raise ValueError(f"{name} needs qubit states, got shapes {shape0} and {shape_t}")
+    if shape0 != shape_t:  # a single pair pays only this comparison
+        try:
+            np.broadcast_shapes(shape0, shape_t)
+        except ValueError:
+            raise ValueError(f"{name}: state shapes {shape0} and {shape_t} do not broadcast") from None
+
+
 def general_qubit_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSet:
     """Two-operator Kraus set connecting any two qubit states.
 
@@ -157,43 +168,34 @@ def general_qubit_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSet:
     be a stack, giving the stack of pairs.  Only the input is checked: the
     radii and bases built here cannot fail the guards of the public steps.
     """
-    shape0, shape_t = rho0.mat.shape, rhot.mat.shape
-    if rho0.dim != 2 or rhot.dim != 2:
-        raise ValueError(f"general_qubit_kraus needs qubit states, got shapes {shape0} and {shape_t}")
-    if shape0 != shape_t:  # a single pair pays only this comparison
-        try:
-            np.broadcast_shapes(shape0, shape_t)
-        except ValueError:
-            raise ValueError(f"general_qubit_kraus: state shapes {shape0} and {shape_t} do not broadcast") from None
+    _require_qubit_pair("general_qubit_kraus", rho0, rhot)
     d0 = diagonalize_state(rho0, plus_first=False)
     dt = diagonalize_state(rhot, plus_first=True)
     ops = _diagonal_pair_ops(d0.eig_plus - d0.eig_minus, dt.eig_plus - dt.eig_minus)
     return KrausSet(dt.basis @ ops @ dag(d0.basis))
 
 
-def closed_form_qubit_kraus(b0: BlochVector, bt: BlochVector) -> KrausSet:
+def closed_form_qubit_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSet:
     """Direct entrywise closed form of the two-operator qubit Kraus set.
 
-    Agrees with general_qubit_kraus entrywise for non-degenerate inputs
-    under the same basis-sign convention.
+    Written in the Bloch coordinates that ``bloch_angles`` reads off both
+    states.  Agrees with general_qubit_kraus entrywise for non-degenerate
+    inputs under the same basis-sign convention.  Either state may be a
+    stack, giving the stack of pairs.
     """
-    c0, s0 = np.cos(b0.theta / 2), np.sin(b0.theta / 2)
-    c, s = np.cos(bt.theta / 2), np.sin(bt.theta / 2)
-    e0 = np.exp(1j * b0.phi)
-    e = np.exp(1j * bt.phi)
-    a = _sqrt_clamped((1 - bt.r) / (1 + b0.r))
-    q = _sqrt_clamped((bt.r + b0.r) / (1 + b0.r))
-    m0 = np.array(
-        [
-            [-c * s0 - a * s * c0 * e0 / e, c * c0 / e0 - a * s * s0 / e],
-            [-s * s0 * e + a * c * c0 * e0, s * c0 * e / e0 + a * c * s0],
-        ],
-        dtype=complex,
+    _require_qubit_pair("closed_form_qubit_kraus", rho0, rhot)
+    (r0, theta0, phi0), (r, theta, phi) = bloch_angles(rho0.mat), bloch_angles(rhot.mat)
+    c0, s0 = np.cos(theta0 / 2), np.sin(theta0 / 2)
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    e0 = np.exp(1j * phi0)
+    e = np.exp(1j * phi)
+    a = _sqrt_clamped((1 - r) / (1 + r0))
+    q = _sqrt_clamped((r + r0) / (1 + r0))
+    m0 = qubit_matrix(
+        -c * s0 - a * s * c0 * e0 / e, c * c0 / e0 - a * s * s0 / e,
+        -s * s0 * e + a * c * c0 * e0, s * c0 * e / e0 + a * c * s0,
     )
-    m1 = q * np.array(
-        [[c * c0 * e0, c * s0], [s * c0 * e * e0, s * s0 * e]],
-        dtype=complex,
-    )
+    m1 = q[..., None, None] * qubit_matrix(c * c0 * e0, c * s0, s * c0 * e * e0, s * s0 * e)
     return KrausSet([m0, m1])
 
 

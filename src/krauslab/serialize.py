@@ -13,6 +13,7 @@ import math
 from dataclasses import fields
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from sys import float_info
 from typing import Any
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .dynamics import CnotScenario, CompositeState, cnot_hamiltonian
 from .kraus import ChannelReport, KrausSet
 from .linalg import EPS, dag, hermiticity_residual, require
-from .states import BlochVector, DensityMatrix, bloch_matrix, validate_density
+from .states import DensityMatrix, bloch_matrix, validate_density
 
 
 class DecodeError(ValueError):
@@ -43,6 +44,13 @@ def _positive_int(value: Any, name: str) -> int:
     if type(value) is not int or value < 1:
         raise DecodeError(f"{name} must be a positive integer, got {value!r}")
     return value
+
+
+def _finite_number(value: Any, name: str) -> float:
+    """A finite int or float (not a bool) as a float; anything else is a DecodeError naming ``name``."""
+    if type(value) not in (int, float) or not -float_info.max <= value <= float_info.max:  # NaN fails too
+        raise DecodeError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def matrix_from_json(obj: Any) -> np.ndarray:
@@ -72,13 +80,13 @@ def state_from_json(obj: Any, tol: float = EPS) -> DensityMatrix:
         raise DecodeError("state must be a JSON object")
     if "bloch" in obj:
         try:
-            r, theta, phi = (float(obj["bloch"][key]) for key in ("r", "theta", "phi"))
-            direction = BlochVector(1.0, theta, phi).cartesian()  # checks the angles are finite
-        except (TypeError, KeyError, ValueError) as exc:
+            r, theta, phi = (obj["bloch"][key] for key in ("r", "theta", "phi"))
+        except (TypeError, KeyError) as exc:
             raise DecodeError(f"bad bloch object: {exc}") from exc
-        if not r >= 0:
+        r, theta, phi = _finite_number(r, "Bloch radius r"), _finite_number(theta, "theta"), _finite_number(phi, "phi")
+        if r < 0:
             raise DecodeError(f"Bloch radius must be >= 0, got {r}")
-        return validate_density(bloch_matrix(r * direction), tol=tol)
+        return validate_density(bloch_matrix(r, theta, phi), tol=tol)
     if "matrix" in obj:
         return validate_density(matrix_from_json(obj["matrix"]), tol=tol)
     raise DecodeError("state object needs a 'bloch' or 'matrix' key")
@@ -127,9 +135,10 @@ def scenario_from_json(obj: Any, tol: float = EPS) -> tuple[np.ndarray, Composit
     kind = obj["scenario"]
     if kind == "cnot":
         try:
-            sc = CnotScenario(float(obj["r0"]))
-        except (TypeError, KeyError) as exc:
+            r0 = obj["r0"]
+        except KeyError as exc:
             raise DecodeError(f"cnot scenario needs 'r0': {exc}") from exc
+        sc = CnotScenario(_finite_number(r0, "r0"))
         return cnot_hamiltonian(), sc.initial_joint(), sc
     if kind == "custom":
         try:

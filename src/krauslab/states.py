@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EPS, bound, dag, failures, identity, pauli_x, pauli_y, pauli_z, qubit_matrix
+from .linalg import EPS, dag, failures, identity, pauli_x, pauli_y, pauli_z, qubit_matrix
 
 
 class StateValidationError(ValueError):
@@ -46,7 +46,7 @@ class DensityMatrix:
     """A quantum state: Hermitian, unit-trace, positive semidefinite matrix.
 
     ``mat`` may also be a stack of states, shape (..., d, d), validated as
-    one; ``density_to_bloch`` takes a single state.
+    one.
     """
 
     mat: np.ndarray
@@ -68,30 +68,6 @@ def validate_density(m: np.ndarray, tol: float = EPS) -> DensityMatrix:
     return DensityMatrix(np.asarray(m, dtype=complex), tol=tol)
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """(r, theta, phi) parametrization of a qubit state."""
-
-    r: float
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not np.isfinite([self.r, self.theta, self.phi]).all():
-            raise ValueError("Bloch components must be finite")
-        if self.r < 0 or self.r > 1 + EPS:
-            raise ValueError(f"Bloch radius {self.r} outside [0, 1]")
-
-    def cartesian(self) -> np.ndarray:
-        return self.r * np.array(
-            [
-                np.sin(self.theta) * np.cos(self.phi),
-                np.sin(self.theta) * np.sin(self.phi),
-                np.cos(self.theta),
-            ]
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class DiagonalizedState:
     """A qubit state written as basis . diag . basis^dagger, ``eig_plus`` >= ``eig_minus``."""
@@ -101,15 +77,13 @@ class DiagonalizedState:
     basis: np.ndarray
 
 
-def bloch_matrix(v: np.ndarray) -> np.ndarray:
-    """(I + v . sigma) / 2 for a real 3-vector v, not validated."""
-    x, y, z = v
+def bloch_matrix(r: float, theta: float, phi: float) -> np.ndarray:
+    """(I + r n . sigma) / 2 with n = (sin theta cos phi, sin theta sin phi, cos theta); not validated.
+
+    The inverse of ``bloch_angles``, for one state.
+    """
+    x, y, z = (r * c for c in (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)))
     return 0.5 * (identity(2) + x * pauli_x + y * pauli_y + z * pauli_z)
-
-
-def bloch_to_density(b: BlochVector) -> DensityMatrix:
-    """rho = (I + r . sigma) / 2."""
-    return DensityMatrix(bloch_matrix(b.cartesian()), tol=bound(EPS, 2))
 
 
 def bloch_angles(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,13 +103,6 @@ def bloch_angles(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     theta = np.arccos(np.minimum(np.maximum(z / r, -1.0), 1.0))
     phi = np.arctan2(y, x) % (2 * np.pi) * (off_centre & (r * np.sin(theta) >= EPS))
     return r * off_centre, theta * off_centre, phi
-
-
-def density_to_bloch(d: DensityMatrix) -> BlochVector:
-    """Inverse of bloch_to_density, with the conventions of ``bloch_angles``."""
-    if d.dim != 2:
-        raise ValueError(f"Bloch parametrization needs a qubit, got dim {d.dim}")
-    return BlochVector(*map(float, bloch_angles(d.mat)))
 
 
 def diagonalize_state(d: DensityMatrix, plus_first: bool) -> DiagonalizedState:

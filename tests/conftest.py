@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from krauslab import validate_density
+from krauslab import bloch_matrix, validate_density
 from krauslab.serialize import dumps, matrix_to_json
 
 # CI runs with --hypothesis-profile=ci: the same examples on every run, and a
@@ -18,6 +18,11 @@ def random_density(rng, d=2, rank=None):
     g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     m = g @ g.conj().T
     return validate_density(m / np.trace(m).real)
+
+
+def bloch_state(r, theta, phi):
+    """The qubit state with Bloch coordinates (r, theta, phi), validated."""
+    return validate_density(bloch_matrix(r, theta, phi))
 
 
 #: Tolerances from exact (0) and below rounding (1e-18) up to loose (1e-6).

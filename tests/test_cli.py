@@ -20,8 +20,8 @@ from krauslab import (
     reduced_dynamics,
     validate_density,
 )
-from krauslab import cli, states
-from krauslab.cli import CSV_HEADER, RESIDUAL_COLUMNS, build_parser, main
+from krauslab import states
+from krauslab.cli import CSV_HEADER, KRAUS_METHODS, RESIDUAL_COLUMNS, build_parser, main
 from krauslab.dynamics import sweep_columns
 from krauslab.kraus import apply_kraus_raw, factorable_kraus
 from krauslab.linalg import EPS, bound, expm_hermitian_generator, norm_max
@@ -85,6 +85,21 @@ class TestKraus:
         good = write_state(tmp_path, "good.json", random_density(np.random.default_rng(0)))
         dump({"matrix": matrix_to_json(np.diag([1.5, -0.5]))}, bad)
         assert main(["kraus", bad, good]) == 2
+
+    def test_method_choices_are_the_table(self, capsys):
+        code, out, _ = _call(["kraus", "--help"], capsys)
+        assert code == 0 and "--method {" + ",".join(KRAUS_METHODS) + "}" in out
+        for method in KRAUS_METHODS:
+            assert build_parser().parse_args(["kraus", "a", "b", "--method", method]).method == method
+        assert _call(["kraus", "a", "b", "--method", "bloch"], capsys)[0] == 2
+
+    @pytest.mark.parametrize("method", list(KRAUS_METHODS))
+    def test_each_method_writes_its_constructors_set(self, method, tmp_path, rng, capsys):
+        rho0, rhot = random_density(rng), random_density(rng)
+        a, b, out = write_state(tmp_path, "a.json", rho0), write_state(tmp_path, "b.json", rhot), str(tmp_path / "k.json")
+        assert main(["--tol", "1e-9", "--out", out, "kraus", a, b, "--method", method]) == 0
+        assert load(out) == kraus_to_json(KRAUS_METHODS[method](rho0, rhot))
+        capsys.readouterr()
 
     def test_measure_prepare_method(self, tmp_path, rng):
         p0 = write_state(tmp_path, "a.json", random_density(rng, d=3))
@@ -327,14 +342,6 @@ class TestFactor:
         assert captured.err == f"factor: product {residual:.3e} > tol {EPS:.3e}\n"
 
 
-def test_tol_env_override(tmp_path, rng, monkeypatch, capsys):
-    monkeypatch.setenv("KRAUSLAB_TOL", "1e-3")
-    from krauslab.cli import build_parser
-
-    args = build_parser().parse_args(["validate", "x"])
-    assert args.tol == 1e-3
-
-
 def _nan_state(i, j):
     m = np.eye(2, dtype=complex) / 2
     m[i, j] = np.nan
@@ -356,10 +363,18 @@ def _non_hermitian():
     return h
 
 
+#: JSON values that a real-valued field (a Bloch coordinate, r0) must reject.
+NOT_NUMBERS = {"string": "0.5", "bool": True, "null": None, "nan": float("nan")}
+
 BAD_STATES = {
     **{f"nan-{i}{j}": _nan_state(i, j) for i in range(2) for j in range(2)},
     "data-not-pairs": {"matrix": {"rows": 2, "cols": 2, "data": [0.5, 0, 0, 0.5]}},
     "bloch-nan": {"bloch": {"r": 0.5, "theta": float("nan"), "phi": 0.0}},
+    **{
+        f"bloch-{key}-{label}": {"bloch": {"r": 0.5, "theta": 1.0, "phi": 0.0, key: value}}
+        for key in ("r", "theta", "phi")
+        for label, value in NOT_NUMBERS.items()
+    },
 }
 BAD_SCENARIOS = {
     "hamiltonian-not-hermitian": _custom(_non_hermitian()),
@@ -373,6 +388,7 @@ BAD_SCENARIOS = {
     "dims-string": {**_custom(np.eye(4)), "dims": "22"},
     "dims-fractional": _custom(np.eye(2), dims=(2.7, 1), rho=np.eye(2) / 2),
     "cnot-r0-nan": {"scenario": "cnot", "r0": float("nan")},
+    **{f"cnot-r0-{label}": {"scenario": "cnot", "r0": value} for label, value in NOT_NUMBERS.items() if label != "nan"},
 }
 CONTRACT_CASES = [
     *(
@@ -544,15 +560,10 @@ def test_exit_1_names_each_failing_check(cmd, tol, code, tmp_path, cnot_scenario
     assert err.splitlines() == [f"{command}: {check} {res:.3e} > tol {float(tol):.3e}" for check, res in failed.items()]
 
 
-@pytest.mark.parametrize(
-    "options,env", [(["--tol", "-1"], None), (["--tol=-1e-12"], None), ([], "-1")], ids=["-1", "-1e-12", "env"]
-)
-def test_negative_tol_exits_2(tmp_path, monkeypatch, capsys, options, env):
-    """A negative tolerance, from the option or from KRAUSLAB_TOL, is a parse error like a non-finite one."""
+@pytest.mark.parametrize("options", [["--tol", "-1"], ["--tol=-1e-12"]], ids=["-1", "-1e-12"])
+def test_negative_tol_exits_2(tmp_path, capsys, options):
+    """A negative tolerance is a parse error like a non-finite one."""
     state = write_state(tmp_path, "mixed.json", validate_density(np.eye(2) / 2))
-    monkeypatch.delenv("KRAUSLAB_TOL", raising=False)
-    if env is not None:
-        monkeypatch.setenv("KRAUSLAB_TOL", env)
     code, out, err = _call([*options, "validate", state], capsys)
     assert code == 2
     assert out == ""
@@ -658,7 +669,7 @@ def test_parser_rejects(argv, capsys):
 def _call(argv, capsys, fresh=False):
     """(exit code, stdout, stderr) of one in-process call; ``fresh`` builds a new parser for it."""
     if fresh:
-        cli._parser.cache_clear()
+        build_parser.cache_clear()
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -667,27 +678,12 @@ def _call(argv, capsys, fresh=False):
     return code, out.out, out.err
 
 
-def test_parser_is_built_once(monkeypatch):
-    monkeypatch.delenv("KRAUSLAB_TOL", raising=False)
+def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
-def test_tol_env_is_read_on_every_call(tmp_path, monkeypatch, capsys):
-    """A state valid only at 1e-3 follows KRAUSLAB_TOL as it is set and unset between calls."""
-    state = str(tmp_path / "loose.json")
-    dump({"matrix": matrix_to_json(np.diag([1 + 1e-4, -1e-4]))}, state)
-    monkeypatch.delenv("KRAUSLAB_TOL", raising=False)
-    assert main(["validate", state]) == 2
-    monkeypatch.setenv("KRAUSLAB_TOL", "1e-3")
-    assert main(["validate", state]) == 0
-    monkeypatch.delenv("KRAUSLAB_TOL")
-    assert main(["validate", state]) == 2
-    capsys.readouterr()
-
-
-def test_parse_error_leaves_the_parser_as_fresh(cnot_scenario, tmp_path, monkeypatch, capsys):
+def test_parse_error_leaves_the_parser_as_fresh(cnot_scenario, tmp_path, capsys):
     """A call that argparse rejects (exit 2) changes nothing for the next call."""
-    monkeypatch.delenv("KRAUSLAB_TOL", raising=False)
     state = str(tmp_path / "loose.json")
     dump({"matrix": matrix_to_json(np.diag([1 + 1e-4, -1e-4]))}, state)
     bad = [
@@ -702,9 +698,8 @@ def test_parse_error_leaves_the_parser_as_fresh(cnot_scenario, tmp_path, monkeyp
             assert _call(good, capsys) == _call(good, capsys, fresh=True)
 
 
-def test_no_subcommand_default_leaks_between_calls(cnot_scenario, tmp_path, rng, monkeypatch, capsys):
+def test_no_subcommand_default_leaks_between_calls(cnot_scenario, tmp_path, rng, capsys):
     """Each call of an alternating sequence prints what it prints on a freshly built parser."""
-    monkeypatch.delenv("KRAUSLAB_TOL", raising=False)
     a = write_state(tmp_path, "a.json", random_density(rng))
     b = write_state(tmp_path, "b.json", random_density(rng))
     grid = ["--t-start", "0", "--t-end", "1", "--steps", "3"]

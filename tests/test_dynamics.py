@@ -13,8 +13,8 @@ from krauslab import (
     cnot_analytic_rho,
     cnot_hamiltonian,
     cnot_unitary,
+    bloch_angles,
     correlation_operator,
-    density_to_bloch,
     evolve_joint,
     factor_local_unitary,
     factorable_kraus,
@@ -94,6 +94,21 @@ class TestCnotHamiltonian:
         assert u[2, 2] == pytest.approx(p)
         assert u[1, 3] == pytest.approx(-1j * np.sin(0.9))
         assert u[3, 1] == pytest.approx(-1j * np.sin(0.9))
+
+
+@pytest.mark.parametrize(
+    "closed_form, shape",
+    [(cnot_unitary, (4, 4)), (lambda t: cnot_analytic_delta_rho(CnotScenario(0.4), t), (2, 2))],
+    ids=["cnot_unitary", "cnot_analytic_delta_rho"],
+)
+def test_closed_form_on_a_time_grid_is_the_per_t_loop(closed_form, shape):
+    """An array of times gives the (..., d, d) stack, within a few ulps of the per-t
+    matrices (numpy's trigonometry on an array may round differently)."""
+    ts = np.linspace(-7.0, 7.0, 57)
+    stacked = closed_form(ts)
+    assert stacked.shape == (57, *shape)
+    assert closed_form(ts.reshape(3, 19)).shape == (3, 19, *shape)
+    assert np.max(norm_max(stacked - np.stack([closed_form(t) for t in ts]))) <= 4 * np.finfo(float).eps
 
 
 class TestCnotScenario:
@@ -300,14 +315,14 @@ def _scalar_sweep(h, joint, ts, sc):
         numeric = evolve_joint(h, joint, t).reduced_system()
         analytic = cnot_analytic_rho(sc, t) if sc else numeric
         k = cnot_analytic_kraus(sc, t) if sc else general_qubit_kraus(rho0, numeric)
-        b = density_to_bloch(analytic)
+        r, theta, phi = bloch_angles(analytic.mat)
         rows.append(
             [
                 t,
-                b.r,
-                b.theta,
-                b.phi,
-                sc.r_t(t) if sc else b.r,
+                r,
+                theta,
+                phi,
+                sc.r_t(t) if sc else r,
                 norm_max(reduced_dynamics(h, joint, t).inhom),
                 k.completeness_residual(),
                 norm_max(apply_kraus_raw(k, rho0.mat) - numeric.mat),

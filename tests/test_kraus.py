@@ -6,13 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from krauslab import (
-    BlochVector,
     KrausSet,
     apply_channel,
-    bloch_to_density,
+    bloch_angles,
     closed_form_qubit_kraus,
     conjugate_kraus,
-    density_to_bloch,
     diagonal_pair_kraus,
     diagonalize_state,
     factorable_kraus,
@@ -26,7 +24,7 @@ from krauslab.kraus import ChannelReport, _diagonal_pair_ops, apply_kraus_raw
 from krauslab.linalg import EPS, bound, dag, eigh, identity, kron, norm_max, partial_trace, pauli_x, unitarity_residual
 from krauslab.states import DensityMatrix, density_violations
 
-from conftest import edge_matrix, edge_tols, random_density, random_unitary
+from conftest import bloch_state, edge_matrix, edge_tols, random_density, random_unitary
 from test_serialize import reports
 
 #: Bloch radii at and near the branch points: the centre (r < EPS gets the
@@ -36,9 +34,7 @@ radii = st.one_of(
 )
 #: Polar angles at and near the poles, where phi is a convention, and anywhere.
 thetas = st.one_of(st.floats(0, 1e-12), st.floats(0, 1e-12).map(lambda d: np.pi - d), st.floats(0, np.pi))
-bloch_states = st.builds(
-    lambda r, theta, phi: bloch_to_density(BlochVector(r, theta, phi)).mat, radii, thetas, st.floats(0, 2 * np.pi)
-)
+bloch_states = st.builds(lambda r, theta, phi: bloch_state(r, theta, phi).mat, radii, thetas, st.floats(0, 2 * np.pi))
 #: Random full-rank and pure states.
 ginibre_states = st.builds(
     lambda seed, rank: random_density(np.random.default_rng(seed), rank=rank).mat,
@@ -301,17 +297,17 @@ class TestUncheckedQubitPair:
 
 class TestClosedFormQubitKraus:
     def test_pure_pair_completeness(self):
-        b = BlochVector(1.0, 0.0, 0.0)
-        k = closed_form_qubit_kraus(b, b)
+        rho = bloch_state(1.0, 0.0, 0.0)
+        k = closed_form_qubit_kraus(rho, rho)
         assert k.completeness_residual() <= 1e-12
 
     def test_entrywise_match_with_general(self, rng):
         for _ in range(100):
             rho0, rhot = random_density(rng), random_density(rng)
-            b0, bt = density_to_bloch(rho0), density_to_bloch(rhot)
-            if min(b0.r, bt.r) < 1e-6 or min(np.sin(b0.theta), np.sin(bt.theta)) < 1e-6:
+            (r0, theta0, _), (r, theta, _) = bloch_angles(rho0.mat), bloch_angles(rhot.mat)
+            if min(r0, r) < 1e-6 or min(np.sin(theta0), np.sin(theta)) < 1e-6:
                 continue
-            kc = closed_form_qubit_kraus(b0, bt)
+            kc = closed_form_qubit_kraus(rho0, rhot)
             kg = general_qubit_kraus(rho0, rhot)
             for a, b in zip(kc.ops, kg.ops):
                 assert norm_max(a - b) <= 1e-8
@@ -319,16 +315,42 @@ class TestClosedFormQubitKraus:
     def test_identity_inputs_fix_the_state(self, rng):
         for _ in range(20):
             rho = random_density(rng)
-            b = density_to_bloch(rho)
-            k = closed_form_qubit_kraus(b, b)
+            k = closed_form_qubit_kraus(rho, rho)
             out = apply_channel(k, rho)
             assert norm_max(out.mat - rho.mat) <= 1e-10
 
     def test_channel_action_matches_target(self, rng):
         for _ in range(50):
             rho0, rhot = random_density(rng), random_density(rng)
-            k = closed_form_qubit_kraus(density_to_bloch(rho0), density_to_bloch(rhot))
+            k = closed_form_qubit_kraus(rho0, rhot)
             assert norm_max(apply_kraus_raw(k, rho0.mat) - rhot.mat) <= 1e-9
+
+    @given(pair=state_pairs())
+    @settings(max_examples=50, deadline=None)
+    def test_stack_is_the_per_pair_loop(self, pair):
+        """Within a few ulps, not bit for bit: numpy's trigonometry on an array may round
+        differently from its trigonometry on a scalar."""
+        stacked = closed_form_qubit_kraus(*map(validate_density, pair)).ops
+        loop = [
+            closed_form_qubit_kraus(validate_density(a), validate_density(b)).ops
+            for a, b in zip(*(np.broadcast_to(m, stacked.shape[1:]).reshape(-1, 2, 2) for m in pair))
+        ]
+        assert stacked.shape == (2, *np.broadcast_shapes(*(np.shape(m) for m in pair)))
+        assert np.max(norm_max(stacked - np.stack(loop, 1).reshape(stacked.shape))) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize(
+        "shape0, shape_t, message",
+        [
+            ((3, 3), (3, 3), r"closed_form_qubit_kraus needs qubit states, got shapes \(3, 3\) and \(3, 3\)"),
+            ((2, 2), (3, 3), r"closed_form_qubit_kraus needs qubit states, got shapes \(2, 2\) and \(3, 3\)"),
+            ((3, 2, 2), (2, 2, 2), r"closed_form_qubit_kraus: state shapes \(3, 2, 2\) and \(2, 2, 2\) do not broadcast"),
+        ],
+    )
+    def test_input_errors_name_the_function(self, shape0, shape_t, message):
+        """The guard of general_qubit_kraus, shared: qubit states whose shapes broadcast."""
+        rho0, rhot = (validate_density(np.broadcast_to(identity(s[-1]) / s[-1], s)) for s in (shape0, shape_t))
+        with pytest.raises(ValueError, match=message):
+            closed_form_qubit_kraus(rho0, rhot)
 
 
 class TestFactorableKraus:

@@ -21,7 +21,7 @@ from krauslab.serialize import (
     scenario_from_json,
     state_from_json,
 )
-from krauslab.states import BlochVector, StateValidationError, bloch_to_density
+from krauslab.states import StateValidationError, bloch_matrix
 
 from conftest import dump, random_density
 
@@ -59,9 +59,8 @@ class TestStateEncoding:
         assert norm_max(back.mat - rho.mat) == 0
 
     def test_bloch_form(self):
-        b = BlochVector(0.5, 1.0, 2.0)
         rho = state_from_json({"bloch": {"r": 0.5, "theta": 1.0, "phi": 2.0}})
-        assert norm_max(rho.mat - bloch_to_density(b).mat) <= 1e-15
+        assert norm_max(rho.mat - bloch_matrix(0.5, 1.0, 2.0)) <= 1e-15
 
     def test_auto_detect_rejects_unknown(self):
         with pytest.raises(DecodeError, match="bloch"):
@@ -239,6 +238,36 @@ def test_size_fields_reject_what_is_not_a_positive_integer(value):
 def test_size_fields_accept_integral_floats():
     for _, decode, doc in _size_docs(2.0):
         decode(doc)
+
+
+# -- every real-valued field is a finite int or float ----------------------------
+
+NOT_NUMBERS = ["0.5", True, False, None, float("nan"), float("inf"), -float("inf"), [0.5], {"r": 0.5}, 10**400]
+
+
+def _real_docs(value):
+    """(name in the message, decoder, document) with one real-valued field set to ``value``."""
+    bloch = {"r": 0.5, "theta": 1.0, "phi": 2.0}
+    return [
+        ("Bloch radius r", state_from_json, {"bloch": {**bloch, "r": value}}),
+        ("theta", state_from_json, {"bloch": {**bloch, "theta": value}}),
+        ("phi", state_from_json, {"bloch": {**bloch, "phi": value}}),
+        ("r0", scenario_from_json, {"scenario": "cnot", "r0": value}),
+    ]
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS, ids=lambda v: repr(v)[:12])
+def test_real_fields_reject_what_is_not_a_finite_number(value):
+    for name, decode, doc in _real_docs(value):
+        with pytest.raises(DecodeError, match=f"^{name} must be a finite number, got {re.escape(repr(value))}$"):
+            decode(doc)
+
+
+def test_real_fields_accept_ints():
+    as_ints = state_from_json({"bloch": {"r": 1, "theta": 0, "phi": 0}})
+    assert as_ints.mat.tobytes() == state_from_json({"bloch": {"r": 1.0, "theta": 0.0, "phi": 0.0}}).mat.tobytes()
+    with pytest.warns(UserWarning, match="endpoint"):
+        assert scenario_from_json({"scenario": "cnot", "r0": 1})[2].r0 == 1.0
 
 
 @pytest.mark.parametrize("dims", ["22", [2], [2, 1, 1], {"d_i": 2}])

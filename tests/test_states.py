@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krauslab import (
-    BlochVector,
     DensityMatrix,
     StateValidationError,
-    bloch_to_density,
-    density_to_bloch,
+    bloch_angles,
     diagonalize_state,
     trace_distance,
     validate_density,
@@ -16,21 +14,23 @@ from krauslab import (
 from krauslab.linalg import EPS, dag, eigh, identity, norm_max, pauli_x, pauli_z
 from krauslab.states import density_violations
 
-from conftest import random_density
+from conftest import bloch_state, random_density
 
 
 class TestBlochToDensity:
+    """``bloch_matrix``: polar Bloch coordinates to the state matrix."""
+
     def test_north_pole(self):
-        rho = bloch_to_density(BlochVector(1.0, 0.0, 0.0))
+        rho = bloch_state(1.0, 0.0, 0.0)
         assert np.allclose(rho.mat, np.diag([1.0, 0.0]))
 
     def test_maximally_mixed(self):
-        rho = bloch_to_density(BlochVector(0.0, 1.0, 2.0))
+        rho = bloch_state(0.0, 1.0, 2.0)
         assert np.allclose(rho.mat, identity(2) / 2)
 
     def test_general_matrix_form(self):
         r, theta, phi = 0.6, 1.1, 2.3
-        rho = bloch_to_density(BlochVector(r, theta, phi))
+        rho = bloch_state(r, theta, phi)
         expected = 0.5 * np.array(
             [
                 [1 + r * np.cos(theta), r * np.sin(theta) * np.exp(-1j * phi)],
@@ -40,29 +40,30 @@ class TestBlochToDensity:
         assert norm_max(rho.mat - expected) <= 1e-15
 
     def test_rejects_r_above_one(self):
-        with pytest.raises(ValueError):
-            BlochVector(1.5, 0.0, 0.0)
+        # the radius is bounded by positivity: (1 - r) / 2 is the smaller eigenvalue
+        with pytest.raises(StateValidationError, match="positive residual 2.500e-01"):
+            bloch_state(1.5, 0.0, 0.0)
 
 
 class TestDensityToBloch:
+    """``bloch_angles``: the state matrix to polar Bloch coordinates."""
+
     def test_south_pole_state(self):
-        rho = validate_density(0.5 * (identity(2) - 0.5 * pauli_z))
-        b = density_to_bloch(rho)
-        assert b.r == pytest.approx(0.5)
-        assert b.theta == pytest.approx(np.pi)
-        assert b.phi == 0.0
+        r, theta, phi = bloch_angles(0.5 * (identity(2) - 0.5 * pauli_z))
+        assert r == pytest.approx(0.5)
+        assert theta == pytest.approx(np.pi)
+        assert phi == 0.0
 
     def test_pure_north(self):
-        b = density_to_bloch(validate_density(np.diag([1.0, 0.0])))
-        assert (b.r, b.theta, b.phi) == pytest.approx((1.0, 0.0, 0.0))
+        assert bloch_angles(np.diag([1.0, 0.0])) == pytest.approx((1.0, 0.0, 0.0))
 
     def test_degenerate_convention(self):
-        b = density_to_bloch(validate_density(identity(2) / 2))
-        assert (b.r, b.theta, b.phi) == (0.0, 0.0, 0.0)
+        assert bloch_angles(identity(2) / 2) == (0.0, 0.0, 0.0)
 
     def test_rejects_non_qubit(self):
-        with pytest.raises(ValueError):
-            density_to_bloch(validate_density(identity(3) / 3))
+        # bloch_angles reads entries; the qubit check is diagonalize_state's and the constructors'
+        with pytest.raises(ValueError, match="needs a qubit"):
+            diagonalize_state(validate_density(identity(3) / 3), plus_first=True)
 
     @given(
         r=st.floats(1e-6, 1.0),
@@ -71,17 +72,17 @@ class TestDensityToBloch:
     )
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, r, theta, phi):
-        b = density_to_bloch(bloch_to_density(BlochVector(r, theta, phi)))
-        assert b.r == pytest.approx(r, abs=1e-9)
-        assert b.theta == pytest.approx(theta, abs=1e-9)
+        r_back, theta_back, phi_back = bloch_angles(bloch_state(r, theta, phi).mat)
+        assert r_back == pytest.approx(r, abs=1e-9)
+        assert theta_back == pytest.approx(theta, abs=1e-9)
         # phi wraps around; compare on the circle
-        dphi = abs((b.phi - phi + np.pi) % (2 * np.pi) - np.pi)
+        dphi = abs((phi_back - phi + np.pi) % (2 * np.pi) - np.pi)
         assert dphi <= 1e-6 / max(r * np.sin(theta), 1e-9) or dphi <= 1e-9
 
     def test_eigenvalues_match_radius(self, rng):
         for _ in range(50):
             rho = random_density(rng)
-            r = density_to_bloch(rho).r
+            r = bloch_angles(rho.mat)[0]
             assert eigh(rho.mat).values == pytest.approx([(1 + r) / 2, (1 - r) / 2], abs=1e-10)
 
 
@@ -136,7 +137,7 @@ class TestValidateDensity:
             r = rng.uniform(0, 1)
             theta = rng.uniform(0, np.pi)
             phi = rng.uniform(0, 2 * np.pi)
-            bloch_to_density(BlochVector(r, theta, phi))  # must not raise
+            bloch_state(r, theta, phi)  # must not raise
 
 
 def _in_basis(d, rho):
@@ -146,12 +147,12 @@ def _in_basis(d, rho):
 
 class TestDiagonalizeState:
     def test_minus_first_eigenvalues(self):
-        rho = bloch_to_density(BlochVector(0.5, 1.2, 0.4))
+        rho = bloch_state(0.5, 1.2, 0.4)
         d = diagonalize_state(rho, plus_first=False)
         assert norm_max(_in_basis(d, rho) - np.diag([0.25, 0.75])) <= 10 * EPS
 
     def test_plus_first_eigenvalues(self):
-        rho = bloch_to_density(BlochVector(0.5, 1.2, 0.4))
+        rho = bloch_state(0.5, 1.2, 0.4)
         d = diagonalize_state(rho, plus_first=True)
         assert norm_max(_in_basis(d, rho) - np.diag([0.75, 0.25])) <= 10 * EPS
 
