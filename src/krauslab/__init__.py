@@ -4,7 +4,6 @@ environments where the textbook construction breaks down."""
 
 from .linalg import (
     EPS,
-    EigenDecomposition,
     dag,
     eigh,
     expm_hermitian_generator,

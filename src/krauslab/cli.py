@@ -56,7 +56,7 @@ def _load(path: str, decode, *args):
         return decode(serialize.load(path), *args)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply to parse
         raise InputError(f"{path}: JSON parse error: {exc}") from exc
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc

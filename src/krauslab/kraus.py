@@ -214,10 +214,10 @@ def factorable_kraus(u_ie: np.ndarray, rho_e0: DensityMatrix, d_i: int) -> Kraus
     if u_ie.shape[-2:] != (d_i * d_e, d_i * d_e):
         raise ValueError(f"unitary shape {u_ie.shape} does not match dims ({d_i}, {d_e})")
     require(unitarity_residual(u_ie), bound(EPS, d_i * d_e), "joint evolution is not unitary")
-    env = eigh(rho_e0.mat, tol=rho_e0.tol)
+    p, nu = eigh(rho_e0.mat, tol=rho_e0.tol)
     # u as [e_out, ..., 1, i_out * i_in, e_in]; one matrix-vector product per (mu, nu) contracts e_in with |nu>
     u_t = np.moveaxis(u_ie.reshape(stack + (d_i, d_e, d_i, d_e)), -3, 0).reshape((d_e,) + stack + (1, d_i * d_i, d_e))
-    ops = np.sqrt(np.maximum(env.values, 0.0))[:, None] * (u_t @ env.vectors.T[:, :, None])[..., 0]
+    ops = np.sqrt(np.maximum(p, 0.0))[:, None] * (u_t @ nu.T[:, :, None])[..., 0]
     return KrausSet(np.moveaxis(ops, -2, 1).reshape((d_e * d_e,) + stack + (d_i, d_i)))
 
 
@@ -230,11 +230,11 @@ def measure_prepare_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSet:
     """
     if rho0.dim != rhot.dim:
         raise ValueError(f"dimension mismatch: {rho0.dim} vs {rhot.dim}")
-    target = eigh(rhot.mat, tol=rhot.tol)
-    source = eigh(rho0.mat, tol=rho0.tol)
-    q = np.sqrt(np.maximum(target.values, 0.0))[:, None, None, None]
-    v = target.vectors.T[:, None, :, None]  # column v_j at [j, 0]
-    w = dag(source.vectors.T[None, :, :, None])  # row w_k^dagger at [0, k]
+    q, v = eigh(rhot.mat, tol=rhot.tol)
+    _, w = eigh(rho0.mat, tol=rho0.tol)
+    q = np.sqrt(np.maximum(q, 0.0))[:, None, None, None]
+    v = v.T[:, None, :, None]  # column v_j at [j, 0]
+    w = dag(w.T[None, :, :, None])  # row w_k^dagger at [0, k]
     return KrausSet((q * (v @ w)).reshape(-1, rhot.dim, rho0.dim))
 
 

@@ -8,7 +8,6 @@ stack of matrices, shape (..., d, d), and work on each matrix of the stack.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,47 +89,27 @@ def qubit_matrix(a, b, c, d) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Hermitian eigendecomposition, eigenvalues sorted descending.
+def eigh(m: np.ndarray, tol: float = EPS) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, vectors)`` of a Hermitian matrix with deterministic conventions; stack-aware.
 
-    Column j of ``vectors`` is the (phase-fixed) eigenvector paired with
-    ``values[j]``.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first largest-modulus entry is real >= 0."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        k = int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        if abs(pivot) > 0:
-            out[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return out
-
-
-def eigh(m: np.ndarray, tol: float = EPS) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix with deterministic conventions.
-
-    Eigenvalues come out descending; each eigenvector's phase is fixed so
-    that its first component of largest modulus is real and nonnegative.
+    Eigenvalues come out descending, ties in the reverse of LAPACK's order;
+    column j of ``vectors`` pairs with ``values[..., j]`` and its phase is
+    fixed so that its first entry of largest modulus is real and positive (a
+    unit column has an entry of modulus >= 1/sqrt(d)).  That pivot is divided
+    by ``np.hypot`` of its parts, which rounds as the scalar ``abs`` does; the
+    SIMD ``np.abs`` may differ in the last bit.
 
     Raises ValueError if ``m`` is not square or not Hermitian within ``tol``.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     require(hermiticity_residual(m), tol, "matrix is not Hermitian")
     values, vectors = np.linalg.eigh((m + dag(m)) / 2)
-    order = np.argsort(values)[::-1]
-    values = values[order]
-    vectors = _fix_column_phases(vectors[:, order])
-    return EigenDecomposition(values=values, vectors=vectors)
+    values, vectors = values[..., ::-1], vectors[..., ::-1]
+    k = np.abs(vectors).argmax(axis=-2)[..., None, :]
+    pivot = np.take_along_axis(vectors, k, axis=-2)
+    return values, vectors * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
 def expm_hermitian_generator(h: np.ndarray, t) -> np.ndarray:
@@ -140,9 +119,9 @@ def expm_hermitian_generator(h: np.ndarray, t) -> np.ndarray:
     result is the stack of shape S + h.shape.  Unitary up to rounding for
     any real t.
     """
-    decomp = eigh(h)
-    phases = np.exp(-1j * np.multiply.outer(t, decomp.values))
-    return (decomp.vectors * phases[..., None, :]) @ dag(decomp.vectors)
+    values, vectors = eigh(h)
+    phases = np.exp(-1j * np.multiply.outer(t, values))
+    return (vectors * phases[..., None, :]) @ dag(vectors)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

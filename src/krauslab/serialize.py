@@ -61,7 +61,7 @@ def matrix_from_json(obj: Any) -> np.ndarray:
     rows, cols = _positive_int(rows, "rows"), _positive_int(cols, "cols")
     try:
         values = [complex(re, im) for re, im in data]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
         raise DecodeError(f"matrix data must be a list of [re, im] number pairs: {exc}") from exc
     if len(values) != rows * cols:
         raise DecodeError(f"matrix data length {len(values)} != rows*cols = {rows * cols}")
@@ -165,13 +165,13 @@ def dumps(obj: Any) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, without its pure-Python encoder.
 
     A matrix's ``data`` (equal-width lists of finite floats) fills one cached
-    template.  What raises TypeError or ValueError here (a non-``str`` key, an
-    unknown type, a grid row that holds a container) or recurses without end
-    is left to ``json.dumps``.
+    template.  What raises TypeError, ValueError or OverflowError here (a
+    non-``str`` key, an unknown type, a grid row that holds a container or an
+    int too large for a float) or recurses without end is left to ``json.dumps``.
     """
     try:
         return _encode(obj, 0)
-    except (TypeError, ValueError, RecursionError):
+    except (TypeError, ValueError, OverflowError, RecursionError):
         return json.dumps(obj, indent=2)
 
 

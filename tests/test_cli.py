@@ -363,6 +363,9 @@ def _non_hermitian():
     return h
 
 
+#: A matrix whose one entry is a JSON integer too large for a float.
+_HUGE_INT = {"rows": 1, "cols": 1, "data": [[10**400, 0]]}
+
 #: JSON values that a real-valued field (a Bloch coordinate, r0) must reject.
 NOT_NUMBERS = {"string": "0.5", "bool": True, "null": None, "nan": float("nan")}
 
@@ -412,6 +415,12 @@ CONTRACT_CASES = [
     ("kraus-d-out-fractional", {"d_in": "2", "d_out": 2.9, "ops": [matrix_to_json(np.eye(2))]},
      ["verify", "{bad}", "{good}", "{good}"]),
     ("empty-unitary", {"rows": 0, "cols": 0, "data": []}, ["factor", "{bad}", "--dims", "0", "5"]),
+    ("huge-int", {"matrix": _HUGE_INT}, ["validate", "{bad}"]),
+    ("huge-int", {"d_in": 1, "d_out": 1, "ops": [_HUGE_INT]}, ["verify", "{bad}", "{good}", "{good}"]),
+    ("huge-int", {**_custom(np.eye(4)), "hamiltonian": {"rows": 4, "cols": 4, "data": [[10**400, 0]] * 16}},
+     ["evolve", "{bad}", "--t", "1"]),
+    ("huge-int", _HUGE_INT, ["remix", "{kraus}", "{bad}"]),
+    ("huge-int", _HUGE_INT, ["factor", "{bad}", "--dims", "1", "1"]),
     ("no-such-file", None, ["validate", "{bad}"]),
     ("directory", None, ["validate", "{dir}"]),
 ]
@@ -432,6 +441,33 @@ def test_invalid_input_exits_2(tmp_path, doc, argv, capsys):
     paths = {"good": good, "bad": bad, "kraus": kraus, "dir": str(tmp_path)}
     assert main([a.format(**paths) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+#: JSON nested deeper than the parser recurses, bare and as a state's matrix.
+DEEP_JSON = {"bare": "[" * 100000 + "]" * 100000, "matrix": '{"matrix": ' + "[" * 100000 + "]" * 100000 + "}"}
+
+#: Every subcommand that reads a file, with the deep file in its first file argument.
+FILE_READERS = {
+    "validate": ["validate", "{deep}"],
+    "kraus": ["kraus", "{deep}", "{good}"],
+    "evolve": ["evolve", "{deep}", "--t", "1"],
+    "sweep": ["sweep", "{deep}", "--t-start", "0", "--t-end", "1", "--steps", "3"],
+    "verify": ["verify", "{deep}", "{good}", "{good}"],
+    "remix": ["remix", "{deep}", "{good}"],
+    "factor": ["factor", "{deep}", "--dims", "1", "1"],
+}
+
+
+@pytest.mark.parametrize("text", DEEP_JSON.values(), ids=DEEP_JSON)
+@pytest.mark.parametrize("argv", FILE_READERS.values(), ids=FILE_READERS)
+def test_deeply_nested_json_exits_2(tmp_path, argv, text, capsys):
+    """JSON too deeply nested to parse is malformed JSON: exit 2 and one error line, no RecursionError."""
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    good = write_state(tmp_path, "good.json", validate_density(np.eye(2) / 2))
+    assert main([a.format(deep=deep, good=good) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {deep}: JSON parse error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

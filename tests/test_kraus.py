@@ -387,11 +387,11 @@ class TestFactorableKraus:
     @pytest.mark.parametrize("d_i, d_e", [(2, 2), (2, 3), (3, 2)])
     def test_matches_the_per_operator_contraction(self, rng, d_i, d_e):
         u, rho_e = random_unitary(rng, d_i * d_e), random_density(rng, d=d_e)
-        env = eigh(rho_e.mat)
+        env_values, env_vectors = eigh(rho_e.mat)
         u_t = u.reshape(d_i, d_e, d_i, d_e)
-        p = [max(float(value), 0.0) for value in env.values]
+        p = [max(float(value), 0.0) for value in env_values]
         expected = [
-            np.sqrt(p[nu]) * np.tensordot(u_t[:, mu], env.vectors[:, nu], axes=([2], [0]))
+            np.sqrt(p[nu]) * np.tensordot(u_t[:, mu], env_vectors[:, nu], axes=([2], [0]))
             for mu in range(d_e)
             for nu in range(d_e)
         ]
@@ -437,10 +437,10 @@ class TestMeasurePrepareKraus:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_the_per_operator_products(self, rng, d):
         rho0, rhot = random_density(rng, d=d), random_density(rng, d=d)
-        target, source = eigh(rhot.mat), eigh(rho0.mat)
-        q = [max(float(value), 0.0) for value in target.values]
+        (target_values, target_vectors), (_, source_vectors) = eigh(rhot.mat), eigh(rho0.mat)
+        q = [max(float(value), 0.0) for value in target_values]
         expected = [
-            np.sqrt(q[j]) * (target.vectors[:, [j]] @ dag(source.vectors[:, [k]]))
+            np.sqrt(q[j]) * (target_vectors[:, [j]] @ dag(source_vectors[:, [k]]))
             for j in range(d)
             for k in range(d)
         ]

@@ -23,7 +23,7 @@ from krauslab.linalg import (
 )
 from krauslab.states import validate_density
 
-from conftest import edge_tols, random_hermitian, random_unitary
+from conftest import edge_tols, random_density, random_hermitian, random_unitary
 
 
 def test_identity_is_read_only():
@@ -184,11 +184,33 @@ def test_every_guard_rejects_nan(name):
         call()
 
 
+@st.composite
+def hermitian_stacks(draw):
+    """A stack of 1 to 6 Hermitian d x d matrices, d = 1..5: random ones, states of every
+    rank, and matrices with tied eigenvalues (rotated or diagonal, I/d and 0 included)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 5))
+    kinds = st.sampled_from(["hermitian", "state", "tied", "diagonal", "maximally-mixed"])
+    mats = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=6)):
+        if kind == "hermitian":
+            mats.append(random_hermitian(rng, d))
+        elif kind == "state":
+            mats.append(random_density(rng, d, rank=int(rng.integers(1, d + 1))).mat)
+        elif kind == "maximally-mixed":
+            mats.append(identity(d) / d)
+        else:
+            diagonal = np.diag(rng.integers(0, 2, size=d).astype(complex))
+            u = random_unitary(rng, d) if kind == "tied" else identity(d)
+            mats.append(u @ diagonal @ dag(u))
+    return np.stack(mats)
+
+
 class TestEigh:
     def test_sigma_z(self):
-        decomp = eigh(pauli_z)
-        assert np.allclose(decomp.values, [1, -1])
-        assert np.allclose(decomp.vectors, identity(2))
+        values, vectors = eigh(pauli_z)
+        assert np.allclose(values, [1, -1])
+        assert np.allclose(vectors, identity(2))
 
     def test_qubit_state_eigenvalues(self):
         # eigenvalues of a qubit state with Bloch radius r are (1 +/- r) / 2;
@@ -199,14 +221,14 @@ class TestEigh:
         tr, det = np.trace(rho).real, np.linalg.det(rho).real
         disc = np.sqrt(tr * tr - 4 * det)
         char_roots = sorted([(tr + disc) / 2, (tr - disc) / 2], reverse=True)
-        decomp = eigh(rho)
-        assert decomp.values == pytest.approx([0.75, 0.25])
-        assert decomp.values == pytest.approx(char_roots)
+        values, _ = eigh(rho)
+        assert values == pytest.approx([0.75, 0.25])
+        assert values == pytest.approx(char_roots)
 
     def test_degenerate(self):
-        decomp = eigh(identity(2) / 2)
-        assert np.allclose(decomp.values, [0.5, 0.5])
-        assert norm_max(decomp.vectors @ np.diag(decomp.values) @ dag(decomp.vectors) - identity(2) / 2) <= 10 * EPS
+        values, vectors = eigh(identity(2) / 2)
+        assert np.allclose(values, [0.5, 0.5])
+        assert norm_max(vectors @ np.diag(values) @ dag(vectors) - identity(2) / 2) <= 10 * EPS
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
@@ -216,19 +238,48 @@ class TestEigh:
         with pytest.raises(ValueError, match="square"):
             eigh(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(3, 2, 3), (3,)])
+    def test_rejects_a_non_square_stack_and_a_vector(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            eigh(np.zeros(shape))
+
+    def test_ties_come_in_the_reverse_of_lapack_order(self):
+        """The tie rule: a degenerate spectrum keeps LAPACK's eigenvectors, in reverse order."""
+        values, vectors = eigh(identity(3) / 3)
+        assert np.array_equal(values, np.full(3, 1 / 3))
+        assert np.array_equal(vectors, np.linalg.eigh(identity(3) / 3)[1][:, ::-1])
+        assert np.array_equal(vectors, np.eye(3)[:, ::-1])
+
+    @given(stack=hermitian_stacks())
+    @settings(max_examples=100, deadline=None)
+    def test_stack_is_the_per_matrix_loop(self, stack):
+        """A (N, d, d) stack gives (N, d) values and (N, d, d) vectors, each sorted and
+        phase-fixed, within a few ulps of the per-matrix calls (SIMD paths differ across hosts)."""
+        n, d = stack.shape[:2]
+        values, vectors = eigh(stack)
+        assert values.shape == (n, d) and vectors.shape == (n, d, d)
+        assert np.all(np.diff(values, axis=-1) <= 0)
+        k = np.abs(vectors).argmax(axis=-2)[..., None, :]
+        pivot = np.take_along_axis(vectors, k, axis=-2)
+        assert np.all(np.abs(pivot.imag) <= 1e-12) and np.all(pivot.real > 0)
+        loop_values, loop_vectors = map(np.stack, zip(*map(eigh, stack)))
+        scale = np.maximum(1, np.abs(loop_values).max(axis=-1, keepdims=True))
+        assert np.all(np.abs(values - loop_values) <= 4 * np.finfo(float).eps * scale)
+        assert np.all(norm_max(vectors - loop_vectors) <= 4 * np.finfo(float).eps)
+
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_reconstruction_and_unitarity(self, rng, d):
         for _ in range(20):
             m = random_hermitian(rng, d)
-            decomp = eigh(m)
-            assert norm_max(decomp.vectors @ np.diag(decomp.values) @ dag(decomp.vectors) - m) <= 1e-12 * max(1, norm_max(m))
-            assert norm_max(dag(decomp.vectors) @ decomp.vectors - identity(d)) <= 1e-12
-            assert all(x >= y for x, y in zip(decomp.values, decomp.values[1:]))
+            values, vectors = eigh(m)
+            assert norm_max(vectors @ np.diag(values) @ dag(vectors) - m) <= 1e-12 * max(1, norm_max(m))
+            assert norm_max(dag(vectors) @ vectors - identity(d)) <= 1e-12
+            assert all(x >= y for x, y in zip(values, values[1:]))
 
     def test_phase_convention(self, rng):
         for _ in range(20):
             m = random_hermitian(rng, 4)
-            v = eigh(m).vectors
+            _, v = eigh(m)
             for j in range(4):
                 k = int(np.argmax(np.abs(v[:, j])))
                 assert abs(v[k, j].imag) <= 1e-12

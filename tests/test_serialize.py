@@ -355,6 +355,12 @@ def test_dumps_edge_documents_as_json_dumps(obj):
     assert dumps(obj) == json.dumps(obj, indent=2)
 
 
+def test_dumps_grid_of_huge_ints_as_json_dumps():
+    """A grid entry too large for a float overflows the grid's finiteness sum; the document is still written."""
+    obj = {"data": [[10**400, 0], [1, -(10**400)]]}
+    assert dumps(obj) == json.dumps(obj, indent=2)
+
+
 @pytest.mark.parametrize("obj", [{"a": object()}, [np.int64(3)], {"data": [[1.0, np.float32(2.0)]]}, {(1, 2): 3}])
 def test_dumps_unknown_type_raises_as_json_dumps(obj):
     with pytest.raises(TypeError) as expected:
