@@ -253,6 +253,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except MemoryError as exc:  # an input too large to compute on, such as a huge sweep --steps
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ controlled-NOT scenario with its analytic closed forms."""
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -108,13 +109,16 @@ def correlation_operator(s: CompositeState, rho_i: DensityMatrix, rho_e: Density
     return s.mat.mat - kron(rho_i.mat, rho_e.mat)
 
 
+@functools.lru_cache(maxsize=None)
 def cnot_hamiltonian() -> np.ndarray:
     """Two-qubit generator whose exponential is the CNOT-type evolution.
 
     H = sigma_x (x) (I - sigma_z)/2 + I (x) (I + sigma_z)/2, system-major
-    basis |00>, |01>, |10>, |11>.
+    basis |00>, |01>, |10>, |11>.  Shared between calls and therefore read-only.
     """
-    return kron(pauli_x, (identity(2) - pauli_z) / 2) + kron(identity(2), (identity(2) + pauli_z) / 2)
+    h = kron(pauli_x, (identity(2) - pauli_z) / 2) + kron(identity(2), (identity(2) + pauli_z) / 2)
+    h.flags.writeable = False
+    return h
 
 
 def cnot_unitary(t) -> np.ndarray:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -74,3 +76,16 @@ def write_state(tmp_path, name, rho):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260824)
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """The (calling function, input shape) of each ``np.linalg.eigvalsh`` call made during the test."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append((sys._getframe(1).f_code.co_name, np.shape(a)))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls

@@ -216,6 +216,37 @@ class TestSweep:
     def test_bad_steps(self, cnot_scenario):
         assert main(["sweep", cnot_scenario, "--t-start", "0", "--t-end", "1", "--steps", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000000,)"),
+             "error: Unable to allocate 74.5 GiB for an array with shape (10000000000,)\n"),
+            (MemoryError(), "error: out of memory\n"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_grid_too_large_for_memory_exits_2(self, cnot_scenario, monkeypatch, capsys, exc, message):
+        def linspace(*args, **kwargs):  # raises as numpy does, allocating nothing
+            raise exc
+
+        monkeypatch.setattr(np, "linspace", linspace)
+        argv = ["sweep", cnot_scenario, "--t-start", "0", "--t-end", "1", "--steps", "10000000000"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize("kind", ["cnot", "custom3"])
+    def test_passing_sweep_takes_no_spectrum_of_a_stacked_state(self, tmp_path, rng, eigvalsh_calls, kind):
+        """Every stacked state of a passing sweep is proved positive by its Cholesky certificate."""
+        path = str(tmp_path / "scenario.json")
+        if kind == "cnot":
+            dump({"scenario": "cnot", "r0": 0.5}, path)
+        else:
+            dump(_custom(random_hermitian(rng, 6), dims=(2, 3), rho=random_density(rng, d=6).mat), path)
+        assert main(["sweep", path, "--t-start", "0", "--t-end", "3", "--steps", "100"]) == 0
+        positivity = [shape for caller, shape in eigvalsh_calls if caller == "_positivity_residual"]
+        assert (2, 2) in positivity  # a single state still gets the spectrum
+        assert [shape for shape in positivity if len(shape) > 2] == []
+
     def test_determinism(self, cnot_scenario, capsys):
         args = ["sweep", cnot_scenario, "--t-start", "0", "--t-end", "2", "--steps", "10"]
         main(args)

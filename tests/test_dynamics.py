@@ -78,7 +78,13 @@ class TestCnotHamiltonian:
         h = kron(pauli_x, (identity(2) - pauli_z) / 2) + kron(
             identity(2), (identity(2) + pauli_z) / 2
         )
-        assert norm_max(h - cnot_hamiltonian()) == 0
+        assert cnot_hamiltonian().tobytes() == h.tobytes()
+
+    def test_one_shared_read_only_array(self):
+        h = cnot_hamiltonian()
+        assert cnot_hamiltonian() is h
+        with pytest.raises(ValueError, match="read-only"):
+            h[0, 0] = 2
 
     def test_exponential_matches_closed_form(self):
         h = cnot_hamiltonian()

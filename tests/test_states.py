@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,10 @@ from krauslab import (
     trace_distance,
     validate_density,
 )
-from krauslab.linalg import EPS, dag, eigh, identity, norm_max, pauli_x, pauli_z
+from krauslab.linalg import EPS, bound, dag, eigh, failures, identity, norm_max, pauli_x, pauli_z
 from krauslab.states import density_violations
 
-from conftest import bloch_state, random_density
+from conftest import bloch_state, random_density, random_unitary
 
 
 class TestBlochToDensity:
@@ -208,3 +210,83 @@ def test_non_finite_entry_is_never_valid(d, value):
             m[i, j] = value
             with pytest.raises(StateValidationError):
                 validate_density(m)
+
+
+def _spectrum_violations(m, tol):
+    """``density_violations`` with positivity always read off LAPACK's eigvalsh: the oracle for the certificate."""
+    m = np.asarray(m, dtype=complex)
+    res = {
+        "hermitian": float(abs(m - dag(m)).max(initial=0.0)),
+        "unit_trace": float(abs(m.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0)),
+    }
+    if math.isfinite(res["hermitian"]):
+        res["positive"] = -float(np.linalg.eigvalsh((m + dag(m)) / 2).min(initial=np.inf))
+    return failures(res, tol)
+
+
+@st.composite
+def edge_stacks(draw):
+    """(stack, tol): 2-64 Hermitian d x d matrices, d = 2..6, at the edge of positivity at tol.
+
+    Each matrix is V diag(spectrum) V^dagger, exactly Hermitian, with its
+    spectrum in [0, norm].  For one matrix, or about half of them, the
+    smallest eigenvalue is set to -tol, one ulp either side of it, or 0;
+    rounding moves it by a few ulps of the norm, to either side of the edge.
+    Sometimes one entry is NaN or infinite.
+    """
+    d, n = draw(st.integers(2, 6)), draw(st.integers(2, 64))
+    tol = draw(st.sampled_from([0.0, 5e-324, 1e-10, 1e-3]))
+    edge = draw(st.sampled_from([-tol, np.nextafter(-tol, -np.inf), np.nextafter(-tol, np.inf), 0.0]))
+    norm = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spectra = rng.uniform(0, norm, size=(n, d))
+    at_edge = rng.random(n) < draw(st.sampled_from([0.0, 0.5]))  # one matrix at the edge, or about half
+    at_edge[rng.integers(n)] = True
+    spectra[at_edge, 0] = edge
+    if draw(st.booleans()):
+        v = np.stack([random_unitary(rng, d) for _ in spectra])
+        m = (v * spectra[:, None, :]) @ dag(v)
+        m = (m + dag(m)) / 2
+    else:
+        m = spectra[:, :, None] * identity(d)
+    entry = draw(st.sampled_from([None, np.nan, np.inf, -np.inf, complex(0, np.nan)]))
+    if entry is not None:
+        m[rng.integers(n), rng.integers(d), rng.integers(d)] = entry
+    return m, tol
+
+
+class TestPositivityCertificate:
+    """A stack's positivity comes from a Cholesky certificate, or from LAPACK's spectrum when it fails."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @given(edge_stacks())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_spectrum_on_edge_stacks(self, stack_tol):
+        m, tol = stack_tol
+        assert repr(density_violations(m, tol)) == repr(_spectrum_violations(m, tol))
+
+    @pytest.mark.parametrize(
+        "mat, tol",
+        [
+            # h + tol I would overflow to an infinite diagonal entry, whose factor raises nothing
+            ([[0.8e308, 0.8e308], [0.8e308, -0.8e308]], 1e308),
+            # tol equal to the margin leaves the first pivot 1e-20: the first column overflows, and the
+            # NaN pivot that follows raises nothing
+            ([[1e-20, 0, 1e300], [0, 1, 0], [1e300, 0, 1]], bound(0, 3) * 3 * 1e300),
+        ],
+        ids=["overflowing-shift", "nan-pivot"],
+    )
+    def test_a_factor_that_is_not_finite_proves_nothing(self, mat, tol):
+        m = np.stack([np.array(mat, dtype=complex)] * 2)
+        assert repr(density_violations(m, tol)) == repr(_spectrum_violations(m, tol))
+        assert "positive" in density_violations(m, tol)
+
+    def test_failing_stack_reports_the_spectrum_residual(self, rng, eigvalsh_calls):
+        stack = np.stack([random_density(rng, d=4).mat for _ in range(8)])
+        v = random_unitary(rng, 4)
+        stack[5] = v @ np.diag([0.5, 0.3, 0.2 + 3e-9, -3e-9]) @ dag(v)  # one eigenvalue below -tol
+        eigvalsh_calls.clear()  # those of random_density
+        got = density_violations(stack, tol=1e-10)
+        assert eigvalsh_calls == [("_positivity_residual", stack.shape)]
+        assert list(got) == ["positive"]
+        assert repr(got) == repr(_spectrum_violations(stack, 1e-10))
