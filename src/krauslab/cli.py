@@ -30,8 +30,6 @@ EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_INVALID = 2
 
-CSV_HEADER = list(SWEEP_COLUMNS)
-
 #: ``kraus --method`` -> the constructor it calls on the two states.
 KRAUS_METHODS = {
     "general": general_qubit_kraus,
@@ -78,8 +76,12 @@ def _emit(obj, out: str | None) -> None:
     _write(serialize.dumps(obj) + "\n", out)
 
 
-def _verdict(args, failed: dict[str, float], where=lambda check: "") -> int:
-    """Print ``<command>: <check> <worst> > tol <tol>`` + ``where(check)`` per failed check; return the exit code."""
+def _verdict(args, checks: dict, d: int, where=lambda check: "") -> int:
+    """The one verdict of the CLI: judge ``checks``, residuals computed in d dimensions, at --tol + bound(0, d).
+
+    Print ``<command>: <check> <worst> > tol <tol>`` + ``where(check)`` per failed check; return the exit code.
+    """
+    failed = failures(checks, args.tol + bound(0, d))
     for name, worst in failed.items():
         print(f"{args.command}: {name} {worst:.3e} > tol {args.tol:.3e}{where(name)}", file=sys.stderr)
     return EXIT_NUMERIC if failed else EXIT_OK
@@ -107,7 +109,7 @@ def cmd_kraus(args) -> int:
     report = verify_channel(k, rho0, rhot)
     _emit(serialize.kraus_to_json(k), args.out)
     _emit(serialize.report_to_json(report), None)
-    return _verdict(args, report.failures(args.tol))
+    return _verdict(args, report.checks(), max(k.d_in, k.d_out))
 
 
 def cmd_evolve(args) -> int:
@@ -124,7 +126,7 @@ def cmd_evolve(args) -> int:
         },
         args.out,
     )
-    return _verdict(args, failures({"decomposition_residual": residual}, args.tol))
+    return _verdict(args, {"decomposition_residual": residual}, joint.d_i * joint.d_e)
 
 
 def cmd_sweep(args) -> int:
@@ -134,16 +136,16 @@ def cmd_sweep(args) -> int:
     if args.t_end == args.t_start:
         raise InputError("degenerate grid: t_start equals t_end")
     cols = sweep_columns(h, joint, np.linspace(args.t_start, args.t_end, args.steps), sc)
-    table = np.column_stack([cols[col] for col in CSV_HEADER])
+    table = np.column_stack([cols[col] for col in SWEEP_COLUMNS])
     if args.format == "json":
-        _emit([dict(zip(CSV_HEADER, row)) for row in table.tolist()], args.out)
+        _emit([dict(zip(SWEEP_COLUMNS, row)) for row in table.tolist()], args.out)
     else:
         # The bytes of csv.writer with f"{value:.12g}" cells: no cell needs quoting.
-        csv_rows = (",".join(["%.12g"] * len(CSV_HEADER)) + "\r\n") * len(table)
-        _write(",".join(CSV_HEADER) + "\r\n" + csv_rows % tuple(table.ravel().tolist()), args.out, newline="")
+        csv_rows = (",".join(["%.12g"] * len(SWEEP_COLUMNS)) + "\r\n") * len(table)
+        _write(",".join(SWEEP_COLUMNS) + "\r\n" + csv_rows % tuple(table.ravel().tolist()), args.out, newline="")
     checks = {col: np.where(np.isnan(cols[col]), -np.inf, cols[col]) for col in RESIDUAL_COLUMNS}  # NaN: unchecked
-    failed = failures(checks, args.tol)
-    return _verdict(args, failed, lambda col: f", worst at t = {cols['t'][np.argmax(checks[col])]:.12g}")
+    return _verdict(args, checks, joint.d_i * joint.d_e,
+                    lambda col: f", worst at t = {cols['t'][np.argmax(checks[col])]:.12g}")
 
 
 def cmd_verify(args) -> int:
@@ -152,7 +154,7 @@ def cmd_verify(args) -> int:
     rhot = _load(args.rhot, serialize.state_from_json, args.tol)
     report = verify_channel(k, rho0, rhot)
     _emit(serialize.report_to_json(report), None)
-    return _verdict(args, report.failures(args.tol))
+    return _verdict(args, report.checks(), max(k.d_in, k.d_out))
 
 
 def cmd_remix(args) -> int:
@@ -167,10 +169,9 @@ def cmd_factor(args) -> int:
     u = _load(args.unitary, serialize.matrix_from_json)
     d_i, d_e = args.dims
     u_i, u_e, residual = factor_local_unitary(u, (d_i, d_e), tol=args.tol)
-    failed = failures({"product": residual}, args.tol + bound(0, d_i * d_e))
-    if failed:
+    if code := _verdict(args, {"product": residual}, d_i * d_e):
         print(json.dumps({"factorable": False}))
-        return _verdict(args, failed)
+        return code
     _emit({"factorable": True, "u_i": serialize.matrix_to_json(u_i), "u_e": serialize.matrix_to_json(u_e)}, args.out)
     return EXIT_OK
 

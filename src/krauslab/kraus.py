@@ -67,17 +67,16 @@ class ChannelReport:
     output_trace_residual: float | np.ndarray
     output_min_eigenvalue: float | np.ndarray
 
-    def failures(self, tol: float) -> dict[str, float]:
-        """``linalg.failures`` of the five checks; a positivity residual is the minimum eigenvalue negated."""
+    def checks(self) -> dict[str, float | np.ndarray]:
+        """The five named residuals for ``linalg.failures``; a positivity residual is the minimum eigenvalue negated."""
         r = self
-        return failures(
-            {"completeness_residual": r.completeness_residual, "reconstruction_residual": r.reconstruction_residual,
-             "choi_positivity": -r.choi_min_eigenvalue, "output_trace_residual": r.output_trace_residual,
-             "output_positivity": -r.output_min_eigenvalue}, tol)
+        return {"completeness_residual": r.completeness_residual, "reconstruction_residual": r.reconstruction_residual,
+                "choi_positivity": -r.choi_min_eigenvalue, "output_trace_residual": r.output_trace_residual,
+                "output_positivity": -r.output_min_eigenvalue}
 
     def passes(self, tol: float) -> bool:
-        """True when every set passes every check; a NaN fails."""
-        return not self.failures(tol)
+        """True when every set passes every check at ``tol``; a NaN fails."""
+        return not failures(self.checks(), tol)
 
 
 def _per_op(ops: np.ndarray, *mats: np.ndarray) -> np.ndarray:

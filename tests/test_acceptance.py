@@ -8,7 +8,8 @@ import json
 import numpy as np
 
 import krauslab as kl
-from krauslab.cli import CSV_HEADER, main as cli_main
+from krauslab.cli import main as cli_main
+from krauslab.dynamics import SWEEP_COLUMNS
 from krauslab.kraus import apply_kraus_raw
 from krauslab.linalg import dag, kron, norm_max, partial_trace
 from krauslab.serialize import matrix_to_json
@@ -173,13 +174,13 @@ def test_10_cli_contract(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     rows = list(csv.reader(io.StringIO(out)))
-    idx = {name: i for i, name in enumerate(CSV_HEADER)}
+    idx = {name: i for i, name in enumerate(SWEEP_COLUMNS)}
     residual_ok = all(
         float(row[idx[c]]) <= 1e-9
         for row in rows[1:]
         for c in ("completeness_residual", "reconstruction_residual", "trace_distance_analytic_vs_numeric")
     )
-    sweep_ok = code == 0 and rows[0] == CSV_HEADER and len(rows) == 66 and residual_ok
+    sweep_ok = code == 0 and rows[0] == list(SWEEP_COLUMNS) and len(rows) == 66 and residual_ok
 
     bad = str(tmp_path / "bad.json")
     good = str(tmp_path / "good.json")

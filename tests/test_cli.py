@@ -20,9 +20,9 @@ from krauslab import (
     reduced_dynamics,
     validate_density,
 )
-from krauslab import states
-from krauslab.cli import CSV_HEADER, KRAUS_METHODS, RESIDUAL_COLUMNS, build_parser, main
-from krauslab.dynamics import sweep_columns
+from krauslab import cli, states
+from krauslab.cli import KRAUS_METHODS, RESIDUAL_COLUMNS, build_parser, main
+from krauslab.dynamics import SWEEP_COLUMNS, ReducedDynamics, sweep_columns
 from krauslab.kraus import apply_kraus_raw, factorable_kraus
 from krauslab.linalg import EPS, bound, expm_hermitian_generator, norm_max
 from krauslab.serialize import kraus_to_json, load, matrix_from_json, matrix_to_json, scenario_from_json
@@ -195,9 +195,9 @@ class TestSweep:
         )
         assert code == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-        assert rows[0] == CSV_HEADER
+        assert rows[0] == list(SWEEP_COLUMNS)
         assert len(rows) == 66
-        idx = {name: i for i, name in enumerate(CSV_HEADER)}
+        idx = {name: i for i, name in enumerate(SWEEP_COLUMNS)}
         for row in rows[1:]:
             assert float(row[idx["completeness_residual"]]) <= 1e-9
             assert float(row[idx["reconstruction_residual"]]) <= 1e-9
@@ -295,18 +295,26 @@ class TestSweep:
             else:
                 assert all(math.isnan(d) for d in dists)
 
-    def test_exit_1_names_column_worst_t_and_residual(self, cnot_scenario, capsys):
+    def test_exit_1_names_column_worst_t_and_residual(self, cnot_scenario, monkeypatch, capsys):
+        """At --tol 1e-18 the rounding of every column passes 1e-18 + bound(0, 4);
+        columns that really miss are each named with their worst residual and its t."""
         argv = ["--tol", "1e-18", "sweep", cnot_scenario, "--t-start", "0", "--t-end", "3", "--steps", "31"]
-        assert main([*argv, "--format", "json"]) == 1
-        out = capsys.readouterr()
-        rows = json.loads(out.out)
-        failing = [col for col in RESIDUAL_COLUMNS if max(row[col] for row in rows) > 1e-18]
-        assert failing
+        code, out, err = _call([*argv, "--format", "json"], capsys)
+        rows = json.loads(out)
+        assert any(row[col] > 1e-18 for row in rows for col in RESIDUAL_COLUMNS)
+        assert (code, err) == (0, "")
+        for col in ("completeness_residual", "reconstruction_residual"):
+            _shift_sweep_column(monkeypatch, col, 1e-9)
+        code, out, err = _call([*argv, "--format", "json"], capsys)
+        rows = json.loads(out)
+        failing = [col for col in RESIDUAL_COLUMNS if max(row[col] for row in rows) > 1e-18 + bound(0, 4)]
+        assert failing == ["completeness_residual", "reconstruction_residual"]
         expected = []
         for col in failing:
             worst = max(rows, key=lambda row: row[col])
             expected.append(f"sweep: {col} {worst[col]:.3e} > tol 1.000e-18, worst at t = {worst['t']:.12g}")
-        assert out.err.splitlines() == expected
+        assert code == 1
+        assert err.splitlines() == expected
 
 
 class TestVerify:
@@ -557,24 +565,51 @@ def test_computed_state_missing_its_bound_exits_1(tmp_path, rng, monkeypatch, ca
         assert err.count("\n") == 1
 
 
-def test_tol_zero_is_not_failed_by_rounding(tmp_path, rng, capsys):
+def _shift_sweep_column(monkeypatch, col, by):
+    """Make ``cmd_sweep`` read column ``col`` raised by ``by``: a residual that really misses."""
+    columns = cli.sweep_columns
+
+    def shifted(*args):
+        cols = columns(*args)
+        return {**cols, col: cols[col] + by}
+
+    monkeypatch.setattr(cli, "sweep_columns", shifted)
+
+
+def _shift_decomposition_residual(monkeypatch, by):
+    """Make ``cmd_evolve`` read the decomposition residual raised by ``by``: a residual that really misses."""
+    residual = ReducedDynamics.decomposition_residual
+    monkeypatch.setattr(ReducedDynamics, "decomposition_residual", lambda rd: residual(rd) + by)
+
+
+def test_tol_zero_is_not_failed_by_rounding(tmp_path, rng, monkeypatch, capsys):
     """At --tol 0 the evolved and reduced states pass their bounds despite
-    rounding: each command writes its full output, and its exit code comes
-    from its own residuals alone."""
+    rounding, and every residual passes bound(0, 4), the rounding of the
+    joint dimension: each command writes its full output and exits 0.  The
+    same residuals raised past that bound are real misses: exit 1, named."""
     path = _tol_zero_scenario(tmp_path, rng)
-    code, out, err = _call(["--tol", "0", "evolve", path, "--t", "0.7"], capsys)
+    evolve = ["--tol", "0", "evolve", path, "--t", "0.7"]
+    sweep = ["--tol", "0", "sweep", path, "--t-start", "0", "--t-end", "1", "--steps", "3"]
+    code, out, err = _call(evolve, capsys)
     doc = json.loads(out)
     assert list(doc) == ["t", "rho_i_t", "delta_rho", "rho_cor_0", "decomposition_residual"]
-    residual = doc["decomposition_residual"]
-    assert code == (0 if residual <= 0 else 1)
-    assert err == ("" if code == 0 else f"evolve: decomposition_residual {residual:.3e} > tol 0.000e+00\n")
-    code, out, err = _call(["--tol", "0", "sweep", path, "--t-start", "0", "--t-end", "1", "--steps", "3"], capsys)
+    assert doc["decomposition_residual"] <= bound(0, 4)
+    assert (code, err) == (0, "")
+    code, out, err = _call(sweep, capsys)
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 3
-    failed = [col for col in RESIDUAL_COLUMNS if any(float(row[col]) > 0 for row in rows)]
-    assert code == (1 if failed else 0)
-    assert [line.split()[1] for line in err.splitlines()] == failed
-    assert "not a valid density matrix" not in err
+    assert not [col for col in RESIDUAL_COLUMNS if any(float(row[col]) > bound(0, 4) for row in rows)]
+    assert (code, err) == (0, "")
+
+    _shift_decomposition_residual(monkeypatch, 2 * bound(0, 4))
+    code, out, err = _call(evolve, capsys)
+    residual = json.loads(out)["decomposition_residual"]
+    assert (code, err) == (1, f"evolve: decomposition_residual {residual:.3e} > tol 0.000e+00\n")
+    _shift_sweep_column(monkeypatch, "reconstruction_residual", 2 * bound(0, 4))
+    code, out, err = _call(sweep, capsys)
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 3
+    assert code == 1
+    assert [line.split()[1] for line in err.splitlines()] == ["reconstruction_residual"]
 
 
 #: The checks of a report document, each with the field it reads and its sign:
@@ -588,21 +623,34 @@ REPORT_CHECKS = {
 }
 
 
+def _near_pole_state(tmp_path):
+    """A state with Bloch vector (7e-11, 7e-11, 0.5): hypot(x, y) is just under
+    EPS, so ``bloch_angles`` takes phi = 0 and a Kraus pair built to reach it
+    misses it by about 3e-11, a real miss at --tol 1e-12."""
+    x = y = 7e-11
+    rho = validate_density(np.array([[0.75, (x - 1j * y) / 2], [(x + 1j * y) / 2, 0.25]]))
+    return write_state(tmp_path, "near_pole.json", rho)
+
+
 @pytest.mark.parametrize(
     "cmd,tol,code",
     [
         ("kraus", "1e-9", 0),
-        ("kraus", "1e-18", 1),
+        ("kraus", "1e-18", 0),
+        ("kraus-near-pole", "1e-12", 1),
         ("verify", "1e-9", 0),
-        ("verify", "1e-18", 1),
+        ("verify", "1e-18", 0),
         ("verify-other-target", "1e-9", 1),
         ("evolve", "1e-9", 0),
-        ("evolve", "1e-18", 1),
+        ("evolve", "1e-18", 0),
+        ("evolve-shifted", "1e-9", 1),
     ],
 )
-def test_exit_1_names_each_failing_check(cmd, tol, code, tmp_path, cnot_scenario, capsys):
-    """Exit 1 writes one stderr line per failing check, in the format of sweep,
-    with the residual read from the output; exit 0 writes nothing to stderr."""
+def test_exit_1_names_each_failing_check(cmd, tol, code, tmp_path, cnot_scenario, monkeypatch, capsys):
+    """Each residual is judged at --tol + bound(0, d), so rounding passes even
+    at --tol 1e-18.  Exit 1 writes one stderr line per check that really
+    misses, in the format of sweep, with the residual read from the output;
+    exit 0 writes nothing to stderr."""
     rho0 = validate_density(np.array([[0.5, 0.25], [0.25, 0.5]]))  # exact entries: valid at any tol
     rhot = validate_density(np.array([[0.75, 0.25j], [-0.25j, 0.25]]))
     p0, pt = write_state(tmp_path, "rho0.json", rho0), write_state(tmp_path, "rhot.json", rhot)
@@ -611,19 +659,23 @@ def test_exit_1_names_each_failing_check(cmd, tol, code, tmp_path, cnot_scenario
     dump(kraus_to_json(general_qubit_kraus(rho0, rhot)), kp)
     argv = {
         "kraus": ["--out", str(tmp_path / "out.json"), "kraus", p0, pt],
+        "kraus-near-pole": ["--out", str(tmp_path / "out.json"), "kraus", p0, _near_pole_state(tmp_path)],
         "verify": ["verify", kp, p0, pt],
         "verify-other-target": ["verify", kp, p0, po],
         "evolve": ["evolve", cnot_scenario, "--t", "0.7"],
+        "evolve-shifted": ["evolve", cnot_scenario, "--t", "0.7"],
     }[cmd]
+    if cmd == "evolve-shifted":
+        _shift_decomposition_residual(monkeypatch, 2e-9)
     exit_code, out, err = _call(["--tol", tol, *argv], capsys)
     doc = json.loads(out)
-    if cmd == "evolve":
-        residuals = {"decomposition_residual": doc["decomposition_residual"]}
-    else:
-        residuals = {name: sign * doc[field] for name, (field, sign) in REPORT_CHECKS.items()}
-    failed = {name: res for name, res in residuals.items() if not res <= float(tol)}
-    assert exit_code == code == (1 if failed else 0)
     command = cmd.split("-")[0]
+    if command == "evolve":
+        residuals, d = {"decomposition_residual": doc["decomposition_residual"]}, 4  # the CNOT joint dimension
+    else:
+        residuals, d = {name: sign * doc[field] for name, (field, sign) in REPORT_CHECKS.items()}, 2
+    failed = {name: res for name, res in residuals.items() if not res <= float(tol) + bound(0, d)}
+    assert exit_code == code == (1 if failed else 0)
     assert err.splitlines() == [f"{command}: {check} {res:.3e} > tol {float(tol):.3e}" for check, res in failed.items()]
 
 
@@ -657,7 +709,7 @@ def test_sweep_format_json(cnot_scenario, capsys):
     assert main(["--tol", "1e-9", *argv]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 7
-    assert all(list(row) == CSV_HEADER for row in rows)
+    assert all(list(row) == list(SWEEP_COLUMNS) for row in rows)
 
 
 def test_sweep_csv_is_csv_writer_output(tmp_path, capsys):
@@ -670,8 +722,8 @@ def test_sweep_csv_is_csv_writer_output(tmp_path, capsys):
     cols = sweep_columns(h, joint, np.linspace(-1, 1, 5), sc)
     expected = io.StringIO()
     writer = csv.writer(expected)
-    writer.writerow(CSV_HEADER)
-    writer.writerows([f"{value:.12g}" for value in row] for row in zip(*(cols[c].tolist() for c in CSV_HEADER)))
+    writer.writerow(SWEEP_COLUMNS)
+    writer.writerows([f"{value:.12g}" for value in row] for row in zip(*(cols[c].tolist() for c in SWEEP_COLUMNS)))
     assert "nan" in expected.getvalue()
     out = str(tmp_path / "sweep.csv")
     argv = ["sweep", path, "--t-start", "-1", "--t-end", "1", "--steps", "5"]
@@ -778,10 +830,11 @@ def test_no_subcommand_default_leaks_between_calls(cnot_scenario, tmp_path, rng,
         ["kraus", a, b],
         ["sweep", cnot_scenario, *grid],
         ["--tol", "1e-18", "evolve", cnot_scenario, "--t", "0.7"],
+        ["--tol", "1e-12", "kraus", a, _near_pole_state(tmp_path)],
         ["sweep", "--help"],
         ["--help"],
     ]
     reused = [_call(argv, capsys) for argv in sequence * 2]
     fresh = [_call(argv, capsys, fresh=True) for argv in sequence * 2]
     assert reused == fresh
-    assert [code for code, _, _ in reused[: len(sequence)]] == [0, 0, 0, 0, 0, 0, 1, 0, 0]
+    assert [code for code, _, _ in reused[: len(sequence)]] == [0, 0, 0, 0, 0, 0, 0, 1, 0, 0]

@@ -21,7 +21,19 @@ from krauslab import (
     verify_channel,
 )
 from krauslab.kraus import ChannelReport, _diagonal_pair_ops, apply_kraus_raw
-from krauslab.linalg import EPS, bound, dag, eigh, identity, kron, norm_max, partial_trace, pauli_x, unitarity_residual
+from krauslab.linalg import (
+    EPS,
+    bound,
+    dag,
+    eigh,
+    failures,
+    identity,
+    kron,
+    norm_max,
+    partial_trace,
+    pauli_x,
+    unitarity_residual,
+)
 from krauslab.states import DensityMatrix, density_violations
 
 from conftest import bloch_state, edge_matrix, edge_tols, random_density, random_unitary
@@ -520,13 +532,13 @@ class TestVerifyChannel:
 
     def test_failures_name_each_failing_check_in_field_order(self):
         report = ChannelReport(2e-9, 0.0, -3e-9, float("nan"), -1e-10)
-        assert report.failures(1e-9) == {
+        assert failures(report.checks(), 1e-9) == {
             "completeness_residual": 2e-9,
             "choi_positivity": 3e-9,
             "output_trace_residual": pytest.approx(float("nan"), nan_ok=True),
         }
         assert not report.passes(1e-9)
-        assert ChannelReport(1e-9, 0.0, -1e-9, 1e-9, -0.0).failures(1e-9) == {}
+        assert failures(ChannelReport(1e-9, 0.0, -1e-9, 1e-9, -0.0).checks(), 1e-9) == {}
 
 
 def _parent_passes(r: ChannelReport, tol: float) -> bool:
