@@ -120,8 +120,8 @@ def bloch_angles(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     z = (m[..., 0, 0] - m[..., 1, 1]).real
     r = np.sqrt(x * x + y * y + z * z)
     off_centre = r >= EPS  # multiplying by it zeroes the angles at the centre
-    r = np.minimum(np.maximum(r, EPS), 1.0)
-    theta = np.arccos(np.minimum(np.maximum(z / r, -1.0), 1.0))
+    r = np.minimum(r, 1.0)
+    theta = np.arctan2(np.sqrt(x * x + y * y), z)  # arccos(z / r) loses every digit of a theta near 0 or pi
     phi = np.arctan2(y, x) % (2 * np.pi) * (off_centre & (r * np.sin(theta) >= EPS))
     return r * off_centre, theta * off_centre, phi
 

@@ -106,6 +106,27 @@ class TestKraus:
         pt = write_state(tmp_path, "b.json", random_density(rng, d=3))
         assert main(["--tol", "1e-9", "kraus", p0, pt, "--method", "measure-prepare"]) == 0
 
+    @pytest.mark.parametrize("near_first", [False, True], ids=["to-pole", "from-pole"])
+    @pytest.mark.parametrize("method", ["general", "closed-form"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"matrix": matrix_to_json(np.array([[0.75, 1.5e-9 - 1.5e-9j], [1.5e-9 + 1.5e-9j, 0.25]]))},
+            {"bloch": {"r": 0.5, "theta": 6e-9, "phi": 0.7}},
+        ],
+        ids=["matrix", "bloch"],
+    )
+    def test_state_near_a_pole_exits_0(self, doc, method, near_first, tmp_path, capsys):
+        """Bloch vectors (3e-9, 3e-9, 0.5) and theta = 6e-9 are reached at the
+        default tol: a polar angle read by arccos(z / r) missed them by up to 2e-9."""
+        near = str(tmp_path / "near.json")
+        dump(doc, near)
+        other = write_state(tmp_path, "other.json", validate_density(np.array([[0.5, 0.25], [0.25, 0.5]])))
+        pair = [near, other] if near_first else [other, near]
+        code, out, err = _call(["--out", str(tmp_path / "k.json"), "kraus", *pair, "--method", method], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["reconstruction_residual"] <= 1e-15
+
 
 class TestEvolve:
     def test_cnot_half_pi(self, cnot_scenario, capsys):

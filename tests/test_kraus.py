@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from krauslab import (
     KrausSet,
     apply_channel,
     bloch_angles,
+    bloch_matrix,
     closed_form_qubit_kraus,
     conjugate_kraus,
     diagonal_pair_kraus,
@@ -34,6 +36,7 @@ from krauslab.linalg import (
     pauli_x,
     unitarity_residual,
 )
+from krauslab.serialize import dumps, matrix_to_json, state_from_json
 from krauslab.states import DensityMatrix, density_violations
 
 from conftest import bloch_state, edge_matrix, edge_tols, random_density, random_unitary
@@ -305,6 +308,30 @@ class TestUncheckedQubitPair:
                 assert np.isfinite(ops).all()
                 assert (a.imag == 0).all() and (a.real >= 0).all()
                 assert (q.imag == 0).all() and (q.real >= 0).all()
+
+
+@given(
+    theta=st.floats(1e-12, 1e-6),
+    south=st.booleans(),
+    r=st.floats(0.05, 1.0),
+    phi=st.floats(0.0, 2 * np.pi, exclude_max=True),
+    other=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi, exclude_max=True)),
+    encoding=st.sampled_from(["bloch", "matrix"]),
+    method=st.sampled_from([general_qubit_kraus, closed_form_qubit_kraus]),
+    near_first=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_state_near_a_pole_is_reached_at_the_default_tol(theta, south, r, phi, other, encoding, method, near_first):
+    """A state within 1e-6 of a Bloch pole, read from either file encoding, is
+    connected to any other state by both qubit constructors in either order, and
+    its polar angle is read back to rounding: arccos(z / r) lost every digit of it."""
+    theta = np.pi - theta if south else theta
+    assert bloch_angles(bloch_matrix(r, theta, phi))[1] == pytest.approx(theta, rel=0, abs=1e-15)
+    bloch = {"r": r, "theta": theta, "phi": phi}
+    obj = {"bloch": bloch} if encoding == "bloch" else {"matrix": matrix_to_json(bloch_matrix(**bloch))}
+    near, far = state_from_json(json.loads(dumps(obj)), EPS), bloch_state(*other)
+    rho0, rhot = (near, far) if near_first else (far, near)
+    assert verify_channel(method(rho0, rhot), rho0, rhot).passes(1e-10)
 
 
 class TestClosedFormQubitKraus:
