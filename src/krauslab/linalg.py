@@ -93,11 +93,12 @@ def eigh(m: np.ndarray, tol: float = EPS) -> tuple[np.ndarray, np.ndarray]:
     """``(values, vectors)`` of a Hermitian matrix with deterministic conventions; stack-aware.
 
     Eigenvalues come out descending, ties in the reverse of LAPACK's order;
-    column j of ``vectors`` pairs with ``values[..., j]`` and its phase is
-    fixed so that its first entry of largest modulus is real and positive (a
-    unit column has an entry of modulus >= 1/sqrt(d)).  That pivot is divided
-    by ``np.hypot`` of its parts, which rounds as the scalar ``abs`` does; the
-    SIMD ``np.abs`` may differ in the last bit.
+    column j of ``vectors`` pairs with ``values[..., j]``.  Its phase makes a
+    pivot real and positive: the first entry of largest modulus (>= 1/sqrt(d))
+    of LAPACK's vector, chosen before the fix, so a near-tie of moduli may leave
+    another entry of the output largest.  The pivot is divided by ``np.hypot``
+    of its parts, which rounds as the scalar ``abs`` does; the SIMD ``np.abs``
+    may differ in the last bit.
 
     Raises ValueError if ``m`` is not square or not Hermitian within ``tol``.
     """
