@@ -189,7 +189,7 @@ def _encode(o: Any, depth: int) -> str:
         width = len(o[0]) if type(o[0]) is list else 0
         if width and set(map(type, o)) == {list} and set(map(len, o)) == {width}:
             flat = list(chain.from_iterable(o))
-            if math.isfinite(sum(flat)):  # else a NaN or infinity: written entry by entry
+            if all(map(math.isfinite, flat)):  # else a NaN or infinity: written entry by entry
                 return _grid_template(len(o), width, depth) % tuple(map(float.__repr__, flat))
         return _layout([_encode(v, depth + 1) for v in o], depth)
     return _encode_leaf(o)  # None, a bool, a non-finite float, an empty container

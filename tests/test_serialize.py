@@ -331,6 +331,7 @@ json_docs = st.recursive(
     )
 )
 @example({"data": [[np.float64(-0.0), [None, []]]]})  # a grid row holding a list: numpy's sum raises ValueError
+@example({"data": [[False, -np.inf], [False, np.float64(np.inf)]]})  # numpy's -inf + inf warns
 @settings(max_examples=400, deadline=None)
 def test_dumps_writes_the_bytes_of_json_dumps(obj):
     assert dumps(obj) == json.dumps(obj, indent=2)
