@@ -77,10 +77,8 @@ def _emit(obj, out: str | None) -> None:
 
 
 def _verdict(args, checks: dict, d: int, where=lambda check: "") -> int:
-    """The one verdict of the CLI: judge ``checks``, residuals computed in d dimensions, at --tol + bound(0, d).
-
-    Print ``<command>: <check> <worst> > tol <tol>`` + ``where(check)`` per failed check; return the exit code.
-    """
+    """The CLI's one verdict: ``checks``, residuals computed in d dimensions, are judged at --tol + bound(0, d).
+    Print ``<command>: <check> <worst> > tol <tol>`` + ``where(check)`` per failed check; return the exit code."""
     failed = failures(checks, args.tol + bound(0, d))
     for name, worst in failed.items():
         print(f"{args.command}: {name} {worst:.3e} > tol {args.tol:.3e}{where(name)}", file=sys.stderr)

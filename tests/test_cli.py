@@ -316,6 +316,22 @@ class TestSweep:
             else:
                 assert all(math.isnan(d) for d in dists)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_qutrit_system_has_only_t_and_delta_rho(self, fmt, tmp_path, rng, capsys):
+        """With d_i = 3 the Bloch and Kraus columns and the closed-form distance do
+        not exist: t and delta_rho_maxnorm are finite, the other 7 columns NaN."""
+        path = str(tmp_path / "qutrit.json")
+        dump(_custom(random_hermitian(rng, 6), dims=(3, 2), rho=random_density(rng, d=6).mat), path)
+        code, out, err = _call(["sweep", path, "--t-start", "0", "--t-end", "2", "--steps", "5", "--format", fmt], capsys)
+        assert (code, err) == (0, "")
+        rows = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 5
+        for row in rows:
+            assert list(row) == list(SWEEP_COLUMNS)
+            values = {col: float(value) for col, value in row.items()}
+            assert [col for col, value in values.items() if math.isfinite(value)] == ["t", "delta_rho_maxnorm"]
+            assert sum(math.isnan(value) for value in values.values()) == 7
+
     def test_exit_1_names_column_worst_t_and_residual(self, cnot_scenario, monkeypatch, capsys):
         """At --tol 1e-18 the rounding of every column passes 1e-18 + bound(0, 4);
         columns that really miss are each named with their worst residual and its t."""
