@@ -135,8 +135,9 @@ def cnot_unitary(t) -> np.ndarray:
 class CnotScenario:
     """Correlated two-qubit scenario: joint state diag((1-r0)/2, 0, 0, (1+r0)/2).
 
-    r0 should be strictly inside (0, 1); at the endpoints the joint state is
-    factorable and the scenario degenerates, so we warn rather than reject.
+    r0 should be strictly inside (0, 1); near an endpoint we warn rather than reject.  At r0 = 1
+    the joint state is the product |11><11|; at r0 = 0 it is classically correlated, but both
+    reduced states are maximally mixed and r_t(k*pi) = 0, where the closed-form Kraus pair is undefined.
     """
 
     r0: float
@@ -145,8 +146,9 @@ class CnotScenario:
         require(np.maximum(-self.r0, self.r0 - 1), EPS, "r0 outside [0, 1]")
         if self.r0 <= EPS or self.r0 >= 1 - EPS:
             warnings.warn(
-                f"r0 = {self.r0} is at an endpoint: the joint state is factorable "
-                "and the correlated-dynamics features are trivial",
+                f"r0 = {self.r0} is at an endpoint: the joint state is "
+                + ("factorable and the inhomogeneous term vanishes" if self.r0 > 0.5
+                   else "classically correlated, but r_t falls to r0 at t = k*pi"),
                 stacklevel=3,  # past the dataclass-generated __init__ to the caller
             )
 
@@ -181,13 +183,13 @@ def cnot_analytic_kraus(sc: CnotScenario, t) -> KrausSet:
 
     Reconstructs the analytic reduced state from the initial reduced state
     even though the inhomogeneous term is nonzero.  For an array of times
-    the set is a stack, one pair per time; every time needs r_t > EPS.
+    the set is a stack, one pair per time; every time needs r_t > 0.
     """
     r0 = sc.r0
     rt = sc.r_t(t)
-    if not (rt > EPS).all():
-        t_bad = np.asarray(t)[~(rt > EPS)].ravel()[0]
-        raise ValueError(f"r_t = {sc.r_t(t_bad)} too small at t = {t_bad}: Kraus pair undefined")
+    if not (rt > 0).all():
+        t_bad = np.asarray(t)[~(rt > 0)].ravel()[0]
+        raise ValueError(f"r_t = {sc.r_t(t_bad)} at t = {t_bad}: Kraus pair undefined")
     st2 = np.sin(t) ** 2
     ct2 = np.cos(t) ** 2
     # plus = rt + st2 - r0*ct2 and minus = rt - st2 + r0*ct2, and 1 - rt,
@@ -235,7 +237,7 @@ def sweep_columns(
     ``sc`` the Bloch angles, r_t and Kraus pair are its closed forms, checked
     against the numeric state; otherwise they come from the numeric state and
     general_qubit_kraus.  A quantity that does not exist is NaN: the Bloch and
-    Kraus columns unless d_i = 2, the Kraus residuals where r_t <= EPS, and
+    Kraus columns unless d_i = 2, the Kraus residuals where r_t = 0, and
     the trace distance without a closed form.
     """
     ts = np.asarray(ts, dtype=float)
@@ -250,7 +252,7 @@ def sweep_columns(
         analytic = cnot_analytic_rho(sc, ts)
         cols["trace_distance_analytic_vs_numeric"] = trace_distance(analytic, numeric)
         cols["r_t"] = sc.r_t(ts)
-        rows = cols["r_t"] > EPS  # where the closed-form pair is defined
+        rows = cols["r_t"] > 0  # where the closed-form pair is defined
         k = cnot_analytic_kraus(sc, ts[rows])
     else:
         analytic = numeric

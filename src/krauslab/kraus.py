@@ -178,8 +178,8 @@ def closed_form_qubit_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSe
     """Direct entrywise closed form of the two-operator qubit Kraus set.
 
     Written in the Bloch coordinates that ``bloch_angles`` reads off both
-    states.  Agrees with general_qubit_kraus entrywise for non-degenerate
-    inputs under the same basis-sign convention.  Either state may be a
+    states, so it agrees with general_qubit_kraus entrywise, up to the
+    rounding of the radii, on every valid pair.  Either state may be a
     stack, giving the stack of pairs.
     """
     _require_qubit_pair("closed_form_qubit_kraus", rho0, rhot)

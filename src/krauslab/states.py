@@ -32,13 +32,14 @@ def density_violations(m: np.ndarray, tol: float = EPS) -> dict[str, float]:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return {"square": float("inf")}
-    m_dag = dag(m)
+    skew = m - dag(m)
     res = {
-        "hermitian": float(abs(m - m_dag).max(initial=0.0)),
+        "hermitian": float(abs(skew).max(initial=0.0)),
         "unit_trace": float(abs(m.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0)),
     }
     if math.isfinite(res["hermitian"]):  # else a non-finite entry, on which LAPACK may not converge
-        res["positive"] = _positivity_residual((m + m_dag) / 2, tol)
+        # the Hermitian part: (m + m^dagger) / 2 may overflow, and m / 2 + m^dagger / 2 rounds a subnormal entry
+        res["positive"] = _positivity_residual(m - skew / 2, tol)
     return failures(res, tol)
 
 
@@ -111,19 +112,17 @@ def bloch_angles(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(r, theta, phi) of a qubit density matrix; stack-aware.
 
     The components are read off the matrix entries, x = tr(rho sigma_x)
-    = Re(rho_01 + rho_10) and so on.  r < EPS collapses to (0, 0, 0); a polar state
-    (r sin(theta) < EPS) gets phi = 0.
+    = Re(rho_01 + rho_10) and so on, and the angles are arctan2's on them with
+    no threshold: a state on the z axis (x = y = 0 exactly) gets phi = 0 or pi,
+    and the centre also theta = 0 or pi, by the signs of the zeros.
     """
     m = np.asarray(m)
     x = (m[..., 0, 1] + m[..., 1, 0]).real
     y = m[..., 1, 0].imag - m[..., 0, 1].imag
     z = (m[..., 0, 0] - m[..., 1, 1]).real
-    r = np.sqrt(x * x + y * y + z * z)
-    off_centre = r >= EPS  # multiplying by it zeroes the angles at the centre
-    r = np.minimum(r, 1.0)
+    r = np.minimum(np.sqrt(x * x + y * y + z * z), 1.0)
     theta = np.arctan2(np.sqrt(x * x + y * y), z)  # arccos(z / r) loses every digit of a theta near 0 or pi
-    phi = np.arctan2(y, x) % (2 * np.pi) * (off_centre & (r * np.sin(theta) >= EPS))
-    return r * off_centre, theta * off_centre, phi
+    return r, theta, np.arctan2(y, x) % (2 * np.pi)
 
 
 def diagonalize_state(d: DensityMatrix, plus_first: bool) -> DiagonalizedState:
@@ -131,9 +130,9 @@ def diagonalize_state(d: DensityMatrix, plus_first: bool) -> DiagonalizedState:
 
     The basis puts ``eig_plus`` first on the diagonal if ``plus_first``, else
     ``eig_minus``; its sign layout makes the closed-form Kraus expressions
-    downstream come out entrywise deterministic.  A maximally mixed input
-    (r < EPS) gets the identity basis.  For a stack of states the fields are
-    stacks too.
+    downstream come out entrywise deterministic.  It is built from the angles
+    of ``bloch_angles`` at every input: any basis diagonalizes the maximally
+    mixed state.  For a stack of states the fields are stacks too.
     """
     if d.dim != 2:
         raise ValueError(f"diagonalize_state needs a qubit, got dim {d.dim}")
@@ -143,7 +142,6 @@ def diagonalize_state(d: DensityMatrix, plus_first: bool) -> DiagonalizedState:
         basis = qubit_matrix(c, -s * e.conjugate(), s * e, c)
     else:
         basis = qubit_matrix(-s, c * e.conjugate(), c * e, s)
-    basis = np.where((r < EPS)[..., None, None], identity(2), basis)
     return DiagonalizedState(eig_plus=(1 + r) / 2, eig_minus=(1 - r) / 2, basis=basis)
 
 

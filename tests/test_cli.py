@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import errno
 import io
 import json
@@ -613,6 +614,18 @@ def _shift_sweep_column(monkeypatch, col, by):
     monkeypatch.setattr(cli, "sweep_columns", shifted)
 
 
+def _shift_reconstruction_residual(monkeypatch, by):
+    """Make ``cmd_kraus`` and ``cmd_verify`` read the reconstruction residual raised by ``by``:
+    a residual that really misses."""
+    verify = cli.verify_channel
+
+    def shifted(*args):
+        report = verify(*args)
+        return dataclasses.replace(report, reconstruction_residual=report.reconstruction_residual + by)
+
+    monkeypatch.setattr(cli, "verify_channel", shifted)
+
+
 def _shift_decomposition_residual(monkeypatch, by):
     """Make ``cmd_evolve`` read the decomposition residual raised by ``by``: a residual that really misses."""
     residual = ReducedDynamics.decomposition_residual
@@ -662,8 +675,8 @@ REPORT_CHECKS = {
 
 def _near_pole_state(tmp_path):
     """A state with Bloch vector (7e-11, 7e-11, 0.5): hypot(x, y) is just under
-    EPS, so ``bloch_angles`` takes phi = 0 and a Kraus pair built to reach it
-    misses it by about 3e-11, a real miss at --tol 1e-12."""
+    EPS, so a threshold at EPS on the distance from the z axis would take
+    phi = 0 there, and a pair built with it misses the state by 3.8e-11."""
     x = y = 7e-11
     rho = validate_density(np.array([[0.75, (x - 1j * y) / 2], [(x + 1j * y) / 2, 0.25]]))
     return write_state(tmp_path, "near_pole.json", rho)
@@ -674,7 +687,8 @@ def _near_pole_state(tmp_path):
     [
         ("kraus", "1e-9", 0),
         ("kraus", "1e-18", 0),
-        ("kraus-near-pole", "1e-12", 1),
+        ("kraus-near-pole", "1e-12", 0),
+        ("kraus-shifted", "1e-9", 1),
         ("verify", "1e-9", 0),
         ("verify", "1e-18", 0),
         ("verify-other-target", "1e-9", 1),
@@ -697,6 +711,7 @@ def test_exit_1_names_each_failing_check(cmd, tol, code, tmp_path, cnot_scenario
     argv = {
         "kraus": ["--out", str(tmp_path / "out.json"), "kraus", p0, pt],
         "kraus-near-pole": ["--out", str(tmp_path / "out.json"), "kraus", p0, _near_pole_state(tmp_path)],
+        "kraus-shifted": ["--out", str(tmp_path / "out.json"), "kraus", p0, pt],
         "verify": ["verify", kp, p0, pt],
         "verify-other-target": ["verify", kp, p0, po],
         "evolve": ["evolve", cnot_scenario, "--t", "0.7"],
@@ -704,6 +719,8 @@ def test_exit_1_names_each_failing_check(cmd, tol, code, tmp_path, cnot_scenario
     }[cmd]
     if cmd == "evolve-shifted":
         _shift_decomposition_residual(monkeypatch, 2e-9)
+    if cmd == "kraus-shifted":
+        _shift_reconstruction_residual(monkeypatch, 2e-9)
     exit_code, out, err = _call(["--tol", tol, *argv], capsys)
     doc = json.loads(out)
     command = cmd.split("-")[0]
@@ -727,18 +744,26 @@ def test_negative_tol_exits_2(tmp_path, capsys, options):
 
 
 def test_sweep_with_every_kraus_row_undefined(tmp_path, capsys):
-    """At r0 = 0 over t in {0, pi}, r_t <= 1e-10 on both rows: the closed-form
-    pair is built on an empty stack of times, every Kraus residual is NaN and
-    the sweep still passes."""
+    """At r0 = 0 over t in {0, 1e-200}, sin(t)**2 underflows and r_t = 0 on both
+    rows: the closed-form pair is built on an empty stack of times, every Kraus
+    residual is NaN and the sweep still passes.  At t = pi, r_t = sin(pi) =
+    1.2e-16 > 0, so that row has its pair, and it passes."""
     path = str(tmp_path / "r0.json")
     dump({"scenario": "cnot", "r0": 0}, path)
+    kraus_cols = ("completeness_residual", "reconstruction_residual")
     with pytest.warns(UserWarning, match="endpoint"):
-        code = main(["sweep", path, "--t-start", "0", "--t-end", repr(math.pi), "--steps", "2"])
+        code = main(["sweep", path, "--t-start", "0", "--t-end", "1e-200", "--steps", "2"])
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-    assert len(rows) == 2
-    for col in ("completeness_residual", "reconstruction_residual"):
+    assert [float(row["r_t"]) for row in rows] == [0.0, 0.0]
+    for col in kraus_cols:
         assert all(math.isnan(float(row[col])) for row in rows)
+    with pytest.warns(UserWarning, match="endpoint"):
+        code = main(["--tol", "0", "sweep", path, "--t-start", "0", "--t-end", repr(math.pi), "--steps", "2"])
+    assert code == 0
+    first, last = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert float(first["r_t"]) == 0.0 < float(last["r_t"]) < 1e-15
+    assert all(math.isnan(float(first[col])) and float(last[col]) <= bound(0, 4) for col in kraus_cols)
 
 
 def test_sweep_format_json(cnot_scenario, capsys):
@@ -854,8 +879,10 @@ def test_parse_error_leaves_the_parser_as_fresh(cnot_scenario, tmp_path, capsys)
             assert _call(good, capsys) == _call(good, capsys, fresh=True)
 
 
-def test_no_subcommand_default_leaks_between_calls(cnot_scenario, tmp_path, rng, capsys):
-    """Each call of an alternating sequence prints what it prints on a freshly built parser."""
+def test_no_subcommand_default_leaks_between_calls(cnot_scenario, tmp_path, rng, monkeypatch, capsys):
+    """Each call of an alternating sequence prints what it prints on a freshly built parser.
+    Every ``kraus`` reconstruction residual is raised by 1e-11, a miss at --tol 1e-12 only."""
+    _shift_reconstruction_residual(monkeypatch, 1e-11)
     a = write_state(tmp_path, "a.json", random_density(rng))
     b = write_state(tmp_path, "b.json", random_density(rng))
     grid = ["--t-start", "0", "--t-end", "1", "--steps", "3"]
@@ -867,7 +894,7 @@ def test_no_subcommand_default_leaks_between_calls(cnot_scenario, tmp_path, rng,
         ["kraus", a, b],
         ["sweep", cnot_scenario, *grid],
         ["--tol", "1e-18", "evolve", cnot_scenario, "--t", "0.7"],
-        ["--tol", "1e-12", "kraus", a, _near_pole_state(tmp_path)],
+        ["--tol", "1e-12", "kraus", a, b],
         ["sweep", "--help"],
         ["--help"],
     ]

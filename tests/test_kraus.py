@@ -34,6 +34,8 @@ from krauslab.linalg import (
     norm_max,
     partial_trace,
     pauli_x,
+    pauli_y,
+    pauli_z,
     unitarity_residual,
 )
 from krauslab.serialize import dumps, matrix_to_json, state_from_json
@@ -42,8 +44,8 @@ from krauslab.states import DensityMatrix, density_violations
 from conftest import bloch_state, edge_matrix, edge_tols, random_density, random_unitary
 from test_serialize import reports
 
-#: Bloch radii at and near the branch points: the centre (r < EPS gets the
-#: identity basis), pure states and states with 1 - r down to 1e-12.
+#: Bloch radii at and near the branch points: the centre, pure states and
+#: states with 1 - r down to 1e-12.
 radii = st.one_of(
     st.just(0.0), st.floats(0, 1e-9), st.floats(-12, 0).map(lambda e: 1 - 10**e), st.just(1.0), st.floats(0, 1)
 )
@@ -58,6 +60,22 @@ ginibre_states = st.builds(
 )
 #: Qubit state matrices of every kind: full, pure, near pure, polar and maximally mixed.
 qubit_states = st.one_of(ginibre_states, bloch_states)
+signed_zeros = st.sampled_from([0.0, -0.0])
+#: States on the z axis exactly, off-diagonal zeros of either sign: the poles and the centre (z = 0).
+axis_states = st.builds(
+    lambda z, a, b, c, d: np.array([[(1 + z) / 2, complex(a, b)], [complex(c, d), (1 - z) / 2]]),
+    st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-1, 1)),
+    signed_zeros, signed_zeros, signed_zeros, signed_zeros,
+)
+tiny = st.floats(-300, -9).map(lambda e: 10.0**e)
+#: States whose radius, or whose distance from the z axis, is log-uniform in [1e-300, 1e-9].
+near_axis_states = st.one_of(
+    st.builds(bloch_matrix, tiny, st.floats(0, np.pi), st.floats(0, 2 * np.pi)),
+    st.builds(
+        lambda rho, phi, z: 0.5 * (identity(2) + rho * (np.cos(phi) * pauli_x + np.sin(phi) * pauli_y) + z * pauli_z),
+        tiny, st.floats(0, 2 * np.pi), st.floats(-1, 1),
+    ),
+)
 
 
 def ginibre_stack(rng, n):
@@ -332,6 +350,30 @@ def test_state_near_a_pole_is_reached_at_the_default_tol(theta, south, r, phi, o
     near, far = state_from_json(json.loads(dumps(obj)), EPS), bloch_state(*other)
     rho0, rhot = (near, far) if near_first else (far, near)
     assert verify_channel(method(rho0, rhot), rho0, rhot).passes(1e-10)
+
+
+@given(
+    rho0=st.one_of(qubit_states, axis_states, near_axis_states),
+    rhot=st.one_of(qubit_states, axis_states, near_axis_states),
+)
+@settings(max_examples=500, deadline=None)
+def test_qubit_constructors_agree_and_pass_at_tol_zero(rho0, rhot):
+    """On every valid pair, the benchmark's five state kinds (full, pure, near
+    pure, polar, maximally mixed), the exact centre and poles and states 1e-300
+    to 1e-9 off them included, the two qubit constructors take one basis
+    convention and both pass every check at bound(0, 2), the CLI's --tol 0
+    rule: no threshold swaps a state for a neighbour.
+
+    The operators agree entrywise to bound(0, 2) plus its square root: each
+    constructor rounds the radii its own way (general_qubit_kraus reads r off
+    the eigenvalues (1 +- r) / 2), and sqrt(1 - r) and sqrt(r + r0) magnify
+    an ulp of 1 - r near a pure state, or of r + r0 near the centre, to its
+    square root.  A basis that differs moves an entry by O(1)."""
+    rho0, rhot = validate_density(rho0), validate_density(rhot)
+    general, closed_form = general_qubit_kraus(rho0, rhot), closed_form_qubit_kraus(rho0, rhot)
+    assert np.max(norm_max(general.ops - closed_form.ops)) <= bound(0, 2) + np.sqrt(bound(0, 2))
+    for k in (general, closed_form):
+        assert verify_channel(k, rho0, rhot).passes(bound(0, 2))
 
 
 class TestClosedFormQubitKraus:
