@@ -91,7 +91,8 @@ def cmd_validate(args) -> int:
     except InputError as exc:
         if not isinstance(exc.__cause__, StateValidationError):
             raise
-        print(json.dumps({"valid": False, "violations": exc.__cause__.violations}))
+        violations = {name: res if math.isfinite(res) else None for name, res in exc.__cause__.violations.items()}
+        print(json.dumps({"valid": False, "violations": violations}))  # JSON has no NaN or infinity: null
         return EXIT_INVALID
     print(json.dumps({"valid": True, "dim": state.dim}))
     return EXIT_OK

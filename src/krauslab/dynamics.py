@@ -14,13 +14,14 @@ from .linalg import (
     EPS,
     bound,
     dag,
-    expm_hermitian_generator,
+    eigenphases,
     identity,
     kron,
     norm_max,
     partial_trace,
     pauli_x,
     pauli_z,
+    propagate,
     qubit_matrix,
     require,
     unitarity_residual,
@@ -80,15 +81,17 @@ class ReducedDynamics:
 def reduced_dynamics(h: np.ndarray, s: CompositeState, t) -> ReducedDynamics:
     """The reduced dynamics of ``s`` under U(t) = exp(-iht), from one eigendecomposition of ``h``.
 
-    ``t`` is a time or an array of times.  Each state is validated once.
+    ``t`` is a time or an array of times.  The joint state and the correlation
+    operator are evolved in the eigenbasis of ``h`` (``linalg.propagate``), so
+    a grid costs no product per time.  Each state is validated once.
     """
     if np.shape(h) != (s.mat.dim, s.mat.dim):
         raise ValueError(f"Hamiltonian shape {np.shape(h)} does not match joint dim {s.mat.dim}")
-    u = expm_hermitian_generator(h, t)
-    joint_t = CompositeState(DensityMatrix(u @ s.mat.mat @ dag(u), tol=bound(s.mat.tol, s.mat.dim)), s.d_i, s.d_e)
     rho_i0, rho_e0 = s.reduced_system(), s.reduced_environment()
     cor = correlation_operator(s, rho_i0, rho_e0)
-    inhom = partial_trace(u @ cor @ dag(u), (s.d_i, s.d_e), keep=0)
+    u, joint, cor_t = propagate(*eigenphases(h, t), s.mat.mat, cor)
+    joint_t = CompositeState(DensityMatrix(joint, tol=bound(s.mat.tol, s.mat.dim)), s.d_i, s.d_e)
+    inhom = partial_trace(cor_t, (s.d_i, s.d_e), keep=0)
     return ReducedDynamics(u, joint_t, joint_t.reduced_system(), rho_i0, rho_e0, cor, inhom)
 
 

@@ -49,12 +49,12 @@ class KrausSet:
         return len(self.ops)
 
     def completeness_residual(self) -> float | np.ndarray:
-        return norm_max((dag(self.ops) @ self.ops).sum(0) - identity(self.d_in))
+        return norm_max(np.einsum("n...ji,n...jk->...ik", self.ops.conj(), self.ops) - identity(self.d_in))
 
     def choi_matrix(self) -> np.ndarray:
         """sum_mu vec(M_mu) vec(M_mu)^dagger with column-stacking vec."""
         vecs = self.ops.swapaxes(-1, -2).reshape(self.ops.shape[:-2] + (-1,))
-        return (vecs[..., :, None] @ vecs[..., None, :].conj()).sum(0)
+        return np.einsum("n...i,n...j->...ij", vecs, vecs.conj())
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,8 @@ def apply_channel(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
 
 
 def apply_kraus_raw(k: KrausSet, mat: np.ndarray) -> np.ndarray:
-    """Channel action on a raw matrix, no validation of either side."""
-    ops = _per_op(k.ops, mat)
-    return (ops @ mat @ dag(ops)).sum(0)
+    """Channel action on a raw matrix, no validation of either side; a stack of sets or of matrices broadcasts."""
+    return np.einsum("n...ij,...jk,n...lk->...il", k.ops, mat, k.ops.conj())
 
 
 def _sqrt_clamped(x):
@@ -170,7 +169,7 @@ def general_qubit_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSet:
     _require_qubit_pair("general_qubit_kraus", rho0, rhot)
     d0 = diagonalize_state(rho0, plus_first=False)
     dt = diagonalize_state(rhot, plus_first=True)
-    ops = _diagonal_pair_ops(d0.eig_plus - d0.eig_minus, dt.eig_plus - dt.eig_minus)
+    ops = _diagonal_pair_ops(d0.r, dt.r)
     return KrausSet(dt.basis @ ops @ dag(d0.basis))
 
 

@@ -113,6 +113,35 @@ def eigh(m: np.ndarray, tol: float = EPS) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
+def eigenphases(h: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """``(vectors, phases)`` with exp(-i h t) = vectors . diag(phases) . vectors^dagger, for Hermitian h.
+
+    One eigendecomposition of h.  ``t`` is a real time or an array of times;
+    for an array of shape S, ``phases`` has shape S + (d,).
+    """
+    values, vectors = eigh(h)
+    return vectors, np.exp(-1j * np.multiply.outer(t, values))
+
+
+def propagate(vectors: np.ndarray, phases: np.ndarray, *ops: np.ndarray) -> tuple[np.ndarray, ...]:
+    """U and U x U^dagger for each x of ``ops``, where U = vectors . diag(phases) . vectors^dagger.
+
+    ``(vectors, phases)`` is what ``eigenphases`` returns; for phases of shape
+    S + (d,) each result is a stack of shape S + (d, d).  In the eigenbasis,
+    U x U^dagger = V (P o V^dagger x V) V^dagger with P_jk = p_j conj(p_k), so a
+    time costs one entrywise product.  Conjugation by V acts on a row-major
+    flattened matrix as kron(V, conj V), so over the whole grid it is one 2-D
+    product, and so is U itself.
+    """
+    d, stack = vectors.shape[-1], phases.shape[:-1]
+    vv = kron(vectors, vectors.conj())  # [i*d + j, k*d + l] = V_ik conj(V_jl): X -> V X V^dagger
+    u = phases.reshape(-1, d) @ vv[:, :: d + 1].T  # the columns k*d + k: U_ij = sum_k V_ik p_k conj(V_jk)
+    p = (phases[..., :, None] * phases[..., None, :].conj()).reshape(-1, d * d)
+    a = np.reshape(ops, (len(ops), d * d)) @ vv.conj()  # row m: V^dagger x_m V, flattened
+    out = (a[:, None, :] * p).reshape(-1, d * d) @ vv.T
+    return (u.reshape(stack + (d, d)), *out.reshape((len(ops),) + stack + (d, d)))
+
+
 def expm_hermitian_generator(h: np.ndarray, t) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via one eigendecomposition of h.
 
@@ -120,13 +149,13 @@ def expm_hermitian_generator(h: np.ndarray, t) -> np.ndarray:
     result is the stack of shape S + h.shape.  Unitary up to rounding for
     any real t.
     """
-    values, vectors = eigh(h)
-    phases = np.exp(-1j * np.multiply.outer(t, values))
-    return (vectors * phases[..., None, :]) @ dag(vectors)
+    return propagate(*eigenphases(h, t))[0]
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """The Kronecker product of two matrices, each entry one product as ``np.kron`` forms it."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:

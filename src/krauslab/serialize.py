@@ -162,22 +162,24 @@ _encode_leaf = json.JSONEncoder().encode  # compact, so the C encoder
 
 
 def dumps(obj: Any) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, without its pure-Python encoder.
+    """``json.dumps(obj, indent=2)``, byte for byte, with each non-finite float written as ``null``
+    and without the pure-Python encoder.
 
-    A matrix's ``data`` (equal-width lists of finite floats) fills one cached
-    template.  What raises TypeError, ValueError or OverflowError here (a
-    non-``str`` key, an unknown type, a grid row that holds a container or an
-    int too large for a float) or recurses without end is left to ``json.dumps``.
+    JSON has no NaN or infinity, so ``null`` stands for one.  A matrix's
+    ``data`` (equal-width lists of finite floats) fills one cached template.
+    What raises TypeError, ValueError or OverflowError here (a non-``str`` key
+    or an unknown type) or recurses without end is left to ``json.dumps`` with
+    ``allow_nan=False``, which raises on a non-finite float rather than write it.
     """
     try:
         return _encode(obj, 0)
     except (TypeError, ValueError, OverflowError, RecursionError):
-        return json.dumps(obj, indent=2)
+        return json.dumps(obj, indent=2, allow_nan=False)
 
 
 def _encode(o: Any, depth: int) -> str:
-    if isinstance(o, float) and math.isfinite(o):
-        return float.__repr__(o)
+    if isinstance(o, float):
+        return float.__repr__(o) if math.isfinite(o) else "null"
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if isinstance(o, int) and not isinstance(o, bool):
@@ -189,10 +191,10 @@ def _encode(o: Any, depth: int) -> str:
         width = len(o[0]) if type(o[0]) is list else 0
         if width and set(map(type, o)) == {list} and set(map(len, o)) == {width}:
             flat = list(chain.from_iterable(o))
-            if all(map(math.isfinite, flat)):  # else a NaN or infinity: written entry by entry
+            if set(map(type, flat)) == {float} and all(map(math.isfinite, flat)):  # else entry by entry
                 return _grid_template(len(o), width, depth) % tuple(map(float.__repr__, flat))
         return _layout([_encode(v, depth + 1) for v in o], depth)
-    return _encode_leaf(o)  # None, a bool, a non-finite float, an empty container
+    return _encode_leaf(o)  # None, a bool, an empty container
 
 
 def _layout(items: list[str], depth: int, brackets: str = "[]") -> str:

@@ -92,8 +92,11 @@ def validate_density(m: np.ndarray, tol: float = EPS) -> DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class DiagonalizedState:
-    """A qubit state written as basis . diag . basis^dagger, ``eig_plus`` >= ``eig_minus``."""
+    """A qubit state written as basis . diag . basis^dagger, ``eig_plus`` >= ``eig_minus``.
 
+    ``r`` is the Bloch radius the eigenvalues (1 +- r) / 2 were built from."""
+
+    r: float
     eig_plus: float
     eig_minus: float
     basis: np.ndarray
@@ -142,12 +145,22 @@ def diagonalize_state(d: DensityMatrix, plus_first: bool) -> DiagonalizedState:
         basis = qubit_matrix(c, -s * e.conjugate(), s * e, c)
     else:
         basis = qubit_matrix(-s, c * e.conjugate(), c * e, s)
-    return DiagonalizedState(eig_plus=(1 + r) / 2, eig_minus=(1 - r) / 2, basis=basis)
+    return DiagonalizedState(r=r, eig_plus=(1 + r) / 2, eig_minus=(1 - r) / 2, basis=basis)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float | np.ndarray:
-    """Half the trace norm of (a - b); one distance per state of a stack."""
+    """Half the trace norm of (a - b); one distance per state of a stack.
+
+    For qubits the two eigenvalues of the difference are m +- h, m its mean
+    diagonal entry and h the hypot of the half-difference of the diagonal and
+    the modulus of the off-diagonal entry, read as LAPACK reads them (real
+    diagonal, lower triangle); half the sum of their moduli is max(|m|, h).
+    A larger d takes LAPACK's spectrum.
+    """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    eigs = np.linalg.eigvalsh(a.mat - b.mat)
-    return 0.5 * np.abs(eigs).sum(axis=-1)
+    diff = a.mat - b.mat
+    if a.dim != 2:
+        return 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
+    d0, d1 = diff[..., 0, 0].real, diff[..., 1, 1].real
+    return np.maximum(np.abs(d0 + d1) / 2, np.hypot((d0 - d1) / 2, np.abs(diff[..., 1, 0])))

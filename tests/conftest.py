@@ -1,3 +1,4 @@
+import json
 import sys
 
 import numpy as np
@@ -64,6 +65,15 @@ def dump(obj, path):
     """Write ``obj`` to ``path`` as the CLI writes its JSON output."""
     with open(path, "w") as fh:
         fh.write(dumps(obj) + "\n")
+
+
+def strict_loads(text):
+    """``json.loads`` that raises on the non-standard tokens NaN, Infinity and -Infinity."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def write_state(tmp_path, name, rho):

@@ -25,10 +25,10 @@ from krauslab import cli, states
 from krauslab.cli import KRAUS_METHODS, RESIDUAL_COLUMNS, build_parser, main
 from krauslab.dynamics import SWEEP_COLUMNS, ReducedDynamics, sweep_columns
 from krauslab.kraus import apply_kraus_raw, factorable_kraus
-from krauslab.linalg import EPS, bound, expm_hermitian_generator, norm_max
+from krauslab.linalg import EPS, bound, eigenphases, expm_hermitian_generator, norm_max
 from krauslab.serialize import kraus_to_json, load, matrix_from_json, matrix_to_json, scenario_from_json
 
-from conftest import dump, random_density, random_hermitian, write_state
+from conftest import dump, random_density, random_hermitian, strict_loads, write_state
 
 
 @pytest.fixture
@@ -51,6 +51,17 @@ class TestValidate:
         out = json.loads(capsys.readouterr().out)
         assert out["valid"] is False
         assert "positive" in out["violations"]
+
+    def test_non_finite_residual_is_null(self, tmp_path, capsys):
+        """Finite entries near the float maximum overflow the trace residual: JSON has no
+        Infinity, so the one-line document writes null for it."""
+        path = str(tmp_path / "huge.json")
+        dump({"matrix": matrix_to_json(np.array([[1e308, 1.7e308], [1.7e308, 1e308]]))}, path)
+        with pytest.warns(RuntimeWarning):  # the overflow itself still warns
+            assert main(["validate", path]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert strict_loads(out) == {"valid": False, "violations": {"unit_trace": None, "positive": pytest.approx(7e307)}}
 
     def test_malformed_json(self, tmp_path, capsys):
         path = str(tmp_path / "broken.json")
@@ -305,33 +316,35 @@ class TestSweep:
 
     def test_trace_distance_needs_a_closed_form(self, cnot_scenario, tmp_path, rng, capsys):
         """The CNOT closed form is compared with the numeric state; a custom
-        scenario has no closed form, so its distance column is NaN."""
+        scenario has no closed form, so its distance column is NaN, which JSON writes as null."""
         custom = str(tmp_path / "custom.json")
         dump(_custom(random_hermitian(rng, 4), rho=random_density(rng, d=4).mat), custom)
         grid = ["--t-start", "0", "--t-end", "3", "--steps", "9", "--format", "json"]
         for path, closed_form in ((cnot_scenario, True), (custom, False)):
             assert main(["sweep", path, *grid]) == 0
-            dists = [row["trace_distance_analytic_vs_numeric"] for row in json.loads(capsys.readouterr().out)]
+            dists = [row["trace_distance_analytic_vs_numeric"] for row in strict_loads(capsys.readouterr().out)]
             if closed_form:
                 assert all(d <= 1e-10 for d in dists)
             else:
-                assert all(math.isnan(d) for d in dists)
+                assert all(d is None for d in dists)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_qutrit_system_has_only_t_and_delta_rho(self, fmt, tmp_path, rng, capsys):
         """With d_i = 3 the Bloch and Kraus columns and the closed-form distance do
-        not exist: t and delta_rho_maxnorm are finite, the other 7 columns NaN."""
+        not exist: t and delta_rho_maxnorm are finite, the other 7 columns NaN in
+        CSV and null in JSON, which has no NaN."""
         path = str(tmp_path / "qutrit.json")
         dump(_custom(random_hermitian(rng, 6), dims=(3, 2), rho=random_density(rng, d=6).mat), path)
         code, out, err = _call(["sweep", path, "--t-start", "0", "--t-end", "2", "--steps", "5", "--format", fmt], capsys)
         assert (code, err) == (0, "")
-        rows = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+        rows = strict_loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 5
         for row in rows:
             assert list(row) == list(SWEEP_COLUMNS)
-            values = {col: float(value) for col, value in row.items()}
+            values = {col: float("nan" if value is None else value) for col, value in row.items()}
             assert [col for col, value in values.items() if math.isfinite(value)] == ["t", "delta_rho_maxnorm"]
             assert sum(math.isnan(value) for value in values.values()) == 7
+            assert sum(value == {"json": None, "csv": "nan"}[fmt] for value in row.values()) == 7
 
     def test_exit_1_names_column_worst_t_and_residual(self, cnot_scenario, monkeypatch, capsys):
         """At --tol 1e-18 the rounding of every column passes 1e-18 + bound(0, 4);
@@ -588,12 +601,15 @@ def _tol_zero_scenario(tmp_path, rng):
 
 
 def test_computed_state_missing_its_bound_exits_1(tmp_path, rng, monkeypatch, capsys):
-    """A propagator off by a factor 1 + 1e-6 gives an evolved joint state whose
+    """Phases of the propagator off by a factor 1 + 1e-6 give an evolved joint state whose
     trace misses its bound: exit 1 with one stderr line, no traceback and no output."""
     path = _tol_zero_scenario(tmp_path, rng)
-    monkeypatch.setattr(
-        "krauslab.dynamics.expm_hermitian_generator", lambda h, t: (1 + 1e-6) * expm_hermitian_generator(h, t)
-    )
+
+    def perturbed(h, t):
+        vectors, phases = eigenphases(h, t)
+        return vectors, (1 + 1e-6) * phases
+
+    monkeypatch.setattr("krauslab.dynamics.eigenphases", perturbed)
     for cmd, *options in (["evolve", "--t", "0.7"], ["sweep", "--t-start", "0", "--t-end", "1", "--steps", "3"]):
         code, out, err = _call(["--tol", "0", cmd, path, *options], capsys)
         assert code == 1

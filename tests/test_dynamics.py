@@ -34,6 +34,7 @@ from krauslab.linalg import (
     failures,
     identity,
     norm_max,
+    partial_trace,
     pauli_x,
     pauli_z,
 )
@@ -360,6 +361,35 @@ def test_sweep_columns_match_the_scalar_api(kind, rng):
     assert list(batched) == list(SWEEP_COLUMNS)
     for col in SWEEP_COLUMNS:
         np.testing.assert_allclose(batched[col], reference[col], rtol=0, atol=1e-12, err_msg=col)
+
+
+@given(
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    seed=st.integers(0, 2**32 - 1),
+    ts=st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3) | st.floats(-1, 1), min_size=1, max_size=5),
+)
+@settings(max_examples=200, deadline=None)
+def test_grid_is_the_per_time_products(dims, seed, ts):
+    """reduced_dynamics on a grid, evolved in the eigenbasis of h, gives each time's
+    U rho U^dagger, its reduction, tr_e{U cor U^dagger} and U itself, built from
+    expm_hermitian_generator(h, t), within bound(0, d) for |t| up to 1e3."""
+    d_i, d_e = dims
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, d_i * d_e)
+    joint = CompositeState(mat=random_density(rng, d=d_i * d_e), d_i=d_i, d_e=d_e)
+    rd = reduced_dynamics(h, joint, np.array(ts))
+    for k, t in enumerate(ts):
+        u = expm_hermitian_generator(h, t)
+        joint_t = u @ joint.mat.mat @ dag(u)
+        expected = {
+            "u": u,
+            "joint_t": joint_t,
+            "rho_i_t": partial_trace(joint_t, dims, keep=0),
+            "inhom": partial_trace(u @ rd.cor @ dag(u), dims, keep=0),
+        }
+        got = {"u": rd.u[k], "joint_t": rd.joint_t.mat.mat[k], "rho_i_t": rd.rho_i_t.mat[k], "inhom": rd.inhom[k]}
+        for name, want in expected.items():
+            assert norm_max(got[name] - want) <= bound(0, d_i * d_e), (name, t)
 
 
 @pytest.mark.parametrize("kind", ["cnot", "custom1", "custom2", "custom3"])

@@ -311,7 +311,7 @@ class TestUncheckedQubitPair:
         rho0, rhot = map(validate_density, pair)
         d0 = diagonalize_state(rho0, plus_first=False)
         dt = diagonalize_state(rhot, plus_first=True)
-        pair_kraus = diagonal_pair_kraus(d0.eig_plus - d0.eig_minus, dt.eig_plus - dt.eig_minus)
+        pair_kraus = diagonal_pair_kraus(d0.r, dt.r)
         expected = conjugate_kraus(pair_kraus, dt.basis, d0.basis)
         assert np.array_equal(general_qubit_kraus(rho0, rhot).ops, expected.ops)
 
@@ -364,14 +364,14 @@ def test_qubit_constructors_agree_and_pass_at_tol_zero(rho0, rhot):
     convention and both pass every check at bound(0, 2), the CLI's --tol 0
     rule: no threshold swaps a state for a neighbour.
 
-    The operators agree entrywise to bound(0, 2) plus its square root: each
-    constructor rounds the radii its own way (general_qubit_kraus reads r off
-    the eigenvalues (1 +- r) / 2), and sqrt(1 - r) and sqrt(r + r0) magnify
-    an ulp of 1 - r near a pure state, or of r + r0 near the centre, to its
-    square root.  A basis that differs moves an entry by O(1)."""
+    The operators agree entrywise to bound(0, 2): both constructors take the
+    radii that bloch_angles reads off the states, so sqrt(1 - r) and
+    sqrt(r + r0), which magnify an ulp of 1 - r near a pure state or of r + r0
+    near the centre to its square root, see the same radii.  A basis that
+    differs moves an entry by O(1)."""
     rho0, rhot = validate_density(rho0), validate_density(rhot)
     general, closed_form = general_qubit_kraus(rho0, rhot), closed_form_qubit_kraus(rho0, rhot)
-    assert np.max(norm_max(general.ops - closed_form.ops)) <= bound(0, 2) + np.sqrt(bound(0, 2))
+    assert np.max(norm_max(general.ops - closed_form.ops)) <= bound(0, 2)
     for k in (general, closed_form):
         assert verify_channel(k, rho0, rhot).passes(bound(0, 2))
 

@@ -200,6 +200,28 @@ class TestTraceDistance:
         with pytest.raises(ValueError):
             trace_distance(validate_density(identity(2) / 2), validate_density(identity(3) / 3))
 
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.tuples(st.sampled_from([0.0, 1.0]) | st.floats(0, 1), st.floats(0, np.pi), st.floats(0, 2 * np.pi)),
+                st.tuples(st.sampled_from([0.0, 1.0]) | st.floats(0, 1), st.floats(0, np.pi), st.floats(0, 2 * np.pi)),
+                st.sampled_from(["drawn", "equal"]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_qubit_closed_form_is_the_spectrum(self, pairs):
+        """On a stack of qubit pairs, equal states, pure pairs and the Bloch centre
+        included, the closed form is LAPACK's half trace norm within bound(0, 2)."""
+        a = np.stack([bloch_state(*first).mat for first, _, _ in pairs])
+        b = np.stack([bloch_state(*(first if kind == "equal" else second)).mat for first, second, kind in pairs])
+        got = trace_distance(validate_density(a), validate_density(b))
+        assert got.shape == (len(pairs),)
+        assert np.max(np.abs(got - 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(-1))) <= bound(0, 2)
+        assert (got[[kind == "equal" for _, _, kind in pairs]] == 0).all()
+
 
 def test_density_matrix_dim():
     assert DensityMatrix(np.eye(4) / 4).dim == 4
