@@ -246,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # an overflow shows in the residual it makes and the exit code, not on stderr
+            return args.func(args)
     except StateValidationError as exc:  # a computed state: a failed input state is an InputError
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -125,7 +125,8 @@ def bloch_angles(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     z = (m[..., 0, 0] - m[..., 1, 1]).real
     r = np.minimum(np.sqrt(x * x + y * y + z * z), 1.0)
     theta = np.arctan2(np.sqrt(x * x + y * y), z)  # arccos(z / r) loses every digit of a theta near 0 or pi
-    return r, theta, np.arctan2(y, x) % (2 * np.pi)
+    phi = np.arctan2(y, x) % (2 * np.pi)
+    return r, theta, phi % (2 * np.pi)  # a tiny negative angle rounds to 2 pi in the first remainder, to 0 here
 
 
 def diagonalize_state(d: DensityMatrix, plus_first: bool) -> DiagonalizedState:

@@ -50,6 +50,13 @@ def edge_matrix(rng, d, tol, sign, rank=None):
     return m + 0.49 * tol * a / np.abs(a).max() + sign * tol / d * np.eye(d)
 
 
+def choi_spectrum(ops):
+    """The ascending spectrum of the Choi matrix sum_mu vec(M_mu) vec(M_mu)^dagger (column-stacking vec)
+    of one set of operators ``ops``: a Kraus set is completely positive when it is >= 0."""
+    vecs = np.asarray(ops).swapaxes(-1, -2).reshape(len(ops), -1)
+    return np.linalg.eigvalsh(vecs.T @ vecs.conj())
+
+
 def random_unitary(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)

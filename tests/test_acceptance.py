@@ -14,7 +14,7 @@ from krauslab.kraus import apply_kraus_raw
 from krauslab.linalg import dag, kron, norm_max, partial_trace
 from krauslab.serialize import matrix_to_json
 
-from conftest import dump, random_density, random_hermitian, random_unitary
+from conftest import choi_spectrum, dump, random_density, random_hermitian, random_unitary
 
 
 def report(name, ok):
@@ -83,7 +83,7 @@ def test_04_universal_qubit_construction():
         rep = kl.verify_channel(k, rho0, rhot)
         worst_comp = max(worst_comp, rep.completeness_residual)
         worst_rec = max(worst_rec, rep.reconstruction_residual)
-        worst_choi = min(worst_choi, rep.choi_min_eigenvalue)
+        worst_choi = min(worst_choi, choi_spectrum(k.ops)[0])
     ok = worst_comp <= 1e-9 and worst_rec <= 1e-9 and worst_choi >= -1e-9
     report("4 universal construction on 1000 random pairs", ok)
 

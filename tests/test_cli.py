@@ -57,8 +57,7 @@ class TestValidate:
         Infinity, so the one-line document writes null for it."""
         path = str(tmp_path / "huge.json")
         dump({"matrix": matrix_to_json(np.array([[1e308, 1.7e308], [1.7e308, 1e308]]))}, path)
-        with pytest.warns(RuntimeWarning):  # the overflow itself still warns
-            assert main(["validate", path]) == 2
+        assert main(["validate", path]) == 2
         out = capsys.readouterr().out
         assert out.count("\n") == 1
         assert strict_loads(out) == {"valid": False, "violations": {"unit_trace": None, "positive": pytest.approx(7e307)}}
@@ -679,11 +678,10 @@ def test_tol_zero_is_not_failed_by_rounding(tmp_path, rng, monkeypatch, capsys):
 
 
 #: The checks of a report document, each with the field it reads and its sign:
-#: a positivity residual is the minimum eigenvalue negated.
+#: the positivity residual is the minimum eigenvalue negated.
 REPORT_CHECKS = {
     "completeness_residual": ("completeness_residual", 1),
     "reconstruction_residual": ("reconstruction_residual", 1),
-    "choi_positivity": ("choi_min_eigenvalue", -1),
     "output_trace_residual": ("output_trace_residual", 1),
     "output_positivity": ("output_min_eigenvalue", -1),
 }
@@ -747,6 +745,52 @@ def test_exit_1_names_each_failing_check(cmd, tol, code, tmp_path, cnot_scenario
     failed = {name: res for name, res in residuals.items() if not res <= float(tol) + bound(0, d)}
     assert exit_code == code == (1 if failed else 0)
     assert err.splitlines() == [f"{command}: {check} {res:.3e} > tol {float(tol):.3e}" for check, res in failed.items()]
+
+
+@pytest.mark.parametrize(
+    "cmd,entry,code,names",
+    [
+        ("validate", 1.7e308, 2, ['"unit_trace": null']),
+        ("verify", 1e200, 1, [f"verify: {check} inf > tol" for check in REPORT_CHECKS]),
+        # the output is finite (reconstruction 1.5e308), its Hermitian part overflows
+        ("verify", 1e154, 1, [f"verify: {check} {res} > tol" for check, res in
+                              zip(REPORT_CHECKS, ["inf", "1.500e+308", "inf", "inf"])]),
+        ("factor", 1e200, 2, ["error: input is not unitary: residual inf"]),
+        ("remix", 1e200, 2, ["error: remix matrix is not unitary: residual inf"]),
+    ],
+    ids=["validate-1.7e308", "verify-1e200", "verify-1e154", "factor-1e200", "remix-1e200"],
+)
+def test_overflow_of_finite_input_is_named_without_warnings(cmd, entry, code, names, tmp_path, capsys):
+    """Entries near the float maximum decode, and every residual they overflow is judged: the exit code
+    names the verdict, stdout is strict JSON, no numpy warning is written, and each failing check or
+    input is named."""
+    big = matrix_to_json(np.full((2, 2), entry))
+    docs = {
+        "state.json": {"matrix": matrix_to_json(np.array([[1e308, entry], [entry, 1e308]]))},
+        "rho0.json": {"matrix": matrix_to_json(np.array([[0.75, 0.25], [0.25, 0.25]]))},
+        "big_set.json": {"d_in": 2, "d_out": 2, "ops": [big]},
+        "one_set.json": {"d_in": 2, "d_out": 2, "ops": [matrix_to_json(np.eye(2))]},
+        "v.json": big,
+        "u.json": matrix_to_json(np.full((4, 4), entry)),
+    }
+    for name, doc in docs.items():
+        dump(doc, str(tmp_path / name))
+    argv = {
+        "validate": ["validate", "state.json"],
+        "verify": ["verify", "big_set.json", "rho0.json", "rho0.json"],
+        "factor": ["factor", "u.json", "--dims", "2", "2"],
+        "remix": ["remix", "one_set.json", "v.json"],
+    }[cmd]
+    argv = [str(tmp_path / arg) if arg in docs else arg for arg in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exit_code, out, err = _call(argv, capsys)
+    assert exit_code == code
+    assert [str(w.message) for w in caught] == []
+    assert "Warning" not in err
+    if out:
+        strict_loads(out)
+    assert all(name in out + err for name in names), out + err
 
 
 @pytest.mark.parametrize("options", [["--tol", "-1"], ["--tol=-1e-12"]], ids=["-1", "-1e-12"])

@@ -299,7 +299,7 @@ def kraus_sets(draw):
     return KrausSet(np.array(parts).view(complex).reshape(n, d, d))
 
 
-reports = st.builds(ChannelReport, *[floats.map(np.float64)] * 5)
+reports = st.builds(ChannelReport, *[floats.map(np.float64)] * 4)
 keys = st.one_of(st.sampled_from(["data", "rows", "", 'a "quoted" key', "unicod\u00e9 \u2603", "\\n"]), st.text())
 leaves = st.one_of(
     st.none(),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krauslab import (
@@ -17,6 +17,7 @@ from krauslab.linalg import EPS, bound, dag, eigh, failures, identity, norm_max,
 from krauslab.states import density_violations
 
 from conftest import bloch_state, random_density, random_unitary
+from test_kraus import qubit_states
 
 
 class TestBlochToDensity:
@@ -61,6 +62,13 @@ class TestDensityToBloch:
 
     def test_degenerate_convention(self):
         assert bloch_angles(identity(2) / 2) == (0.0, 0.0, 0.0)
+
+    @given(qubit_states)
+    @example(np.array([[0.75, 0.25 + 1e-300j], [0.25 - 1e-300j, 0.25]]))  # arctan2 gives -4e-300; + 2 pi rounds to 2 pi
+    @settings(max_examples=300, deadline=None)
+    def test_phi_lies_in_zero_to_two_pi(self, m):
+        phi = bloch_angles(m)[2]
+        assert 0 <= phi < 2 * np.pi
 
     def test_rejects_non_qubit(self):
         # bloch_angles reads entries; the qubit check is diagonalize_state's and the constructors'
