@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kraus import KrausSet, apply_kraus_raw, factorable_kraus, general_qubit_kraus, _sqrt_clamped
+from .kraus import KrausSet, apply_kraus_raw, closed_form_qubit_kraus, factorable_kraus
 from .linalg import (
     EPS,
     bound,
@@ -140,7 +140,7 @@ class CnotScenario:
 
     r0 should be strictly inside (0, 1); near an endpoint we warn rather than reject.  At r0 = 1
     the joint state is the product |11><11|; at r0 = 0 it is classically correlated, but both
-    reduced states are maximally mixed and r_t(k*pi) = 0, where the closed-form Kraus pair is undefined.
+    reduced states are maximally mixed and r_t(k*pi) = 0.
     """
 
     r0: float
@@ -182,38 +182,13 @@ def cnot_analytic_delta_rho(sc: CnotScenario, t) -> np.ndarray:
 
 
 def cnot_analytic_kraus(sc: CnotScenario, t) -> KrausSet:
-    """Closed-form two-operator Kraus set for the CNOT scenario.
+    """The paper's Kraus pair for the CNOT scenario: the qubit closed form on its two reduced states.
 
-    Reconstructs the analytic reduced state from the initial reduced state
-    even though the inhomogeneous term is nonzero.  For an array of times
-    the set is a stack, one pair per time; every time needs r_t > 0.
+    It maps the initial reduced state to the analytic state at time t even
+    though the inhomogeneous term is nonzero, and it is defined at every t.
+    For an array of times the set is a stack, one pair per time.
     """
-    r0 = sc.r0
-    rt = sc.r_t(t)
-    if not (rt > 0).all():
-        t_bad = np.asarray(t)[~(rt > 0)].ravel()[0]
-        raise ValueError(f"r_t = {sc.r_t(t_bad)} at t = {t_bad}: Kraus pair undefined")
-    st2 = np.sin(t) ** 2
-    ct2 = np.cos(t) ** 2
-    # plus = rt + st2 - r0*ct2 and minus = rt - st2 + r0*ct2, and 1 - rt,
-    # written without the subtractions that cancel near t = k*pi/2.
-    plus = st2 + st2 * (1 + r0**2 * ct2) / (rt + r0 * ct2)
-    minus = ct2 * (st2 + r0**2) / (rt + st2) + r0 * ct2
-    one_minus_rt = ct2 * (1 - r0**2) / (1 + rt)
-    norm = 1.0 / np.sqrt(2 * rt * (1 + r0))
-    # The off-diagonal Bloch phase of the reduced state is pi/2 while
-    # sin(t)cos(t) >= 0 and 3*pi/2 otherwise; the imaginary entries carry
-    # that branch sign, without which reconstruction fails for cos(t) < 0.
-    i_br = np.where(np.sin(t) * np.cos(t) >= 0, 1j, -1j)
-    m0 = qubit_matrix(
-        -norm * _sqrt_clamped((1 + r0) * plus),
-        norm * i_br * _sqrt_clamped(one_minus_rt * minus),
-        -norm * i_br * _sqrt_clamped((1 + r0) * minus),
-        norm * _sqrt_clamped(one_minus_rt * plus),
-    )
-    q = norm * _sqrt_clamped(rt + r0)
-    m1 = qubit_matrix(0, q * _sqrt_clamped(plus), 0, q * i_br * _sqrt_clamped(minus))
-    return KrausSet([m0, m1])
+    return closed_form_qubit_kraus(sc.initial_reduced(), cnot_analytic_rho(sc, t))
 
 
 #: The columns of ``sweep_columns``, in table order.
@@ -236,12 +211,12 @@ def sweep_columns(
     """The sweep table over the time grid ``ts``, one array per SWEEP_COLUMNS name.
 
     One eigendecomposition of ``h`` gives U(t) on the whole grid, and every
-    column is computed on the stack of times at once.  With a CNOT scenario
-    ``sc`` the Bloch angles, r_t and Kraus pair are its closed forms, checked
-    against the numeric state; otherwise they come from the numeric state and
-    general_qubit_kraus.  A quantity that does not exist is NaN: the Bloch and
-    Kraus columns unless d_i = 2, the Kraus residuals where r_t = 0, and
-    the trace distance without a closed form.
+    column is computed on the stack of times at once.  The Bloch angles and
+    the Kraus pair, closed_form_qubit_kraus from rho_i(0), are read from the
+    CNOT scenario's closed-form state if ``sc`` is given and from the numeric
+    state otherwise; both are checked against the numeric state.  A quantity
+    that does not exist is NaN: the Bloch and Kraus columns unless d_i = 2,
+    and the trace distance without a closed form.
     """
     ts = np.asarray(ts, dtype=float)
     cols = {name: np.full(ts.shape, np.nan) for name in SWEEP_COLUMNS}
@@ -254,18 +229,13 @@ def sweep_columns(
     if sc is not None:
         analytic = cnot_analytic_rho(sc, ts)
         cols["trace_distance_analytic_vs_numeric"] = trace_distance(analytic, numeric)
-        cols["r_t"] = sc.r_t(ts)
-        rows = cols["r_t"] > 0  # where the closed-form pair is defined
-        k = cnot_analytic_kraus(sc, ts[rows])
     else:
         analytic = numeric
-        rows = np.ones(ts.shape, dtype=bool)
-        k = general_qubit_kraus(rho0, numeric)
     cols["r(t)"], cols["theta(t)"], cols["phi(t)"] = bloch_angles(analytic.mat)
-    if sc is None:
-        cols["r_t"] = cols["r(t)"].copy()
-    cols["completeness_residual"][rows] = k.completeness_residual()
-    cols["reconstruction_residual"][rows] = norm_max(apply_kraus_raw(k, rho0.mat) - numeric.mat[rows])
+    cols["r_t"] = cols["r(t)"].copy() if sc is None else sc.r_t(ts)
+    k = closed_form_qubit_kraus(rho0, analytic)
+    cols["completeness_residual"] = k.completeness_residual()
+    cols["reconstruction_residual"] = norm_max(apply_kraus_raw(k, rho0.mat) - numeric.mat)
     return cols
 
 

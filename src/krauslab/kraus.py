@@ -94,17 +94,6 @@ def apply_kraus_raw(k: KrausSet, mat: np.ndarray) -> np.ndarray:
     return np.einsum("n...ij,...jk,n...lk->...il", k.ops, mat, k.ops.conj())
 
 
-def _sqrt_clamped(x):
-    """Square root with rounding-noise clamping, elementwise.
-
-    Radicands here are analytically nonnegative; anything in [-EPS, 0) is
-    rounding and clamps to zero, anything below -EPS (or NaN) is a caller error.
-    """
-    x = np.asarray(x, dtype=float)
-    require(-x, EPS, "negative radicand")
-    return np.sqrt(np.maximum(x, 0.0))
-
-
 def _diagonal_pair_ops(r0, r) -> np.ndarray:
     """The (2, ..., 2, 2) operators of the diagonal pair; radii must already lie in [0, 1]."""
     a, q = np.sqrt(np.array([(1 - r) / (1 + r0), (r + r0) / (1 + r0)]))
@@ -171,8 +160,9 @@ def closed_form_qubit_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSe
 
     Written in the Bloch coordinates that ``bloch_angles`` reads off both
     states, so it agrees with general_qubit_kraus entrywise, up to the
-    rounding of the radii, on every valid pair.  Either state may be a
-    stack, giving the stack of pairs.
+    rounding of the radii, on every valid pair.  Those radii lie in [0, 1],
+    so both square roots are real.  Either state may be a stack, giving the
+    stack of pairs.
     """
     _require_qubit_pair("closed_form_qubit_kraus", rho0, rhot)
     (r0, theta0, phi0), (r, theta, phi) = bloch_angles(rho0.mat), bloch_angles(rhot.mat)
@@ -180,8 +170,8 @@ def closed_form_qubit_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSe
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     e0 = np.exp(1j * phi0)
     e = np.exp(1j * phi)
-    a = _sqrt_clamped((1 - r) / (1 + r0))
-    q = _sqrt_clamped((r + r0) / (1 + r0))
+    a = np.sqrt((1 - r) / (1 + r0))
+    q = np.sqrt((r + r0) / (1 + r0))
     m0 = qubit_matrix(
         -c * s0 - a * s * c0 * e0 / e, c * c0 / e0 - a * s * s0 / e,
         -s * s0 * e + a * c * c0 * e0, s * c0 * e / e0 + a * c * s0,

@@ -287,16 +287,17 @@ class TestSweep:
         assert capsys.readouterr().out == first
 
     def test_r0_zero_through_t0(self, tmp_path, capsys):
-        """At r0 = 0, r_t = 0 at t = 0: that row's Kraus residuals are NaN and
-        the other rows decide the exit code."""
+        """At r0 = 0, r_t = 0 at t = 0: the pair is defined there too, and that
+        row's Kraus residuals are rounding like the others'."""
         path = str(tmp_path / "r0.json")
         dump({"scenario": "cnot", "r0": 0}, path)
         with pytest.warns(UserWarning, match="endpoint"):
             code = main(["sweep", path, "--t-start", "0", "--t-end", "1", "--steps", "3"])
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert float(rows[0]["r_t"]) == 0.0
         for col in ("completeness_residual", "reconstruction_residual"):
-            assert math.isnan(float(rows[0][col]))
+            assert float(rows[0][col]) <= bound(0, 4)
             assert all(float(row[col]) <= 1e-10 for row in rows[1:])
 
     def test_r0_zero_warns_once_at_the_caller(self, tmp_path, capsys):
@@ -803,11 +804,11 @@ def test_negative_tol_exits_2(tmp_path, capsys, options):
     assert "argument --tol: invalid tolerance value:" in err
 
 
-def test_sweep_with_every_kraus_row_undefined(tmp_path, capsys):
+def test_sweep_where_r_t_is_zero_on_every_row(tmp_path, capsys):
     """At r0 = 0 over t in {0, 1e-200}, sin(t)**2 underflows and r_t = 0 on both
-    rows: the closed-form pair is built on an empty stack of times, every Kraus
-    residual is NaN and the sweep still passes.  At t = pi, r_t = sin(pi) =
-    1.2e-16 > 0, so that row has its pair, and it passes."""
+    rows: the reduced state is maximally mixed, and the pair still reaches it
+    to rounding.  At t = pi, r_t = sin(pi) = 1.2e-16, and that row passes at
+    --tol 0 as well."""
     path = str(tmp_path / "r0.json")
     dump({"scenario": "cnot", "r0": 0}, path)
     kraus_cols = ("completeness_residual", "reconstruction_residual")
@@ -816,14 +817,27 @@ def test_sweep_with_every_kraus_row_undefined(tmp_path, capsys):
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert [float(row["r_t"]) for row in rows] == [0.0, 0.0]
-    for col in kraus_cols:
-        assert all(math.isnan(float(row[col])) for row in rows)
+    assert all(float(row[col]) <= bound(0, 4) for row in rows for col in kraus_cols)
     with pytest.warns(UserWarning, match="endpoint"):
         code = main(["--tol", "0", "sweep", path, "--t-start", "0", "--t-end", repr(math.pi), "--steps", "2"])
     assert code == 0
     first, last = csv.DictReader(io.StringIO(capsys.readouterr().out))
     assert float(first["r_t"]) == 0.0 < float(last["r_t"]) < 1e-15
-    assert all(math.isnan(float(first[col])) and float(last[col]) <= bound(0, 4) for col in kraus_cols)
+    assert all(float(row[col]) <= bound(0, 4) for row in (first, last) for col in kraus_cols)
+
+
+def test_sweep_holds_for_r0_just_outside_zero_to_one(tmp_path, capsys):
+    """A scenario accepts r0 within EPS of [0, 1]; at r0 = -5e-11 the pair is
+    defined on the whole grid and every Kraus residual is rounding."""
+    path = str(tmp_path / "r0.json")
+    dump({"scenario": "cnot", "r0": -5e-11}, path)
+    with pytest.warns(UserWarning, match="endpoint"):
+        code = main(["sweep", path, "--t-start", "0", "--t-end", repr(math.pi), "--steps", "33"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 33
+    cells = [float(row[col]) for row in rows for col in ("completeness_residual", "reconstruction_residual")]
+    assert all(cell <= bound(EPS, 4) for cell in cells)
 
 
 def test_sweep_format_json(cnot_scenario, capsys):
@@ -834,13 +848,12 @@ def test_sweep_format_json(cnot_scenario, capsys):
     assert all(list(row) == list(SWEEP_COLUMNS) for row in rows)
 
 
-def test_sweep_csv_is_csv_writer_output(tmp_path, capsys):
+def test_sweep_csv_is_csv_writer_output(tmp_path, rng, capsys):
     """stdout and --out hold the bytes of csv.writer with f"{value:.12g}" cells,
-    here on the r0 = 0 grid through t = 0, whose row holds NaN."""
-    path = str(tmp_path / "r0.json")
-    dump({"scenario": "cnot", "r0": 0}, path)
-    with pytest.warns(UserWarning, match="endpoint"):
-        h, joint, sc = scenario_from_json(load(path))
+    here on a custom scenario, whose trace_distance_analytic_vs_numeric column is NaN."""
+    path = str(tmp_path / "custom.json")
+    dump(_custom(random_hermitian(rng, 4), rho=random_density(rng, d=4).mat), path)
+    h, joint, sc = scenario_from_json(load(path))
     cols = sweep_columns(h, joint, np.linspace(-1, 1, 5), sc)
     expected = io.StringIO()
     writer = csv.writer(expected)
@@ -849,9 +862,8 @@ def test_sweep_csv_is_csv_writer_output(tmp_path, capsys):
     assert "nan" in expected.getvalue()
     out = str(tmp_path / "sweep.csv")
     argv = ["sweep", path, "--t-start", "-1", "--t-end", "1", "--steps", "5"]
-    with pytest.warns(UserWarning, match="endpoint"):
-        assert main(argv) == 0
-        assert main(["--out", out, *argv]) == 0
+    assert main(argv) == 0
+    assert main(["--out", out, *argv]) == 0
     assert capsys.readouterr().out == expected.getvalue()
     with open(out, "rb") as fh:
         assert fh.read() == expected.getvalue().encode()

@@ -165,7 +165,6 @@ GUARDED = {
     "conjugate_kraus-u_in": (lambda: kraus.conjugate_kraus(_PAIR, np.eye(2), _nan(2)), ValueError, "u_in"),
     "factorable_kraus": (lambda: kraus.factorable_kraus(_nan(4), _mixed(), d_i=2), ValueError, "unitary"),
     "unitary_remix": (lambda: kraus.unitary_remix(_PAIR, _nan(2)), ValueError, "unitary"),
-    "_sqrt_clamped": (lambda: kraus._sqrt_clamped(np.array([0.25, np.nan])), ValueError, "radicand"),
     "factor_local_unitary": (lambda: dynamics.factor_local_unitary(_nan(4), (2, 2)), ValueError, "unitary"),
     "diagonal_pair_kraus": (
         lambda: kraus.diagonal_pair_kraus(0.5, np.array([0.5, np.nan])), ValueError, r"r outside \[0, 1\]: residual nan"
