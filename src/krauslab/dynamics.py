@@ -138,15 +138,17 @@ def cnot_unitary(t) -> np.ndarray:
 class CnotScenario:
     """Correlated two-qubit scenario: joint state diag((1-r0)/2, 0, 0, (1+r0)/2).
 
-    r0 should be strictly inside (0, 1); near an endpoint we warn rather than reject.  At r0 = 1
-    the joint state is the product |11><11|; at r0 = 0 it is classically correlated, but both
-    reduced states are maximally mixed and r_t(k*pi) = 0.
+    r0 should be strictly inside (0, 1); near an endpoint we warn rather than reject.  Outside [0, 1]
+    r0 is accepted within EPS + bound(0, 1), the allowance of a direct distance: the float nearest to EPS
+    above 1 lies more than EPS above it, and is accepted like EPS below 0.  At r0 = 1 the joint state is
+    the product |11><11|; at r0 = 0 it is classically correlated, but both reduced states are maximally
+    mixed and r_t(k*pi) = 0.
     """
 
     r0: float
 
     def __post_init__(self):
-        require(np.maximum(-self.r0, self.r0 - 1), EPS, "r0 outside [0, 1]")
+        require(np.maximum(-self.r0, self.r0 - 1), EPS + bound(0, 1), "r0 outside [0, 1]")
         if self.r0 <= EPS or self.r0 >= 1 - EPS:
             warnings.warn(
                 f"r0 = {self.r0} is at an endpoint: the joint state is "

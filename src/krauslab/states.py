@@ -27,11 +27,15 @@ def density_violations(m: np.ndarray, tol: float = EPS) -> dict[str, float]:
     """Residuals of the violated density-matrix invariants (empty if valid).
 
     Stack-aware: for a stack of matrices each residual is the worst over
-    the stack, so the stack passes exactly when every matrix does.
+    the stack, so the stack passes exactly when every matrix does.  A single
+    qubit that ``_qubit_certificate`` proves valid passes at once; any other
+    input gets the residuals, so no verdict or residual depends on it.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return {"square": float("inf")}
+    if m.shape == (2, 2) and _qubit_certificate(m, tol):
+        return {}
     skew = m - dag(m)
     res = {
         "hermitian": float(abs(skew).max(initial=0.0)),
@@ -43,18 +47,50 @@ def density_violations(m: np.ndarray, tol: float = EPS) -> dict[str, float]:
     return failures(res, tol)
 
 
+def _certificate_margin(d: int, norm: float) -> float:
+    """What a positivity certificate adds to -lambda_min of a d x d Hermitian matrix, ``norm`` its max-norm or
+    a bound on its 2-norm: bound(0, d) times d ``norm`` covers the rounding of the certificate and of LAPACK's
+    spectrum, and the smallest normal float (2**-1022) their underflow."""
+    return bound(0, d) * d * norm + 2.0**-1022
+
+
+def _qubit_certificate(m: np.ndarray, tol: float) -> bool:
+    """True only if the single 2x2 ``m`` passes every check of ``density_violations`` at ``tol``; False leaves the
+    verdict to the residuals.  It reads the four entries once, as Python scalars.
+
+    The Hermitian and unit-trace residuals are the sums the array path forms, but Python's ``abs`` and numpy's
+    SIMD ``np.abs`` may round their moduli up to 2 ulps apart, so the three checks pass at tol less 4 ulps of tol
+    (and so nothing passes at tol 0, at the smallest subnormal or at inf).  Positivity is -lambda_min of the
+    Hermitian part plus ``_certificate_margin``, with lambda_min = mean - radius the closed form of
+    ``trace_distance`` on the entries LAPACK reads (real diagonal, lower triangle).  A non-finite entry fails a
+    check or raises OverflowError.
+    """
+    (a, b), (c, d) = m.tolist()
+    try:
+        hermitian = max(2 * abs(a.imag), 2 * abs(d.imag), abs(b - c.conjugate()))
+        unit_trace = abs(a + d - 1)
+        mean = (a.real + d.real) / 2
+        radius = math.hypot((a.real - d.real) / 2, abs(c - (c - b.conjugate()) / 2))
+    except OverflowError:  # abs of a complex whose modulus overflows
+        return False
+    positive = radius - mean + _certificate_margin(2, abs(mean) + radius)
+    cut = tol - 4 * math.ulp(tol)
+    return not failures({"hermitian": hermitian, "unit_trace": unit_trace, "positive": positive}, cut)
+
+
 def _positivity_residual(h: np.ndarray, tol: float) -> float:
     """-lambda_min of the Hermitian ``h`` from LAPACK's spectrum, the worst of a stack, or -inf for a stack
     that a Cholesky certificate proves to pass at ``tol``.
 
     A Cholesky factor of h + (tol - margin) I shows lambda_min(h) >= margin - tol less the factorisation's
-    rounding (Rump, BIT 46, 2006).  The margin, bound(0, d) times d |h|_max >= |h|_2 plus the smallest
-    normal float for underflow, covers that rounding and the spectrum's, so the certificate passes only a
-    stack whose spectrum passes; any other stack gets the spectrum.  So does one matrix: it costs less.
+    rounding (Rump, BIT 46, 2006).  The margin, ``_certificate_margin`` of |h|_max (d |h|_max >= |h|_2), covers
+    that rounding and the spectrum's, so the certificate passes only a stack whose spectrum passes; any other stack
+    gets the spectrum.  So does one matrix: a single qubit has had its own certificate, and a larger one costs
+    less without.
     """
     if h.ndim > 2:
         d, norm = h.shape[-1], float(np.abs(h).max(initial=0.0))
-        shift = tol - bound(0, d) * d * norm - 2.0**-1022  # 2**-1022: the smallest normal float64
+        shift = tol - _certificate_margin(d, norm)
         try:  # h + shift I must not overflow, and the factor must be finite: a NaN pivot does not raise
             if math.isfinite(norm + abs(shift)) and cmath.isfinite(np.linalg.cholesky(h + shift * identity(d)).sum()):
                 return -math.inf

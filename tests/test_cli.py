@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import errno
@@ -268,16 +269,18 @@ class TestSweep:
 
     @pytest.mark.parametrize("kind", ["cnot", "custom3"])
     def test_passing_sweep_takes_no_spectrum_of_a_stacked_state(self, tmp_path, rng, eigvalsh_calls, kind):
-        """Every stacked state of a passing sweep is proved positive by its Cholesky certificate."""
+        """Every stacked state of a passing sweep is proved positive by its Cholesky certificate, and every
+        single qubit by its scalar one: only the single joint state gets the spectrum, and for custom3 the
+        single qutrit environment state."""
         path = str(tmp_path / "scenario.json")
         if kind == "cnot":
             dump({"scenario": "cnot", "r0": 0.5}, path)
         else:
             dump(_custom(random_hermitian(rng, 6), dims=(2, 3), rho=random_density(rng, d=6).mat), path)
+        eigvalsh_calls.clear()  # those of random_density
         assert main(["sweep", path, "--t-start", "0", "--t-end", "3", "--steps", "100"]) == 0
-        positivity = [shape for caller, shape in eigvalsh_calls if caller == "_positivity_residual"]
-        assert (2, 2) in positivity  # a single state still gets the spectrum
-        assert [shape for shape in positivity if len(shape) > 2] == []
+        positivity = {shape for caller, shape in eigvalsh_calls if caller == "_positivity_residual"}
+        assert positivity == ({(4, 4)} if kind == "cnot" else {(6, 6), (3, 3)})
 
     def test_determinism(self, cnot_scenario, capsys):
         args = ["sweep", cnot_scenario, "--t-start", "0", "--t-end", "2", "--steps", "10"]
@@ -838,6 +841,23 @@ def test_sweep_holds_for_r0_just_outside_zero_to_one(tmp_path, capsys):
     assert len(rows) == 33
     cells = [float(row[col]) for row in rows for col in ("completeness_residual", "reconstruction_residual")]
     assert all(cell <= bound(EPS, 4) for cell in cells)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["sweep", "--t-start", "0", "--t-end", "3", "--steps", "9"], ["evolve", "--t", "1.3"]],
+    ids=["sweep", "evolve"],
+)
+@pytest.mark.parametrize("r0, code", [(1 + EPS, 0), (1 + 2 * EPS, 2), (-2 * EPS, 2)], ids=["1+eps", "1+2eps", "-2eps"])
+def test_r0_is_judged_at_eps_plus_the_rounding_of_a_direct_distance(tmp_path, capsys, command, r0, code):
+    """1 + EPS rounds to 1 + 1.0000000827e-10, within EPS + bound(0, 1) of 1 like -EPS of 0; twice EPS
+    outside [0, 1] at either end is rejected."""
+    path = str(tmp_path / "r0.json")
+    dump({"scenario": "cnot", "r0": r0}, path)
+    with pytest.warns(UserWarning, match="endpoint") if code == 0 else contextlib.nullcontext():
+        assert main([command[0], path, *command[1:]]) == code
+    if code == 2:
+        assert "r0 outside [0, 1]" in capsys.readouterr().err
 
 
 def test_sweep_format_json(cnot_scenario, capsys):

@@ -141,6 +141,16 @@ class TestCnotScenario:
         with pytest.raises(ValueError):
             CnotScenario(1.2)
 
+    def test_r0_within_eps_of_either_end_is_accepted(self):
+        """1 + EPS rounds to 1 + 1.0000000827e-10: it is within EPS + bound(0, 1) of 1, the allowance of a
+        direct distance, as -EPS is of 0.  Twice EPS outside is rejected at either end."""
+        for r0 in (-EPS, 1 + EPS):
+            with pytest.warns(UserWarning, match="endpoint"):
+                assert CnotScenario(r0).r0 == r0
+        for r0 in (-2 * EPS, 1 + 2 * EPS):
+            with pytest.raises(ValueError, match=r"r0 outside \[0, 1\]"):
+                CnotScenario(r0)
+
     def test_r_t(self):
         sc = CnotScenario(0.5)
         assert sc.r_t(np.pi / 4) == pytest.approx(np.sqrt(0.625))
@@ -281,8 +291,7 @@ class TestCnotAnalyticKraus:
         log_offset=st.floats(-300, -5),
         sign=st.sampled_from([-1, 1]),
         r0=st.one_of(
-            # 1 + EPS rounds to just above it, which the scenario rejects; the float below it is accepted
-            st.sampled_from([0.0, 1e-12, 1 - 1e-12, 1.0, -EPS, -5e-11, 1 + 5e-11, np.nextafter(1 + EPS, 0)]),
+            st.sampled_from([0.0, 1e-12, 1 - 1e-12, 1.0, -EPS, -5e-11, 1 + 5e-11, 1 + EPS]),
             st.floats(0.05, 0.95),
         ),
     )

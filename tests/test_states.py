@@ -248,52 +248,68 @@ def test_non_finite_entry_is_never_valid(d, value):
 
 
 def _spectrum_violations(m, tol):
-    """``density_violations`` with positivity always read off LAPACK's eigvalsh: the oracle for the certificate."""
+    """``density_violations`` with positivity always read off LAPACK's eigvalsh of the same Hermitian part:
+    the oracle for both certificates."""
     m = np.asarray(m, dtype=complex)
     res = {
         "hermitian": float(abs(m - dag(m)).max(initial=0.0)),
         "unit_trace": float(abs(m.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0)),
     }
     if math.isfinite(res["hermitian"]):
-        res["positive"] = -float(np.linalg.eigvalsh((m + dag(m)) / 2).min(initial=np.inf))
+        res["positive"] = -float(np.linalg.eigvalsh(m - (m - dag(m)) / 2).min(initial=np.inf))
     return failures(res, tol)
 
 
 @st.composite
 def edge_stacks(draw):
-    """(stack, tol): 2-64 Hermitian d x d matrices, d = 2..6, at the edge of positivity at tol.
+    """(m, tol): a stack of 2-64 Hermitian d x d matrices, d = 2..6, or one 2x2 matrix, at the edge of
+    positivity at tol.
 
-    Each matrix is V diag(spectrum) V^dagger, exactly Hermitian, with its
-    spectrum in [0, norm].  For one matrix, or about half of them, the
-    smallest eigenvalue is set to -tol, one ulp either side of it, or 0;
-    rounding moves it by a few ulps of the norm, to either side of the edge.
-    Sometimes one entry is NaN or infinite.
+    Each matrix is V diag(spectrum) V^dagger, exactly Hermitian, with its spectrum in [0, norm].  For one
+    matrix, or about half of them, the smallest eigenvalue is set to -tol, one ulp either side of it, or 0;
+    rounding moves it by a few ulps of the norm, to either side of the edge.  A single matrix, the input of
+    the qubit certificate, may have unit trace (its other eigenvalue 1 - edge) or a norm near the float
+    maximum, and may then miss Hermiticity or unit trace by about tol.  Sometimes one entry is NaN or
+    infinite, or for a single matrix 1.7e308 (1 + i), whose modulus overflows.
     """
-    d, n = draw(st.integers(2, 6)), draw(st.integers(2, 64))
+    single = draw(st.booleans())
+    d, n = (2, 1) if single else (draw(st.integers(2, 6)), draw(st.integers(2, 64)))
     tol = draw(st.sampled_from([0.0, 5e-324, 1e-10, 1e-3]))
     edge = draw(st.sampled_from([-tol, np.nextafter(-tol, -np.inf), np.nextafter(-tol, np.inf), 0.0]))
-    norm = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    norm = draw(st.sampled_from([1e-3, 1.0, 1e3] + [8e307] * single))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spectra = rng.uniform(0, norm, size=(n, d))
     at_edge = rng.random(n) < draw(st.sampled_from([0.0, 0.5]))  # one matrix at the edge, or about half
     at_edge[rng.integers(n)] = True
     spectra[at_edge, 0] = edge
+    if single and draw(st.booleans()):
+        spectra[0, 1] = 1 - edge  # unit trace: the certificate then turns on the other checks
     if draw(st.booleans()):
         v = np.stack([random_unitary(rng, d) for _ in spectra])
         m = (v * spectra[:, None, :]) @ dag(v)
         m = (m + dag(m)) / 2
     else:
         m = spectra[:, :, None] * identity(d)
-    entry = draw(st.sampled_from([None, np.nan, np.inf, -np.inf, complex(0, np.nan)]))
-    if entry is not None:
+    if single:  # off by tol * miss: on a diagonal m the Hermitian residual is |tol e^{i phase}|, at the edge
+        miss = tol * draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+        where = draw(st.sampled_from(["hermitian", "diagonal", "unit_trace"]))
+        if where == "hermitian":
+            m[0, 0, 1] += miss * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        elif where == "diagonal":
+            m[0, rng.integers(2), rng.integers(2)] += 0.5j * miss
+        else:
+            m[0, 1, 1] += rng.choice([-1, 1]) * miss
+    entry = draw(st.sampled_from([None, np.nan, np.inf, -np.inf, complex(0, np.nan)] + [1.7e308 * (1 + 1j)] * single))
+    if entry is not None and not (single and draw(st.booleans())):  # a single matrix is finite about half the time
         m[rng.integers(n), rng.integers(d), rng.integers(d)] = entry
-    return m, tol
+    return (m[0] if single else m), tol
 
 
 class TestPositivityCertificate:
-    """A stack's positivity comes from a Cholesky certificate, or from LAPACK's spectrum when it fails."""
+    """A valid single qubit passes on its scalar certificate, a stack's positivity comes from a Cholesky
+    certificate, and either falls back to LAPACK's spectrum when it fails."""
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow:RuntimeWarning")
     @given(edge_stacks())
     @settings(max_examples=400, deadline=None)
     def test_matches_the_spectrum_on_edge_stacks(self, stack_tol):
@@ -325,3 +341,11 @@ class TestPositivityCertificate:
         assert eigvalsh_calls == [("_positivity_residual", stack.shape)]
         assert list(got) == ["positive"]
         assert repr(got) == repr(_spectrum_violations(stack, 1e-10))
+
+    def test_only_an_invalid_qubit_takes_the_spectrum(self, rng, eigvalsh_calls):
+        valid, invalid = random_density(rng).mat, np.diag([1 + 3e-9, -3e-9])
+        eigvalsh_calls.clear()  # those of random_density
+        assert density_violations(valid) == {}
+        assert eigvalsh_calls == []
+        assert list(density_violations(invalid)) == ["positive"]
+        assert eigvalsh_calls == [("_positivity_residual", (2, 2))]
