@@ -8,6 +8,7 @@ compare actions unless a specific entrywise convention is being pinned down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +50,29 @@ class KrausSet:
         return len(self.ops)
 
     def completeness_residual(self) -> float | np.ndarray:
-        return norm_max(np.einsum("n...ji,n...jk->...ik", self.ops.conj(), self.ops) - identity(self.d_in))
+        """|sum_mu M_mu^dagger M_mu - I|_max, one per set; a finite set whose sum overflows reads inf, not NaN."""
+        res = norm_max(_gram(self.ops) - identity(self.d_in))
+        nan = res != res  # terms that overflowed with both signs: contract M / s and scale back by s twice
+        if nan.any() if isinstance(nan, np.ndarray) else nan:
+            s = _scale(self.ops)
+            res = np.where(nan, norm_max(_gram(self.ops / s) * s * s - identity(self.d_in)), res)[()]
+        return res
+
+
+def _gram(ops: np.ndarray) -> np.ndarray:
+    """sum_mu M_mu^dagger M_mu of each set."""
+    return np.einsum("n...ji,n...jk->...ik", ops.conj(), ops)
+
+
+def _scale(ops: np.ndarray) -> np.ndarray:
+    """The power of two s <= max(|Re M|, |Im M|) over each set of ``ops`` (1/2 for a zero set), with two unit axes.
+
+    Dividing by s is exact unless an entry underflows, a contraction of ops / s does not overflow, and (x * s) * s
+    scales its result back to a finite number or an infinity, never NaN.  A set takes it only after a NaN, which
+    needs |M_ji M_jk| above the largest float, so that its completeness residual is inf; an operator far below
+    the largest may underflow in ops / s and drop out of that set's other residuals."""
+    big = np.maximum(np.abs(ops.real), np.abs(ops.imag)).max(axis=(0, -2, -1))
+    return np.ldexp(1.0, np.frexp(big)[1] - 1)[..., None, None]
 
 
 @dataclass(frozen=True)
@@ -95,7 +118,14 @@ def apply_kraus_raw(k: KrausSet, mat: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_pair_ops(r0, r) -> np.ndarray:
-    """The (2, ..., 2, 2) operators of the diagonal pair; radii must already lie in [0, 1]."""
+    """The (2, ..., 2, 2) operators of the diagonal pair; radii must already lie in [0, 1].
+
+    Two scalar radii make one pair with ``math.sqrt`` and three stores by plain indices; ``math.sqrt`` and
+    ``np.sqrt`` both round correctly, so its bits are those of the stack's."""
+    if isinstance(r0, float) and isinstance(r, float):
+        ops = np.zeros((2, 2, 2), dtype=complex)
+        ops[0, 0, 0], ops[0, 1, 1], ops[1, 0, 1] = 1, math.sqrt((1 - r) / (1 + r0)), math.sqrt((r + r0) / (1 + r0))
+        return ops
     a, q = np.sqrt(np.array([(1 - r) / (1 + r0), (r + r0) / (1 + r0)]))
     ops = np.zeros((2, *a.shape, 2, 2), dtype=complex)
     ops[0, ..., 0, 0], ops[0, ..., 1, 1], ops[1, ..., 0, 1] = 1, a, q
@@ -243,6 +273,10 @@ def verify_channel(k: KrausSet, rho0: DensityMatrix, rhot: DensityMatrix) -> Cha
 
     Stack-aware: for a stack of sets (or of states) every field holds one
     value per set.  Never raises on bad numbers; everything is reported.
+    When every output is finite, one spectrum call takes them all; a stack
+    that holds a non-finite output masks it.  A finite set whose products
+    overflow with both signs reads inf in each residual they overflow, not
+    NaN (see ``_scale``).
     """
     if rho0.dim != k.d_in or rhot.dim != k.d_out:
         raise ValueError(
@@ -250,14 +284,25 @@ def verify_channel(k: KrausSet, rho0: DensityMatrix, rhot: DensityMatrix) -> Cha
         )
     out = apply_kraus_raw(k, rho0.mat)
     herm = (out + dag(out)) / 2
-    # LAPACK may not converge on a non-finite matrix, so such a set gets no spectrum and reads -inf;
-    # the Hermitian part of a finite output can overflow too, so it is the part that is tested
-    finite = np.isfinite(herm).all(axis=(-2, -1))
-    out_eigs = np.linalg.eigvalsh(np.where(finite[..., None, None], herm, 0))
+    trace = out.trace(axis1=-2, axis2=-1)
+    # [()] turns the 0-d array of a single set into a scalar
+    if np.isfinite(herm).all():
+        min_eig = np.linalg.eigvalsh(herm)[..., 0][()]
+    else:
+        # LAPACK may not converge on a non-finite matrix, so such a set gets no spectrum and reads -inf;
+        # the Hermitian part of a finite output can overflow too, so it is the part that is tested
+        finite = np.isfinite(herm).all(axis=(-2, -1))
+        out_eigs = np.linalg.eigvalsh(np.where(finite[..., None, None], herm, 0))
+        min_eig = np.where(finite, out_eigs[..., 0], -np.inf)[()]
+        nan = np.isnan(out).any(axis=(-2, -1))
+        if nan.any():  # terms that overflowed with both signs: as in KrausSet.completeness_residual
+            s = _scale(k.ops)
+            scaled = apply_kraus_raw(KrausSet(k.ops / s), rho0.mat)
+            trace = np.where(nan, scaled.trace(axis1=-2, axis2=-1) * s[..., 0, 0] * s[..., 0, 0], trace)[()]
+            out = np.where(nan[..., None, None], scaled * s * s, out)
     return ChannelReport(
         completeness_residual=k.completeness_residual(),
         reconstruction_residual=norm_max(out - rhot.mat),
-        output_trace_residual=abs(out.trace(axis1=-2, axis2=-1) - 1.0),
-        # [()] turns the 0-d array of a single set into a scalar
-        output_min_eigenvalue=np.where(finite, out_eigs[..., 0], -np.inf)[()],
+        output_trace_residual=abs(trace - 1.0),
+        output_min_eigenvalue=min_eig,
     )

@@ -78,9 +78,16 @@ def unitarity_residual(u: np.ndarray) -> float | np.ndarray:
     return norm_max(dag(u) @ u - identity(u.shape[-1]))
 
 
+#: A scalar entry of ``qubit_matrix``: a Python float or complex, which np.float64 and np.complex128 are too.
+_SCALAR = (float, complex)
+
+
 def qubit_matrix(a, b, c, d) -> np.ndarray:
     """The 2x2 matrix [[a, b], [c, d]]; entries that are arrays broadcast
-    to a stack of matrices."""
+    to a stack of matrices.  Four scalar entries make one ``np.array`` call,
+    which stores each as the stack's assignments do."""
+    if isinstance(a, _SCALAR) and isinstance(b, _SCALAR) and isinstance(c, _SCALAR) and isinstance(d, _SCALAR):
+        return np.array([[a, b], [c, d]], dtype=complex)
     out = np.empty(np.broadcast(a, b, c, d).shape + (2, 2), dtype=complex)
     out[..., 0, 0] = a
     out[..., 0, 1] = b
@@ -117,10 +124,15 @@ def eigenphases(h: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
     """``(vectors, phases)`` with exp(-i h t) = vectors . diag(phases) . vectors^dagger, for Hermitian h.
 
     One eigendecomposition of h.  ``t`` is a real time or an array of times;
-    for an array of shape S, ``phases`` has shape S + (d,).
+    for an array of shape S, ``phases`` has shape S + (d,).  Raises
+    ValueError if a product t * lambda is not finite: its phase is undefined.
     """
     values, vectors = eigh(h)
-    return vectors, np.exp(-1j * np.multiply.outer(t, values))
+    angles = np.multiply.outer(t, values)
+    if not np.isfinite(angles).all():
+        raise ValueError(f"t * eigenvalue of H is not finite: |t| up to {np.max(np.abs(t)):.3e}, "
+                         f"|eigenvalue| up to {np.max(np.abs(values)):.3e}")
+    return vectors, np.exp(-1j * angles)
 
 
 def propagate(vectors: np.ndarray, phases: np.ndarray, *ops: np.ndarray) -> tuple[np.ndarray, ...]:

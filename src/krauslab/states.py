@@ -130,12 +130,18 @@ def validate_density(m: np.ndarray, tol: float = EPS) -> DensityMatrix:
 class DiagonalizedState:
     """A qubit state written as basis . diag . basis^dagger, ``eig_plus`` >= ``eig_minus``.
 
-    ``r`` is the Bloch radius the eigenvalues (1 +- r) / 2 were built from."""
+    ``r`` is the Bloch radius the eigenvalues (1 +- r) / 2 are read from."""
 
     r: float
-    eig_plus: float
-    eig_minus: float
     basis: np.ndarray
+
+    @property
+    def eig_plus(self) -> float:
+        return (1 + self.r) / 2
+
+    @property
+    def eig_minus(self) -> float:
+        return (1 - self.r) / 2
 
 
 def bloch_matrix(r: float, theta: float, phi: float) -> np.ndarray:
@@ -153,14 +159,23 @@ def bloch_angles(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The components are read off the matrix entries, x = tr(rho sigma_x)
     = Re(rho_01 + rho_10) and so on, and the angles are arctan2's on them with
     no threshold: a state on the z axis (x = y = 0 exactly) gets phi = 0 or pi,
-    and the centre also theta = 0 or pi, by the signs of the zeros.
+    and the centre also theta = 0 or pi, by the signs of the zeros.  A single
+    complex 2x2 matrix is read once as Python scalars: x, y, z and r are the
+    same float operations in the same order, and the angles keep numpy's
+    arctan2 and remainder, so every bit is that of the array formula.
     """
     m = np.asarray(m)
-    x = (m[..., 0, 1] + m[..., 1, 0]).real
-    y = m[..., 1, 0].imag - m[..., 0, 1].imag
-    z = (m[..., 0, 0] - m[..., 1, 1]).real
-    r = np.minimum(np.sqrt(x * x + y * y + z * z), 1.0)
-    theta = np.arctan2(np.sqrt(x * x + y * y), z)  # arccos(z / r) loses every digit of a theta near 0 or pi
+    if m.shape == (2, 2) and m.dtype == complex:
+        (a, b), (c, d) = m.tolist()
+        x, y, z = (b + c).real, c.imag - b.imag, (a - d).real
+        xy = x * x + y * y
+        r, theta = np.float64(min(math.sqrt(xy + z * z), 1.0)), np.arctan2(math.sqrt(xy), z)
+    else:
+        x = (m[..., 0, 1] + m[..., 1, 0]).real
+        y = m[..., 1, 0].imag - m[..., 0, 1].imag
+        z = (m[..., 0, 0] - m[..., 1, 1]).real
+        r = np.minimum(np.sqrt(x * x + y * y + z * z), 1.0)
+        theta = np.arctan2(np.sqrt(x * x + y * y), z)  # arccos(z / r) loses every digit of a theta near 0 or pi
     phi = np.arctan2(y, x) % (2 * np.pi)
     return r, theta, phi % (2 * np.pi)  # a tiny negative angle rounds to 2 pi in the first remainder, to 0 here
 
@@ -182,7 +197,7 @@ def diagonalize_state(d: DensityMatrix, plus_first: bool) -> DiagonalizedState:
         basis = qubit_matrix(c, -s * e.conjugate(), s * e, c)
     else:
         basis = qubit_matrix(-s, c * e.conjugate(), c * e, s)
-    return DiagonalizedState(r=r, eig_plus=(1 + r) / 2, eig_minus=(1 - r) / 2, basis=basis)
+    return DiagonalizedState(r=r, basis=basis)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float | np.ndarray:

@@ -797,6 +797,34 @@ def test_overflow_of_finite_input_is_named_without_warnings(cmd, entry, code, na
     assert all(name in out + err for name in names), out + err
 
 
+@pytest.mark.parametrize("rho", [np.diag([0.25, 0.75]), np.array([[0.75, 0.25], [0.25, 0.25]])], ids=["diag", "full"])
+def test_overflow_of_both_signs_reads_inf_not_nan(rho, tmp_path, capsys):
+    """Products that overflow with both signs sum to inf - inf, but each residual they overflow reads inf,
+    never NaN: exit 1, null in the report and each check named on stderr."""
+    ops = [matrix_to_json(np.array([[1e200, -1e200], [1e200, 1e200]]))]
+    dump({"d_in": 2, "d_out": 2, "ops": ops}, str(tmp_path / "k.json"))
+    state = write_state(tmp_path, "rho.json", validate_density(rho))
+    code, out, err = _call(["verify", str(tmp_path / "k.json"), state, state], capsys)
+    assert code == 1
+    assert strict_loads(out) == dict.fromkeys(field for field, _ in REPORT_CHECKS.values())
+    assert err.splitlines() == [f"verify: {check} inf > tol {EPS:.3e}" for check in REPORT_CHECKS]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["evolve", "--t", "1e10"], ["sweep", "--t-start", "0", "--t-end", "1e300", "--steps", "3"]],
+    ids=["evolve", "sweep"],
+)
+def test_overflowing_phase_of_finite_input_exits_2(argv, tmp_path, capsys):
+    """H = 1e300 I at a time whose product with it overflows: no phase exists, so no NaN state is judged."""
+    path = str(tmp_path / "scenario.json")
+    dump(_custom(1e300 * np.eye(4)), path)
+    code, out, err = _call([argv[0], path, *argv[1:]], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: t * eigenvalue of H is not finite: |t| up to ")
+    assert "nan" not in err
+
+
 @pytest.mark.parametrize("options", [["--tol", "-1"], ["--tol=-1e-12"]], ids=["-1", "-1e-12"])
 def test_negative_tol_exits_2(tmp_path, capsys, options):
     """A negative tolerance is a parse error like a non-finite one."""

@@ -322,6 +322,98 @@ class TestUncheckedQubitPair:
                 assert (q.imag == 0).all() and (q.real >= 0).all()
 
 
+#: Entries below the smallest normal float, subnormals and zeros of either sign included.
+subnormals = st.floats(-(2.0**-1022), 2.0**-1022)
+#: Valid states with subnormal entries: off the diagonal, on it next to 1, or both.
+subnormal_states = st.builds(
+    lambda p, a, b: np.array([[p, complex(a, b)], [complex(a, -b), 1 - p]]),
+    st.one_of(subnormals.map(abs), st.sampled_from([0.0, 0.5, 1.0])), subnormals, subnormals,
+)
+#: Single states of every kind the scalar read must match the array formula on.
+single_states = st.one_of(qubit_states, axis_states, near_axis_states, subnormal_states)
+
+
+def _bits(*values):
+    """The type and every bit of each value: repr of a Python float or complex is exact, signed zeros included."""
+    return repr([(type(v).__name__, np.asarray(v).tolist()) for v in values])
+
+
+def _ref_bloch_angles(m):
+    """bloch_angles as the array formula on the 0-d entries m[..., i, j] of one matrix."""
+    x = (m[..., 0, 1] + m[..., 1, 0]).real
+    y = m[..., 1, 0].imag - m[..., 0, 1].imag
+    z = (m[..., 0, 0] - m[..., 1, 1]).real
+    r = np.minimum(np.sqrt(x * x + y * y + z * z), 1.0)
+    theta = np.arctan2(np.sqrt(x * x + y * y), z)
+    phi = np.arctan2(y, x) % (2 * np.pi)
+    return r, theta, phi % (2 * np.pi)
+
+
+def _ref_qubit_matrix(a, b, c, d):
+    out = np.empty(np.broadcast(a, b, c, d).shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
+
+
+def _ref_diagonalize(m, plus_first):
+    r, theta, phi = _ref_bloch_angles(m)
+    c, s, e = np.cos(theta / 2), np.sin(theta / 2), np.exp(1j * phi)
+    if plus_first:
+        return r, _ref_qubit_matrix(c, -s * e.conjugate(), s * e, c)
+    return r, _ref_qubit_matrix(-s, c * e.conjugate(), c * e, s)
+
+
+def _ref_pair_ops(r0, r):
+    a, q = np.sqrt(np.array([(1 - r) / (1 + r0), (r + r0) / (1 + r0)]))
+    ops = np.zeros((2, *a.shape, 2, 2), dtype=complex)
+    ops[0, ..., 0, 0], ops[0, ..., 1, 1], ops[1, ..., 0, 1] = 1, a, q
+    return ops
+
+
+def _ref_general(m0, mt):
+    (r0, basis0), (r, basis) = _ref_diagonalize(m0, False), _ref_diagonalize(mt, True)
+    return basis @ _ref_pair_ops(r0, r) @ dag(basis0)
+
+
+def _ref_closed_form(m0, mt):
+    (r0, theta0, phi0), (r, theta, phi) = _ref_bloch_angles(m0), _ref_bloch_angles(mt)
+    c0, s0, c, s = np.cos(theta0 / 2), np.sin(theta0 / 2), np.cos(theta / 2), np.sin(theta / 2)
+    e0, e = np.exp(1j * phi0), np.exp(1j * phi)
+    a, q = np.sqrt((1 - r) / (1 + r0)), np.sqrt((r + r0) / (1 + r0))
+    m0 = _ref_qubit_matrix(
+        -c * s0 - a * s * c0 * e0 / e, c * c0 / e0 - a * s * s0 / e,
+        -s * s0 * e + a * c * c0 * e0, s * c0 * e / e0 + a * c * s0,
+    )
+    m1 = q[..., None, None] * _ref_qubit_matrix(c * c0 * e0, c * s0, s * c0 * e * e0, s * s0 * e)
+    return np.array([m0, m1])
+
+
+class TestScalarRead:
+    """A single state is read once as Python scalars through the Kraus pair.  Every result has the type and the
+    bits of the array formula on the 0-d entries of the matrix, which the references above keep.  A stack is not
+    the reference: numpy's trigonometry on an array may round differently from its trigonometry on a scalar."""
+
+    @given(m=single_states, plus_first=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_bloch_angles_and_diagonalize_state(self, m, plus_first):
+        assert _bits(*bloch_angles(m)) == _bits(*_ref_bloch_angles(m))
+        d = diagonalize_state(validate_density(m), plus_first)
+        assert _bits(d.r, d.basis) == _bits(*_ref_diagonalize(m, plus_first))
+
+    @given(r0=radii, r=radii)
+    @settings(max_examples=200, deadline=None)
+    def test_diagonal_pair_ops(self, r0, r):
+        for pair in ((r0, r), (np.float64(r0), np.float64(r))):
+            assert _bits(_diagonal_pair_ops(*pair)) == _bits(_ref_pair_ops(*pair))
+
+    @given(m0=single_states, mt=single_states)
+    @settings(max_examples=400, deadline=None)
+    def test_qubit_constructors(self, m0, mt):
+        rho0, rhot = validate_density(m0), validate_density(mt)
+        assert _bits(general_qubit_kraus(rho0, rhot).ops) == _bits(_ref_general(m0, mt))
+        assert _bits(closed_form_qubit_kraus(rho0, rhot).ops) == _bits(_ref_closed_form(m0, mt))
+
+
 @given(
     theta=st.floats(1e-12, 1e-6),
     south=st.booleans(),
@@ -607,6 +699,31 @@ class TestVerifyChannel:
             assert report.output_min_eigenvalue[1] == -np.inf
             assert verify_channel(KrausSet(ops[:, 1]), rho0, rhot).output_min_eigenvalue == -np.inf
             assert failures(report.checks(), EPS)["output_positivity"] == np.inf
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_of_both_signs_reads_inf_not_nan(self, rng):
+        """A finite set whose products overflow with both signs reads inf in each residual they overflow, not NaN;
+        the other sets of its stack keep their bits."""
+        rho = validate_density(np.diag([0.25, 0.75]))
+        k = general_qubit_kraus(rho, random_density(rng))
+        big = np.zeros_like(k.ops)
+        big[0] = [[1e200, -1e200], [1e200, 1e200]]
+        report = verify_channel(KrausSet(big), rho, rho)
+        assert vars(report) == dict.fromkeys(vars(report), np.inf) | {"output_min_eigenvalue": -np.inf}
+        stacked = verify_channel(KrausSet(np.stack([k.ops, big], axis=1)), rho, rho)
+        alone = verify_channel(k, rho, rho)
+        for field, values in vars(stacked).items():
+            assert values[0] == getattr(alone, field) and values[1] == getattr(report, field)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_completeness_overflow_with_a_finite_output_reads_inf(self):
+        """Two columns overflow M^dagger M with both signs while the state lies in the third: the output and its
+        residuals are finite, and the completeness residual reads inf, not NaN."""
+        rho = validate_density(np.diag([0.0, 0.0, 1.0]))
+        k = KrausSet([[[1e200, 1e200, 0], [1e200, -1e200, 0], [0, 0, 1]]])
+        report = verify_channel(k, rho, rho)
+        assert report.completeness_residual == k.completeness_residual() == np.inf
+        assert (report.reconstruction_residual, report.output_trace_residual) == (0.0, 0.0)
 
     def test_failures_name_each_failing_check_in_field_order(self):
         report = ChannelReport(2e-9, 0.0, float("nan"), -3e-9)

@@ -310,6 +310,12 @@ class TestExpm:
         u_ts = expm_hermitian_generator(h, t + s)
         assert norm_max(u_ts - u_t @ u_s) <= 1e-9
 
+    @pytest.mark.parametrize("t", [1e10, np.array([0.0, 1e300])], ids=["time", "grid"])
+    def test_overflowing_phase_is_rejected(self, t):
+        """t * lambda = 1e310 has no phase: a named ValueError, not a NaN propagator."""
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"t \* eigenvalue of H is not finite"):
+            linalg.eigenphases(1e300 * identity(2), t)
+
 
 class TestKron:
     def test_identity(self):
