@@ -69,10 +69,18 @@ def _scale(ops: np.ndarray) -> np.ndarray:
 
     Dividing by s is exact unless an entry underflows, a contraction of ops / s does not overflow, and (x * s) * s
     scales its result back to a finite number or an infinity, never NaN.  A set takes it only after a NaN, which
-    needs |M_ji M_jk| above the largest float, so that its completeness residual is inf; an operator far below
-    the largest may underflow in ops / s and drop out of that set's other residuals."""
+    needs |M_ji M_jk| above the largest float, so that its completeness residual is inf.  An operator far below
+    the largest may underflow in ops / s, so ``verify_channel`` scales each operator by its own s (``ops[None]``)
+    and sums the outputs; only where that sum is NaN does the set's one s drop such an operator."""
     big = np.maximum(np.abs(ops.real), np.abs(ops.imag)).max(axis=(0, -2, -1))
     return np.ldexp(1.0, np.frexp(big)[1] - 1)[..., None, None]
+
+
+def _scaled_back(ops: np.ndarray, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The output of ``apply_kraus_raw`` on ops / s and its trace, each scaled back by s twice, s = ``_scale(ops)``."""
+    s = _scale(ops)
+    out = apply_kraus_raw(KrausSet(ops / s), mat)
+    return out * s * s, out.trace(axis1=-2, axis2=-1) * s[..., 0, 0] * s[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -295,11 +303,14 @@ def verify_channel(k: KrausSet, rho0: DensityMatrix, rhot: DensityMatrix) -> Cha
         out_eigs = np.linalg.eigvalsh(np.where(finite[..., None, None], herm, 0))
         min_eig = np.where(finite, out_eigs[..., 0], -np.inf)[()]
         nan = np.isnan(out).any(axis=(-2, -1))
-        if nan.any():  # terms that overflowed with both signs: as in KrausSet.completeness_residual
-            s = _scale(k.ops)
-            scaled = apply_kraus_raw(KrausSet(k.ops / s), rho0.mat)
-            trace = np.where(nan, scaled.trace(axis1=-2, axis2=-1) * s[..., 0, 0] * s[..., 0, 0], trace)[()]
-            out = np.where(nan[..., None, None], scaled * s * s, out)
+        if nan.any():  # terms that overflowed with both signs: contract each operator at its own scale, then sum
+            each, each_trace = _scaled_back(_per_op(k.ops, rho0.mat)[None], rho0.mat)
+            scaled, scaled_trace = each.sum(0), each_trace.sum(0)
+            # where two operators overflow with both signs in one entry, the sum is NaN: the whole set at one scale
+            whole, whole_trace = _scaled_back(k.ops, rho0.mat)
+            worse = np.isnan(scaled).any(axis=(-2, -1)) | np.isnan(scaled_trace)
+            trace = np.where(nan, np.where(worse, whole_trace, scaled_trace), trace)[()]
+            out = np.where(nan[..., None, None], np.where(worse[..., None, None], whole, scaled), out)
     return ChannelReport(
         completeness_residual=k.completeness_residual(),
         reconstruction_residual=norm_max(out - rhot.mat),

@@ -162,7 +162,8 @@ def bloch_angles(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and the centre also theta = 0 or pi, by the signs of the zeros.  A single
     complex 2x2 matrix is read once as Python scalars: x, y, z and r are the
     same float operations in the same order, and the angles keep numpy's
-    arctan2 and remainder, so every bit is that of the array formula.
+    arctan2 and remainder, so every bit is that of the array formula
+    (``math.atan2`` may round apart from numpy's own vectorized arctan2).
     """
     m = np.asarray(m)
     if m.shape == (2, 2) and m.dtype == complex:
@@ -188,10 +189,22 @@ def diagonalize_state(d: DensityMatrix, plus_first: bool) -> DiagonalizedState:
     downstream come out entrywise deterministic.  It is built from the angles
     of ``bloch_angles`` at every input: any basis diagonalizes the maximally
     mixed state.  For a stack of states the fields are stacks too.
+
+    A single state takes cos, sin and e^{i phi} from ``math`` on Python
+    floats, as numpy's float64 cos and sin call the same libm, and forms each
+    real-by-complex product as numpy promotes it, ``complex(x, 0.0) * e``:
+    every bit is that of the array formula.
     """
     if d.dim != 2:
         raise ValueError(f"diagonalize_state needs a qubit, got dim {d.dim}")
     r, theta, phi = bloch_angles(d.mat)
+    if d.mat.shape == (2, 2):
+        c, s, e = math.cos(theta / 2), math.sin(theta / 2), complex(math.cos(phi), math.sin(phi))
+        if plus_first:
+            basis = qubit_matrix(c, complex(-s, 0.0) * e.conjugate(), complex(s, 0.0) * e, c)
+        else:
+            basis = qubit_matrix(-s, complex(c, 0.0) * e.conjugate(), complex(c, 0.0) * e, s)
+        return DiagonalizedState(r=r, basis=basis)
     c, s, e = np.cos(theta / 2), np.sin(theta / 2), np.exp(1j * phi)
     if plus_first:
         basis = qubit_matrix(c, -s * e.conjugate(), s * e, c)

@@ -716,6 +716,24 @@ class TestVerifyChannel:
             assert values[0] == getattr(alone, field) and values[1] == getattr(report, field)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_small_operator_keeps_its_share_of_an_overflowed_output(self):
+        """[[1e200, 1e200], [0, 0]] annihilates |->, and I keeps it, so the set maps |-><-| to itself exactly; but
+        the big operator's products overflow with both signs.  Each operator is contracted at its own scale, so I
+        does not underflow at the big one's: both output residuals read 0, the completeness residual inf.  Two
+        operators that overflow with both signs in one entry take the set's one scale, and read inf, not NaN."""
+        minus = validate_density(np.array([[0.5, -0.5], [-0.5, 0.5]]))
+        report = verify_channel(KrausSet([[[1e200, 1e200], [0, 0]], identity(2)]), minus, minus)
+        assert (report.reconstruction_residual, report.output_trace_residual) == (0.0, 0.0)
+        assert report.completeness_residual == np.inf
+        up = validate_density(np.diag([1.0, 0.0]))
+        k = KrausSet([[[1e200, 0], [1e200, 0]], [[1e200, 0], [-1e200, 0]]])
+        assert np.isnan(apply_kraus_raw(k, up.mat)).any()
+        for rho in (up, validate_density(np.stack([up.mat, np.diag([0.0, 1.0])]))):
+            report = verify_channel(k, rho, rho)
+            assert not any(np.isnan(value).any() for value in vars(report).values())
+            assert np.ravel(report.reconstruction_residual)[0] == np.inf
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_completeness_overflow_with_a_finite_output_reads_inf(self):
         """Two columns overflow M^dagger M with both signs while the state lies in the third: the output and its
         residuals are finite, and the completeness residual reads inf, not NaN."""

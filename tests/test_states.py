@@ -189,6 +189,27 @@ class TestDiagonalizeState:
             assert norm_max(_in_basis(d, rho) - np.diag(layout)) <= 10 * EPS
 
 
+#: float64 angles: the exact points 0, pi/2, pi and 2 pi less an ulp, tiny angles down to 1e-300 on a log scale,
+#: and uniform draws over [0, 2 pi).
+angles = st.one_of(
+    st.sampled_from([0.0, np.pi / 2, np.pi, math.nextafter(2 * np.pi, 0.0)]),
+    st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent, st.floats(1.0, 10.0), st.integers(-300, -1)),
+    st.floats(0.0, 2 * np.pi, exclude_max=True),
+)
+
+
+@given(angle=angles)
+@settings(max_examples=500, deadline=None)
+def test_numpy_float64_cos_and_sin_are_libm(angle):
+    """The premise of the scalar basis in ``diagonalize_state``: numpy's float64 cos and sin of a 0-d array are
+    the C library's, as ``math``'s are, and e^{i phi} of ``np.exp`` is (cos phi, sin phi).  numpy vectorizes its
+    float64 arctan2 itself, so ``bloch_angles`` keeps it; if it ever does so for cos or sin, this test fails."""
+    phi = np.array(angle)
+    assert repr(float(np.cos(phi))) == repr(math.cos(angle))
+    assert repr(float(np.sin(phi))) == repr(math.sin(angle))
+    assert repr(complex(np.exp(1j * phi))) == repr(complex(math.cos(angle), math.sin(angle)))
+
+
 class TestTraceDistance:
     def test_zero_on_equal(self, rng):
         rho = random_density(rng)
