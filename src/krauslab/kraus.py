@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import EPS, bound, dag, eigh, failures, identity, norm_max, qubit_matrix, require, unitarity_residual
-from .states import DensityMatrix, bloch_angles, diagonalize_state
+from .states import DensityMatrix, bloch_angles, diagonalize_state, qubit_trace_and_min_eigenvalue
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,27 +281,35 @@ def verify_channel(k: KrausSet, rho0: DensityMatrix, rhot: DensityMatrix) -> Cha
 
     Stack-aware: for a stack of sets (or of states) every field holds one
     value per set.  Never raises on bad numbers; everything is reported.
-    When every output is finite, one spectrum call takes them all; a stack
-    that holds a non-finite output masks it.  A finite set whose products
-    overflow with both signs reads inf in each residual they overflow, not
-    NaN (see ``_scale``).
+    A qubit output's smallest eigenvalue is the closed form of
+    ``qubit_trace_and_min_eigenvalue``, with no LAPACK call.  A larger one
+    takes LAPACK's spectrum: when every output is finite, one call takes
+    them all; a stack that holds a non-finite output masks it.  Either way a
+    set whose output has a Hermitian part that is not finite reads -inf.  A
+    finite set whose products overflow with both signs reads inf in each
+    residual they overflow, not NaN (see ``_scale``).
     """
     if rho0.dim != k.d_in or rhot.dim != k.d_out:
         raise ValueError(
             f"shape mismatch: states ({rho0.dim}, {rhot.dim}) vs channel ({k.d_in}, {k.d_out})"
         )
     out = apply_kraus_raw(k, rho0.mat)
-    herm = (out + dag(out)) / 2
-    trace = out.trace(axis1=-2, axis2=-1)
-    # [()] turns the 0-d array of a single set into a scalar
-    if np.isfinite(herm).all():
-        min_eig = np.linalg.eigvalsh(herm)[..., 0][()]
+    if k.d_out == 2:
+        trace, min_eig = qubit_trace_and_min_eigenvalue(out)
     else:
-        # LAPACK may not converge on a non-finite matrix, so such a set gets no spectrum and reads -inf;
-        # the Hermitian part of a finite output can overflow too, so it is the part that is tested
-        finite = np.isfinite(herm).all(axis=(-2, -1))
-        out_eigs = np.linalg.eigvalsh(np.where(finite[..., None, None], herm, 0))
-        min_eig = np.where(finite, out_eigs[..., 0], -np.inf)[()]
+        herm = (out + dag(out)) / 2
+        trace = out.trace(axis1=-2, axis2=-1)
+        # [()] turns the 0-d array of a single set into a scalar
+        if np.isfinite(herm).all():
+            min_eig = np.linalg.eigvalsh(herm)[..., 0][()]
+        else:
+            # LAPACK may not converge on a non-finite matrix, so such a set gets no spectrum and reads -inf;
+            # the Hermitian part of a finite output can overflow too, so it is the part that is tested
+            finite = np.isfinite(herm).all(axis=(-2, -1))
+            out_eigs = np.linalg.eigvalsh(np.where(finite[..., None, None], herm, 0))
+            min_eig = np.where(finite, out_eigs[..., 0], -np.inf)[()]
+    unbounded = min_eig == -np.inf  # only a set that reads -inf can hold a NaN output
+    if unbounded.any() if isinstance(unbounded, np.ndarray) else unbounded:  # a scalar skips the array reduction
         nan = np.isnan(out).any(axis=(-2, -1))
         if nan.any():  # terms that overflowed with both signs: contract each operator at its own scale, then sum
             each, each_trace = _scaled_back(_per_op(k.ops, rho0.mat)[None], rho0.mat)

@@ -78,6 +78,32 @@ def _qubit_certificate(m: np.ndarray, tol: float) -> bool:
     return not failures({"hermitian": hermitian, "unit_trace": unit_trace, "positive": positive}, cut)
 
 
+def qubit_trace_and_min_eigenvalue(m: np.ndarray) -> tuple[complex | np.ndarray, float | np.ndarray]:
+    """The trace of a 2x2 ``m`` and the smallest eigenvalue of its Hermitian part (m + m^dagger)/2; stack-aware.
+
+    The eigenvalue is the closed form of ``trace_distance``, mean - hypot(half the difference of the diagonal,
+    modulus of the off-diagonal entry), in real float operations on the entries of (m + m^dagger)/2 and with
+    libm's hypot: ``np.hypot``, and for Python floats the ``abs`` of a complex (``math.hypot`` rounds apart).
+    Sum and difference are halved after they are formed, which is exact but for a subnormal; neither overflows
+    where (m + m^dagger)/2 is finite.  Where it is not, the eigenvalue is -inf, never NaN.  A single matrix is
+    read once as Python scalars and gives numpy scalars, bit for bit its item of a stack.
+    """
+    if m.shape == (2, 2):
+        (a, b), (c, d) = m.tolist()
+        trace = np.complex128(0.0 + a.real + d.real, 0.0 + a.imag + d.imag)  # numpy's sum starts from +0
+        hr, hi = c.real + b.real, c.imag - b.imag  # twice the lower entry of the Hermitian part
+        # (m + m^dagger)/2 is finite exactly where these six are
+        if not all(map(math.isfinite, (a.real + a.real, a.imag, d.real + d.real, d.imag, hr, hi))):
+            return trace, np.float64(-math.inf)
+        radius = abs(complex((a.real - d.real) * 0.5, abs(complex(hr * 0.5, hi * 0.5))))
+        return trace, np.float64((a.real + d.real) * 0.5 - radius)
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    hr, hi = c.real + b.real, c.imag - b.imag
+    finite = np.isfinite([a.real + a.real, a.imag, d.real + d.real, d.imag, hr, hi]).all(axis=0)
+    radius = np.hypot((a.real - d.real) * 0.5, np.hypot(hr * 0.5, hi * 0.5))
+    return m.trace(axis1=-2, axis2=-1), np.where(finite, (a.real + d.real) * 0.5 - radius, -np.inf)
+
+
 def _positivity_residual(h: np.ndarray, tol: float) -> float:
     """-lambda_min of the Hermitian ``h`` from LAPACK's spectrum, the worst of a stack, or -inf for a stack
     that a Cholesky certificate proves to pass at ``tol``.

@@ -391,6 +391,21 @@ class TestVerify:
         assert main(["--tol", "1e-9", "verify", kp, p0, po]) == 1
 
 
+    @pytest.mark.parametrize("method", list(KRAUS_METHODS))
+    def test_qubit_files_take_no_spectrum(self, tmp_path, rng, eigvalsh_calls, method, capsys):
+        """kraus, then verify on the set it wrote: the qubit states pass their certificates and the output's
+        smallest eigenvalue is a closed form, so neither command makes a LAPACK eigenvalue call."""
+        p0 = write_state(tmp_path, "rho0.json", random_density(rng))
+        pt = str(tmp_path / "rhot.json")
+        dump({"bloch": {"r": 1.0, "theta": 0.7, "phi": 2.1}}, pt)
+        kp = str(tmp_path / "k.json")
+        eigvalsh_calls.clear()  # those of random_density
+        assert main(["--out", kp, "kraus", p0, pt, "--method", method]) == 0
+        assert main(["verify", kp, p0, pt]) == 0
+        assert eigvalsh_calls == []
+        capsys.readouterr()
+
+
 class TestRemix:
     def test_identity_remix_preserves_ops(self, tmp_path, rng, capsys):
         k = general_qubit_kraus(random_density(rng), random_density(rng))

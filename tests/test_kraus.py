@@ -684,6 +684,26 @@ class TestVerifyChannel:
                 KrausSet([identity(2)]), random_density(rng, d=3), random_density(rng, d=3)
             )
 
+    @pytest.mark.parametrize("layout", ["single", "stacked"])
+    def test_a_qubit_pair_takes_no_spectrum(self, rng, eigvalsh_calls, layout):
+        """Both states pass their certificates, and the output's smallest eigenvalue is a closed form: from
+        validation to the report, a qubit pair makes no LAPACK eigenvalue call, pure states and the centre
+        included."""
+        special = [np.diag([1.0, 0.0]), bloch_matrix(1.0, 1.1, 2.3), identity(2) / 2]
+        states = np.concatenate([special, ginibre_stack(rng, 5)])
+        pairs = [(states, states[::-1])] if layout == "stacked" else list(zip(states, states[::-1]))
+        for a, b in pairs:
+            rho0, rhot = validate_density(a), validate_density(b)
+            assert verify_channel(general_qubit_kraus(rho0, rhot), rho0, rhot).passes(EPS)
+        assert eigvalsh_calls == []
+
+    def test_a_qutrit_set_takes_one_spectrum(self, rng, eigvalsh_calls):
+        rho0, rhot = random_density(rng, d=3), random_density(rng, d=3)
+        k = measure_prepare_kraus(rho0, rhot)
+        eigvalsh_calls.clear()  # those of random_density
+        assert verify_channel(k, rho0, rhot).passes(EPS)
+        assert eigvalsh_calls == [("verify_channel", (3, 3))]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_output_spectrum_only_of_a_finite_hermitian_part(self, rng):
         """A set whose output, or the Hermitian part of it, is not finite gets no spectrum and reads -inf;

@@ -14,7 +14,7 @@ from krauslab import (
     validate_density,
 )
 from krauslab.linalg import EPS, bound, dag, eigh, failures, identity, norm_max, pauli_x, pauli_z
-from krauslab.states import density_violations
+from krauslab.states import density_violations, qubit_trace_and_min_eigenvalue
 
 from conftest import bloch_state, random_density, random_unitary
 from test_kraus import qubit_states
@@ -370,3 +370,44 @@ class TestPositivityCertificate:
         assert eigvalsh_calls == []
         assert list(density_violations(invalid)) == ["positive"]
         assert eigvalsh_calls == [("_positivity_residual", (2, 2))]
+
+
+#: Real and imaginary parts of a qubit output: finite at any scale, subnormal, signed zeros, 8.9e307 (whose
+#: double is finite), 1.7e308 and the float maximum (whose doubles overflow), infinities and NaN.
+parts = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent, st.floats(-10.0, 10.0), st.integers(-30, 30)),
+    st.floats(-(2.0**-1022), 2.0**-1022),
+    st.sampled_from([0.0, -0.0, 8.9e307, -8.9e307, 1.7e308, -1.7e308, np.finfo(float).max, np.inf, -np.inf, np.nan]),
+)
+
+
+@st.composite
+def qubit_outputs(draw):
+    """A stack of 1-4 complex 2x2 matrices from ``parts``, about half of them Hermitian as drawn."""
+    n = draw(st.integers(1, 4))
+    m = np.array(draw(st.lists(parts, min_size=8 * n, max_size=8 * n))).view(complex).reshape(n, 2, 2)
+    if draw(st.booleans()):
+        m[:, 1, 0] = m[:, 0, 1].conj()
+        m[:, [0, 1], [0, 1]] = m[:, [0, 1], [0, 1]].real
+    return m
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow:RuntimeWarning")
+@given(qubit_outputs())
+@settings(max_examples=1000, deadline=None)
+def test_qubit_output_spectrum_is_a_closed_form(m):
+    """``qubit_trace_and_min_eigenvalue`` is numpy's trace and LAPACK's smallest eigenvalue of (m + m^dagger)/2
+    within bound(0, 2) of |m|_max, where that part is finite; 4 units of the smallest subnormal cover the
+    underflow of both.  Elsewhere it reads -inf, never NaN.  A single matrix gives its item of the stack."""
+    trace, min_eig = qubit_trace_and_min_eigenvalue(m)
+    assert repr(trace.tolist()) == repr(m.trace(axis1=-2, axis2=-1).tolist())
+    for i, item in enumerate(m):
+        assert repr(qubit_trace_and_min_eigenvalue(item)) == repr((trace[i], min_eig[i]))
+    herm = (m + dag(m)) / 2
+    finite = np.isfinite(herm).all(axis=(-2, -1))
+    assert not np.isnan(min_eig).any()
+    assert (min_eig[~finite] == -np.inf).all()
+    spectrum = np.linalg.eigvalsh(np.where(finite[..., None, None], herm, 0))[..., 0]
+    allowed = bound(0, 2) * norm_max(m) + 4 * 2.0**-1074
+    assert ((min_eig == spectrum) | (np.abs(min_eig - spectrum) <= allowed))[finite].all()
