@@ -30,7 +30,6 @@ from .kraus import (
     apply_channel,
     closed_form_qubit_kraus,
     conjugate_kraus,
-    diagonal_pair_kraus,
     factorable_kraus,
     general_qubit_kraus,
     measure_prepare_kraus,

@@ -60,14 +60,14 @@ def _load(path: str, decode, *args):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _write(text: str, out: str | None, newline: str | None = None) -> None:
-    """Write ``text`` to the file ``out``, or to stdout without one; an unwritable ``out`` is an InputError."""
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to stdout, or as bytes, line ends unchanged, to ``out``; an unwritable ``out`` is an InputError."""
     if not out:
         sys.stdout.write(text)
         return
     try:
-        with open(out, "w", newline=newline) as fh:
-            fh.write(text)
+        with open(out, "wb") as fh:
+            fh.write(text.encode())
     except OSError as exc:
         raise InputError(f"{out}: {exc.strerror or exc}") from exc
 
@@ -141,7 +141,7 @@ def cmd_sweep(args) -> int:
     else:
         # The bytes of csv.writer with f"{value:.12g}" cells: no cell needs quoting.
         csv_rows = (",".join(["%.12g"] * len(SWEEP_COLUMNS)) + "\r\n") * len(table)
-        _write(",".join(SWEEP_COLUMNS) + "\r\n" + csv_rows % tuple(table.ravel().tolist()), args.out, newline="")
+        _write(",".join(SWEEP_COLUMNS) + "\r\n" + csv_rows % tuple(table.ravel().tolist()), args.out)
     checks = {col: np.where(np.isnan(cols[col]), -np.inf, cols[col]) for col in RESIDUAL_COLUMNS}  # NaN: unchecked
     return _verdict(args, checks, joint.d_i * joint.d_e,
                     lambda col: f", worst at t = {cols['t'][np.argmax(checks[col])]:.12g}")

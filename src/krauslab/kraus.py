@@ -140,19 +140,6 @@ def _diagonal_pair_ops(r0, r) -> np.ndarray:
     return ops
 
 
-def diagonal_pair_kraus(r0: float, r: float) -> KrausSet:
-    """Rank-2 Kraus pair connecting the two diagonalized qubit states.
-
-    Maps diag((1-r0)/2, (1+r0)/2) to diag((1+r)/2, (1-r)/2); completeness
-    holds analytically for any r0, r in [0, 1].  Radii that are arrays give
-    a stack of pairs.  Guarded: a radius more than EPS outside [0, 1] raises.
-    """
-    for name, val in (("r0", r0), ("r", r)):
-        require(np.maximum(-val, val - 1), EPS, f"{name} outside [0, 1]")
-    r0, r = np.minimum(np.maximum(r0, 0.0), 1.0), np.minimum(np.maximum(r, 0.0), 1.0)
-    return KrausSet(_diagonal_pair_ops(r0, r))
-
-
 def conjugate_kraus(k: KrausSet, u_out: np.ndarray, u_in: np.ndarray) -> KrausSet:
     """Replace every operator by u_out . M . u_in^dagger.
 
@@ -184,7 +171,7 @@ def general_qubit_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSet:
     then conjugate back into the original bases.  Total on every valid
     pair, including degenerate and rank-deficient states.  Either state may
     be a stack, giving the stack of pairs.  Only the input is checked: the
-    radii and bases built here cannot fail the guards of the public steps.
+    radii built here lie in [0, 1] and the bases are unitary to a few ulps.
     """
     _require_qubit_pair("general_qubit_kraus", rho0, rhot)
     d0 = diagonalize_state(rho0, plus_first=False)

@@ -209,5 +209,6 @@ def _grid_template(n_rows: int, width: int, depth: int) -> str:
 
 
 def load(path: str) -> Any:
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON document in the file at ``path``, read as UTF-8 bytes in one unbuffered read; a BOM is a parse error."""
+    with open(path, "rb", buffering=0) as fh:
+        return json.loads(fh.read().decode("utf-8"))

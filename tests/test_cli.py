@@ -27,7 +27,7 @@ from krauslab.cli import KRAUS_METHODS, RESIDUAL_COLUMNS, build_parser, main
 from krauslab.dynamics import SWEEP_COLUMNS, ReducedDynamics, sweep_columns
 from krauslab.kraus import apply_kraus_raw, factorable_kraus
 from krauslab.linalg import EPS, bound, eigenphases, expm_hermitian_generator, norm_max
-from krauslab.serialize import kraus_to_json, load, matrix_from_json, matrix_to_json, scenario_from_json
+from krauslab.serialize import dumps, kraus_to_json, load, matrix_from_json, matrix_to_json, scenario_from_json
 
 from conftest import dump, random_density, random_hermitian, strict_loads, write_state
 
@@ -942,10 +942,9 @@ OUT_WRITERS = {
 }
 
 
-@pytest.mark.parametrize("target", ["directory", "missing-parent"])
-@pytest.mark.parametrize("argv", OUT_WRITERS.values(), ids=OUT_WRITERS)
-def test_unwritable_out_exits_2(tmp_path, cnot_scenario, argv, target, capsys):
-    """An --out that cannot be opened for writing is invalid input: exit 2 and one error line."""
+@pytest.fixture
+def out_writer_paths(tmp_path, cnot_scenario):
+    """The input files that fill the {placeholders} of OUT_WRITERS."""
     mixed = validate_density(np.eye(2) / 2)
     paths = {
         "state": write_state(tmp_path, "mixed.json", mixed),
@@ -957,12 +956,72 @@ def test_unwritable_out_exits_2(tmp_path, cnot_scenario, argv, target, capsys):
     dump(kraus_to_json(general_qubit_kraus(mixed, mixed)), paths["kraus"])
     dump(matrix_to_json(np.eye(2)), paths["unitary"])
     dump(matrix_to_json(kron(pauli_x, pauli_z)), paths["product"])
+    return paths
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+@pytest.mark.parametrize("argv", OUT_WRITERS.values(), ids=OUT_WRITERS)
+def test_unwritable_out_exits_2(tmp_path, out_writer_paths, argv, target, capsys):
+    """An --out that cannot be opened for writing is invalid input: exit 2 and one error line."""
     if target == "directory":
         out, code = str(tmp_path), errno.EISDIR
     else:
         out, code = str(tmp_path / "no-such-dir" / "out.json"), errno.ENOENT
-    assert main(["--out", out, *[a.format(**paths) for a in argv]]) == 2
+    assert main(["--out", out, *[a.format(**out_writer_paths) for a in argv]]) == 2
     assert capsys.readouterr().err == f"error: {out}: {os.strerror(code)}\n"
+
+
+@pytest.mark.parametrize("argv", OUT_WRITERS.values(), ids=OUT_WRITERS)
+def test_out_writes_the_bytes_it_prints(tmp_path, out_writer_paths, argv, capsys):
+    """--out moves the primary document from stdout to the file, byte for byte, as bytes on every platform:
+    the sweep CSV's lines end in \\r\\n and every JSON document's in \\n."""
+    argv = [a.format(**out_writer_paths) for a in argv]
+    out = tmp_path / "out.txt"
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode()
+    assert main(["--out", str(out), *argv]) == 0
+    written = out.read_bytes()
+    assert written + capsys.readouterr().out.encode() == printed
+    lines = written.split(b"\r\n" if argv[0] == "sweep" and "json" not in argv else b"\n")
+    assert len(lines) > 3 and lines[-1] == b"" and not any(b"\r" in line or b"\n" in line for line in lines)
+
+
+#: A valid state file as the CLI writes JSON, lines ended by \n.
+_STATE_TEXT = dumps({"matrix": matrix_to_json(np.eye(2) / 2)}) + "\n"
+
+#: Files read as UTF-8 bytes: name -> (the file's bytes, exit code of validate, its stderr after "error: <path>: ").
+INPUT_FILES = {
+    "utf-8-bom": (b"\xef\xbb\xbf" + _STATE_TEXT.encode(), 2,
+                  "JSON parse error: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    "utf-16": (_STATE_TEXT.encode("utf-16"), 2, "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "crlf": (_STATE_TEXT.replace("\n", "\r\n").encode(), 0, None),
+    # the char offset counts the four \r bytes before the error: the \n-ended file reads (char 49)
+    "malformed-crlf": (_STATE_TEXT.replace('"cols": 2,', '"cols": 2').replace("\n", "\r\n").encode(), 2,
+                       "JSON parse error: Expecting ',' delimiter: line 5 column 5 (char 53)"),
+    "byte-0xff": (_STATE_TEXT.encode()[:43] + b"\xff" + _STATE_TEXT.encode()[44:], 2,
+                  "'utf-8' codec can't decode byte 0xff in position 43: invalid start byte"),
+    "directory": (None, 2, os.strerror(errno.EISDIR)),
+    "missing": (None, 2, os.strerror(errno.ENOENT)),
+}
+
+
+@pytest.mark.parametrize("name", INPUT_FILES)
+def test_input_file_is_read_as_utf8_bytes(name, tmp_path, capsys):
+    """A state file is UTF-8 bytes, its line ends as they are: a BOM, another encoding or a byte that is not
+    UTF-8 exits 2 with one line naming the file, and so does a path that is not a readable file.  An unwritable
+    --out is the matching case for output, in test_unwritable_out_exits_2."""
+    data, code, message = INPUT_FILES[name]
+    path = tmp_path / "state.json"
+    if name == "directory":
+        path.mkdir()
+    elif data is not None:
+        path.write_bytes(data)
+    assert main(["validate", str(path)]) == code
+    captured = capsys.readouterr()
+    if message is None:
+        assert (captured.out, captured.err) == ('{"valid": true, "dim": 2}\n', "")
+    else:
+        assert (captured.out, captured.err) == ("", f"error: {path}: {message}\n")
 
 
 @pytest.mark.parametrize(

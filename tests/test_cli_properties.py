@@ -1,9 +1,10 @@
-"""The CLI contract as a property over all seven commands.
+"""The CLI contract as a property over all seven commands, and relations between calls.
 
 Every drawn input, entries near and past the float maximum, subnormals, wrong
 shapes, bools and big integers included, gives exit 0, 1 or 2 with no
 traceback and no warning (but the CNOT endpoint warning); JSON output is strict; and every exit 1 or 2 names
-the check it failed or the input it could not use.
+the check it failed or the input it could not use.  On qubit state files, ``verify`` reads back the Kraus file
+that ``kraus --out`` wrote with the same verdict, and an exit 0 at one ``--tol`` stays 0 at every larger one.
 """
 
 import contextlib
@@ -21,6 +22,9 @@ from hypothesis import strategies as st
 
 from krauslab import general_qubit_kraus, kron, pauli_x, pauli_z, validate_density
 from krauslab.cli import KRAUS_METHODS, RESIDUAL_COLUMNS, main
+from krauslab.serialize import matrix_to_json
+
+from conftest import dump, random_density
 
 #: A JSON number past the float maximum: written into the file as the text 1.8e308 (or -1.8e308), which
 #: ``json.load`` reads as an infinity.  No encoder writes it, so the drawn document holds these markers.
@@ -196,3 +200,54 @@ def test_every_command_exits_0_1_or_2_and_names_its_failure(data, command, tol, 
         message = stderr.splitlines()[-1]
         assert re.search(r"\berror: ", message), stderr
         assert any(name in message for name in (*paths, *ARGUMENTS)), stderr
+
+
+#: Qubit state files in both encodings: a random state of rank 1 or 2, or a Bloch vector anywhere in the ball.
+qubit_files = st.one_of(
+    st.builds(lambda seed, rank: {"matrix": matrix_to_json(random_density(np.random.default_rng(seed), rank=rank).mat)},
+              st.integers(0, 2**32 - 1), st.integers(1, 2)),
+    st.builds(lambda r, theta, phi: {"bloch": {"r": r, "theta": theta, "phi": phi}},
+              st.floats(0.0, 1.0), st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi)),
+)
+#: --tol values in increasing order, from exact to the default.
+TOLS = ["0", "1e-16", "1e-14", "1e-12", "1e-10"]
+
+
+def _call(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _kraus_then_verify(tmp, rho0, rhot, method, tol):
+    """The calls ``kraus --out k.json a b`` and then ``verify k.json a b`` at ``tol``, in the directory ``tmp``."""
+    a, b, k = (os.path.join(tmp, name) for name in ("a.json", "b.json", f"k{tol}.json"))
+    dump(rho0, a)
+    dump(rhot, b)
+    return _call(["--tol", tol, "--out", k, "kraus", a, b, "--method", method]), _call(["--tol", tol, "verify", k, a, b])
+
+
+@given(rho0=qubit_files, rhot=qubit_files, method=st.sampled_from(list(KRAUS_METHODS)), tol=st.sampled_from(TOLS))
+@settings(max_examples=200, deadline=None)
+def test_verify_reads_back_the_kraus_file_with_the_same_report(rho0, rhot, method, tol):
+    """The Kraus file round-trips bit for bit: verify prints the report kraus printed, with the same exit code
+    and the same failed checks; where kraus rejects an input state, so does verify."""
+    with tempfile.TemporaryDirectory() as tmp:
+        (made, report, failed), (code, checked, checked_failed) = _kraus_then_verify(tmp, rho0, rhot, method, tol)
+    event(f"kraus exit {made}")
+    assert (code, checked) == (made, report)
+    if made != 2:
+        assert checked_failed == failed.replace("kraus: ", "verify: ")
+
+
+@given(rho0=qubit_files, rhot=qubit_files, method=st.sampled_from(list(KRAUS_METHODS)))
+@settings(max_examples=100, deadline=None)
+def test_exit_0_at_a_tol_stays_0_at_every_larger_tol(rho0, rhot, method):
+    """A verdict only loosens with --tol: kraus and verify exit 0 at every tol above one where they exit 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        calls = [_kraus_then_verify(tmp, rho0, rhot, method, tol) for tol in TOLS]
+    for command, codes in zip(("kraus", "verify"), zip(*((made[0], checked[0]) for made, checked in calls))):
+        event(f"{command} exits {codes}")
+        assert 0 not in codes or set(codes[codes.index(0):]) == {0}, codes

@@ -13,7 +13,6 @@ from krauslab import (
     bloch_matrix,
     closed_form_qubit_kraus,
     conjugate_kraus,
-    diagonal_pair_kraus,
     diagonalize_state,
     factorable_kraus,
     general_qubit_kraus,
@@ -127,7 +126,7 @@ class TestKrausSet:
             KrausSet([identity(2)], d_in=2, d_out=2)
 
     def test_completeness_residual_of_dropped_operator(self):
-        k = diagonal_pair_kraus(0.5, 0.3)
+        k = KrausSet(_diagonal_pair_ops(0.5, 0.3))
         partial = KrausSet([k.ops[0]])
         m1 = k.ops[1]
         assert partial.completeness_residual() == pytest.approx(norm_max(dag(m1) @ m1))
@@ -141,7 +140,7 @@ class TestApplyChannel:
 
     def test_diagonal_pair_on_diagonal_state(self):
         # the spec pair maps diag((1-r0)/2, (1+r0)/2) to diag((1+r)/2, (1-r)/2)
-        k = diagonal_pair_kraus(0.7, 0.2)
+        k = KrausSet(_diagonal_pair_ops(0.7, 0.2))
         rho0 = validate_density(np.diag([0.15, 0.85]))
         out = apply_channel(k, rho0)
         assert norm_max(out.mat - np.diag([0.6, 0.4])) <= 1e-12
@@ -194,46 +193,42 @@ class TestDiagonalPair:
     @settings(max_examples=100, deadline=None)
     def test_fixed_point_family(self, r):
         # with r0 = r the pair swaps the diagonal entries
-        k = diagonal_pair_kraus(r, r)
+        k = KrausSet(_diagonal_pair_ops(r, r))
         rho = np.diag([(1 - r) / 2, (1 + r) / 2]).astype(complex)
         out = apply_kraus_raw(k, rho)
         assert norm_max(out - np.diag([(1 + r) / 2, (1 - r) / 2])) <= 1e-12
         assert k.completeness_residual() <= 1e-15
 
     def test_both_zero_is_identity_channel(self):
-        k = diagonal_pair_kraus(0.0, 0.0)
+        k = KrausSet(_diagonal_pair_ops(0.0, 0.0))
         assert np.allclose(k.ops[0], identity(2))
         assert np.allclose(k.ops[1], np.zeros((2, 2)))
         out = apply_kraus_raw(k, identity(2) / 2)
         assert norm_max(out - identity(2) / 2) == 0
 
     def test_pure_to_mixed(self):
-        k = diagonal_pair_kraus(1.0, 0.0)
+        k = KrausSet(_diagonal_pair_ops(1.0, 0.0))
         assert np.allclose(k.ops[0], np.diag([1, np.sqrt(0.5)]))
         assert k.ops[1][0, 1] == pytest.approx(np.sqrt(0.5))
         out = apply_kraus_raw(k, np.diag([0.0, 1.0]).astype(complex))
         assert norm_max(out - identity(2) / 2) <= 1e-12
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            diagonal_pair_kraus(1.5, 0.0)
-
 
 class TestConjugateKraus:
     def test_identity_conjugation(self):
-        k = diagonal_pair_kraus(0.4, 0.6)
+        k = KrausSet(_diagonal_pair_ops(0.4, 0.6))
         out = conjugate_kraus(k, identity(2), identity(2))
         for a, b in zip(out.ops, k.ops):
             assert norm_max(a - b) == 0
 
     def test_preserves_completeness(self, rng):
-        k = diagonal_pair_kraus(0.4, 0.6)
+        k = KrausSet(_diagonal_pair_ops(0.4, 0.6))
         for _ in range(20):
             out = conjugate_kraus(k, random_unitary(rng, 2), random_unitary(rng, 2))
             assert out.completeness_residual() <= 1e-12
 
     def test_rejects_non_unitary(self):
-        k = diagonal_pair_kraus(0.4, 0.6)
+        k = KrausSet(_diagonal_pair_ops(0.4, 0.6))
         with pytest.raises(ValueError, match="unitary"):
             conjugate_kraus(k, 2 * identity(2), identity(2))
 
@@ -267,7 +262,7 @@ class TestGeneralQubitKraus:
         rho0, rhot = random_density(rng), random_density(rng)
         d0 = diagonalize_state(rho0, plus_first=False)
         dt = diagonalize_state(rhot, plus_first=True)
-        pair = diagonal_pair_kraus(d0.eig_plus - d0.eig_minus, dt.eig_plus - dt.eig_minus)
+        pair = KrausSet(_ref_pair_ops(d0.eig_plus - d0.eig_minus, dt.eig_plus - dt.eig_minus))
         expected = conjugate_kraus(pair, dt.basis, d0.basis)
         got = general_qubit_kraus(rho0, rhot)
         for a, b in zip(got.ops, expected.ops):
@@ -305,8 +300,9 @@ class TestUncheckedQubitPair:
         rho0, rhot = map(validate_density, pair)
         d0 = diagonalize_state(rho0, plus_first=False)
         dt = diagonalize_state(rhot, plus_first=True)
-        pair_kraus = diagonal_pair_kraus(d0.r, dt.r)
-        expected = conjugate_kraus(pair_kraus, dt.basis, d0.basis)
+        for r in (d0.r, dt.r):  # the radii need no clamp to [0, 1]
+            assert np.all((0 <= r) & (r <= 1))
+        expected = conjugate_kraus(KrausSet(_ref_pair_ops(d0.r, dt.r)), dt.basis, d0.basis)
         assert np.array_equal(general_qubit_kraus(rho0, rhot).ops, expected.ops)
 
     @given(radius_pairs=st.lists(st.tuples(radii, radii), min_size=1, max_size=4))
@@ -616,19 +612,19 @@ class TestMeasurePrepareKraus:
 
 class TestUnitaryRemix:
     def test_identity_remix(self):
-        k = diagonal_pair_kraus(0.3, 0.8)
+        k = KrausSet(_diagonal_pair_ops(0.3, 0.8))
         out = unitary_remix(k, identity(2))
         for a, b in zip(out.ops, k.ops):
             assert norm_max(a - b) == 0
 
     def test_permutation_remix(self):
-        k = diagonal_pair_kraus(0.3, 0.8)
+        k = KrausSet(_diagonal_pair_ops(0.3, 0.8))
         out = unitary_remix(k, pauli_x)
         assert norm_max(out.ops[0] - k.ops[1]) == 0
         assert norm_max(out.ops[1] - k.ops[0]) == 0
 
     def test_action_invariance(self, rng):
-        k = diagonal_pair_kraus(0.3, 0.8)
+        k = KrausSet(_diagonal_pair_ops(0.3, 0.8))
         for _ in range(100):
             v = random_unitary(rng, 2)
             rho = random_density(rng)
@@ -637,7 +633,7 @@ class TestUnitaryRemix:
             assert norm_max(out1 - out2) <= 1e-9
 
     def test_padding(self, rng):
-        k = diagonal_pair_kraus(0.3, 0.8)
+        k = KrausSet(_diagonal_pair_ops(0.3, 0.8))
         out = unitary_remix(k, random_unitary(rng, 4))
         assert len(out) == 4
         assert out.completeness_residual() <= 1e-12
@@ -652,7 +648,7 @@ class TestUnitaryRemix:
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
-            unitary_remix(diagonal_pair_kraus(0.3, 0.8), np.ones((2, 2)))
+            unitary_remix(KrausSet(_diagonal_pair_ops(0.3, 0.8)), np.ones((2, 2)))
 
 
 class TestVerifyChannel:

@@ -166,9 +166,6 @@ GUARDED = {
     "factorable_kraus": (lambda: kraus.factorable_kraus(_nan(4), _mixed(), d_i=2), ValueError, "unitary"),
     "unitary_remix": (lambda: kraus.unitary_remix(_PAIR, _nan(2)), ValueError, "unitary"),
     "factor_local_unitary": (lambda: dynamics.factor_local_unitary(_nan(4), (2, 2)), ValueError, "unitary"),
-    "diagonal_pair_kraus": (
-        lambda: kraus.diagonal_pair_kraus(0.5, np.array([0.5, np.nan])), ValueError, r"r outside \[0, 1\]: residual nan"
-    ),
     "CnotScenario": (lambda: dynamics.CnotScenario(float("nan")), ValueError, r"r0 outside \[0, 1\]: residual nan"),
     # the decoder rejects the non-finite entry before the Hermiticity check
     "scenario_from_json": (lambda: serialize.scenario_from_json(_NAN_SCENARIO), serialize.DecodeError, "non-finite"),
