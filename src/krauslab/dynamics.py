@@ -9,12 +9,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kraus import KrausSet, apply_kraus_raw, closed_form_qubit_kraus, factorable_kraus
+from .kraus import KrausSet, _closed_form_pair, apply_kraus_raw, closed_form_qubit_kraus, factorable_kraus
 from .linalg import (
     EPS,
     bound,
     dag,
     eigenphases,
+    eigh,
     identity,
     kron,
     norm_max,
@@ -81,15 +82,19 @@ class ReducedDynamics:
 def reduced_dynamics(h: np.ndarray, s: CompositeState, t) -> ReducedDynamics:
     """The reduced dynamics of ``s`` under U(t) = exp(-iht), from one eigendecomposition of ``h``.
 
-    ``t`` is a time or an array of times.  The joint state and the correlation
-    operator are evolved in the eigenbasis of ``h`` (``linalg.propagate``), so
-    a grid costs no product per time.  Each state is validated once.
+    The CNOT constant ``cnot_hamiltonian()`` takes the eigensystem that
+    ``cnot_eigensystem`` computes once per process; any other ``h``, a copy of
+    that constant included, is decomposed on every call.  ``t`` is a time or
+    an array of times.  The joint state and the correlation operator are
+    evolved in the eigenbasis of ``h`` (``linalg.propagate``), so a grid costs
+    no product per time.  Each state is validated once.
     """
     if np.shape(h) != (s.mat.dim, s.mat.dim):
         raise ValueError(f"Hamiltonian shape {np.shape(h)} does not match joint dim {s.mat.dim}")
     rho_i0, rho_e0 = s.reduced_system(), s.reduced_environment()
     cor = correlation_operator(s, rho_i0, rho_e0)
-    u, joint, cor_t = propagate(*eigenphases(h, t), s.mat.mat, cor)
+    system = cnot_eigensystem() if h is cnot_hamiltonian() else eigh(h)
+    u, joint, cor_t = propagate(*eigenphases(system, t), s.mat.mat, cor)
     joint_t = CompositeState(DensityMatrix(joint, tol=bound(s.mat.tol, s.mat.dim)), s.d_i, s.d_e)
     inhom = partial_trace(cor_t, (s.d_i, s.d_e), keep=0)
     return ReducedDynamics(u, joint_t, joint_t.reduced_system(), rho_i0, rho_e0, cor, inhom)
@@ -122,6 +127,19 @@ def cnot_hamiltonian() -> np.ndarray:
     h = kron(pauli_x, (identity(2) - pauli_z) / 2) + kron(identity(2), (identity(2) + pauli_z) / 2)
     h.flags.writeable = False
     return h
+
+
+@functools.lru_cache(maxsize=None)
+def cnot_eigensystem() -> tuple[np.ndarray, np.ndarray]:
+    """``eigh(cnot_hamiltonian())``, ``(values, vectors)``, computed once per process.
+
+    Shared between calls and therefore read-only.  Only the package's CNOT
+    constant shares its eigensystem: the cache is keyed on that one array,
+    never on the contents of another.
+    """
+    values, vectors = eigh(cnot_hamiltonian())
+    values.flags.writeable = vectors.flags.writeable = False
+    return values, vectors
 
 
 def cnot_unitary(t) -> np.ndarray:
@@ -212,13 +230,15 @@ def sweep_columns(
 ) -> dict[str, np.ndarray]:
     """The sweep table over the time grid ``ts``, one array per SWEEP_COLUMNS name.
 
-    One eigendecomposition of ``h`` gives U(t) on the whole grid, and every
-    column is computed on the stack of times at once.  The Bloch angles and
-    the Kraus pair, closed_form_qubit_kraus from rho_i(0), are read from the
-    CNOT scenario's closed-form state if ``sc`` is given and from the numeric
-    state otherwise; both are checked against the numeric state.  A quantity
-    that does not exist is NaN: the Bloch and Kraus columns unless d_i = 2,
-    and the trace distance without a closed form.
+    One eigendecomposition of ``h`` gives U(t) on the whole grid (the CNOT
+    constant's is computed once per process, see ``reduced_dynamics``), and
+    every column is computed on the stack of times at once.  The Bloch angles
+    and the Kraus pair, the closed form of ``closed_form_qubit_kraus`` from
+    rho_i(0), are read from the CNOT scenario's closed-form state if ``sc`` is
+    given and from the numeric state otherwise; the grid's angles are read
+    once, for the columns and the pair alike.  Both are checked against the
+    numeric state.  A quantity that does not exist is NaN: the Bloch and Kraus
+    columns unless d_i = 2, and the trace distance without a closed form.
     """
     ts = np.asarray(ts, dtype=float)
     cols = {name: np.full(ts.shape, np.nan) for name in SWEEP_COLUMNS}
@@ -233,9 +253,10 @@ def sweep_columns(
         cols["trace_distance_analytic_vs_numeric"] = trace_distance(analytic, numeric)
     else:
         analytic = numeric
-    cols["r(t)"], cols["theta(t)"], cols["phi(t)"] = bloch_angles(analytic.mat)
+    angles = bloch_angles(analytic.mat)
+    cols["r(t)"], cols["theta(t)"], cols["phi(t)"] = angles
     cols["r_t"] = cols["r(t)"].copy() if sc is None else sc.r_t(ts)
-    k = closed_form_qubit_kraus(rho0, analytic)
+    k = _closed_form_pair(bloch_angles(rho0.mat), angles)
     cols["completeness_residual"] = k.completeness_residual()
     cols["reconstruction_residual"] = norm_max(apply_kraus_raw(k, rho0.mat) - numeric.mat)
     return cols

@@ -60,8 +60,17 @@ class KrausSet:
 
 
 def _gram(ops: np.ndarray) -> np.ndarray:
-    """sum_mu M_mu^dagger M_mu of each set."""
-    return np.einsum("n...ji,n...jk->...ik", ops.conj(), ops)
+    """sum_mu M_mu^dagger M_mu of each set, with the bits of that set's Gram alone.
+
+    A single set, or a stack of rectangular ones, is one ``np.einsum`` call.  A stack of square sets is
+    contracted along the stack: its stack axes are moved last by one ``transpose`` and one contiguous copy,
+    and the result is moved back.  A rectangular stack keeps the one call, since in that layout its low bits
+    can differ from a set's alone."""
+    nd = ops.ndim
+    if nd == 3 or ops.shape[-1] != ops.shape[-2]:
+        return np.einsum("n...ji,n...jk->...ik", ops.conj(), ops)
+    last = ops.transpose(0, nd - 2, nd - 1, *range(1, nd - 2)).copy()
+    return np.einsum("nji...,njk...->ik...", last.conj(), last).transpose(*range(2, nd - 1), 0, 1)
 
 
 def _scale(ops: np.ndarray) -> np.ndarray:
@@ -121,7 +130,10 @@ def apply_channel(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
 
 
 def apply_kraus_raw(k: KrausSet, mat: np.ndarray) -> np.ndarray:
-    """Channel action on a raw matrix, no validation of either side; a stack of sets or of matrices broadcasts."""
+    """Channel action on a raw matrix, no validation of either side; a stack of sets or of matrices broadcasts.
+
+    A stack of square sets gives each set's bits; a stack of rectangular ones matches each set only to rounding,
+    as ``np.einsum`` may order its sum differently."""
     return np.einsum("n...ij,...jk,n...lk->...il", k.ops, mat, k.ops.conj())
 
 
@@ -190,7 +202,14 @@ def closed_form_qubit_kraus(rho0: DensityMatrix, rhot: DensityMatrix) -> KrausSe
     stack of pairs.
     """
     _require_qubit_pair("closed_form_qubit_kraus", rho0, rhot)
-    (r0, theta0, phi0), (r, theta, phi) = bloch_angles(rho0.mat), bloch_angles(rhot.mat)
+    return _closed_form_pair(bloch_angles(rho0.mat), bloch_angles(rhot.mat))
+
+
+def _closed_form_pair(angles0: tuple, angles_t: tuple) -> KrausSet:
+    """``closed_form_qubit_kraus`` on the ``(r, theta, phi)`` that ``bloch_angles`` read off its two states.
+
+    No guard: the caller holds the angles of two qubit states, or of stacks of them whose shapes broadcast."""
+    (r0, theta0, phi0), (r, theta, phi) = angles0, angles_t
     c0, s0 = np.cos(theta0 / 2), np.sin(theta0 / 2)
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     e0 = np.exp(1j * phi0)

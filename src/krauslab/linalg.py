@@ -120,14 +120,15 @@ def eigh(m: np.ndarray, tol: float = EPS) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
-def eigenphases(h: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+def eigenphases(system: tuple[np.ndarray, np.ndarray], t) -> tuple[np.ndarray, np.ndarray]:
     """``(vectors, phases)`` with exp(-i h t) = vectors . diag(phases) . vectors^dagger, for Hermitian h.
 
-    One eigendecomposition of h.  ``t`` is a real time or an array of times;
-    for an array of shape S, ``phases`` has shape S + (d,).  Raises
-    ValueError if a product t * lambda is not finite: its phase is undefined.
+    ``system`` is ``eigh(h)``, ``(values, vectors)``, so a caller that holds
+    it pays no decomposition.  ``t`` is a real time or an array of times; for
+    an array of shape S, ``phases`` has shape S + (d,).  Raises ValueError if
+    a product t * lambda is not finite: its phase is undefined.
     """
-    values, vectors = eigh(h)
+    values, vectors = system
     angles = np.multiply.outer(t, values)
     if not np.isfinite(angles).all():
         raise ValueError(f"t * eigenvalue of H is not finite: |t| up to {np.max(np.abs(t)):.3e}, "
@@ -161,7 +162,7 @@ def expm_hermitian_generator(h: np.ndarray, t) -> np.ndarray:
     result is the stack of shape S + h.shape.  Unitary up to rounding for
     any real t.
     """
-    return propagate(*eigenphases(h, t))[0]
+    return propagate(*eigenphases(eigh(h), t))[0]
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -106,3 +106,16 @@ def eigvalsh_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     return calls
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """The input shape of each ``np.linalg.eigh`` call made during the test."""
+    shapes, eigh = [], np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return shapes

@@ -24,7 +24,7 @@ from krauslab import (
 )
 from krauslab import cli, states
 from krauslab.cli import KRAUS_METHODS, RESIDUAL_COLUMNS, build_parser, main
-from krauslab.dynamics import SWEEP_COLUMNS, ReducedDynamics, sweep_columns
+from krauslab.dynamics import SWEEP_COLUMNS, ReducedDynamics, cnot_eigensystem, sweep_columns
 from krauslab.kraus import apply_kraus_raw, factorable_kraus
 from krauslab.linalg import EPS, bound, eigenphases, expm_hermitian_generator, norm_max
 from krauslab.serialize import dumps, kraus_to_json, load, matrix_from_json, matrix_to_json, scenario_from_json
@@ -171,9 +171,10 @@ class TestEvolve:
         assert norm_max(matrix_from_json(out["delta_rho"])) <= 1e-10
 
     @pytest.mark.parametrize("kind", ["cnot", "custom3"])
-    def test_diagonalises_h_once(self, kind, cnot_scenario, tmp_path, rng, monkeypatch, capsys):
-        """One eigh of the joint Hamiltonian per call, and the same output as
-        evolving, taking the inhomogeneous term and exponentiating h separately."""
+    def test_diagonalises_h_once(self, kind, cnot_scenario, tmp_path, rng, eigh_shapes, capsys):
+        """One eigh of a custom joint Hamiltonian per call and none of the CNOT constant, whose eigensystem
+        the warm-up evolution below already cached; the same output as evolving, taking the inhomogeneous
+        term and exponentiating h separately."""
         path = cnot_scenario
         if kind == "custom3":
             path = str(tmp_path / "custom.json")
@@ -194,16 +195,9 @@ class TestEvolve:
             "rho_cor_0": matrix_to_json(correlation_operator(joint, rho_i0, rho_e0)),
             "decomposition_residual": norm_max(rho_t.mat - homogeneous - inhom),
         }
-        shapes = []
-        numpy_eigh = np.linalg.eigh
-
-        def counting_eigh(m, *args, **kwargs):
-            shapes.append(np.shape(m))
-            return numpy_eigh(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        eigh_shapes.clear()
         assert main(["evolve", path, "--t", repr(t)]) == 0
-        assert shapes.count(h.shape) == 1
+        assert eigh_shapes.count(h.shape) == (0 if kind == "cnot" else 1)
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
     def test_validates_each_state_once(self, cnot_scenario, monkeypatch, capsys):
@@ -288,6 +282,19 @@ class TestSweep:
         first = capsys.readouterr().out
         main(args)
         assert capsys.readouterr().out == first
+
+    def test_second_cnot_sweep_takes_no_eigh(self, cnot_scenario, eigh_shapes, capsys):
+        """The CNOT eigensystem is computed once per process: the first sweep after the cache is cleared makes
+        one eigh of shape (4, 4), a second makes none, and both print the same bytes."""
+        cnot_eigensystem.cache_clear()
+        args = ["sweep", cnot_scenario, "--t-start", "0", "--t-end", "3", "--steps", "20"]
+        outputs = []
+        for expected in (1, 0):
+            eigh_shapes.clear()
+            assert main(args) == 0
+            assert eigh_shapes.count((4, 4)) == expected
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_r0_zero_through_t0(self, tmp_path, capsys):
         """At r0 = 0, r_t = 0 at t = 0: the pair is defined there too, and that
@@ -623,8 +630,8 @@ def test_computed_state_missing_its_bound_exits_1(tmp_path, rng, monkeypatch, ca
     trace misses its bound: exit 1 with one stderr line, no traceback and no output."""
     path = _tol_zero_scenario(tmp_path, rng)
 
-    def perturbed(h, t):
-        vectors, phases = eigenphases(h, t)
+    def perturbed(system, t):
+        vectors, phases = eigenphases(system, t)
         return vectors, (1 + 1e-6) * phases
 
     monkeypatch.setattr("krauslab.dynamics.eigenphases", perturbed)

@@ -4,7 +4,8 @@ Every drawn input, entries near and past the float maximum, subnormals, wrong
 shapes, bools and big integers included, gives exit 0, 1 or 2 with no
 traceback and no warning (but the CNOT endpoint warning); JSON output is strict; and every exit 1 or 2 names
 the check it failed or the input it could not use.  On qubit state files, ``verify`` reads back the Kraus file
-that ``kraus --out`` wrote with the same verdict, and an exit 0 at one ``--tol`` stays 0 at every larger one.
+that ``kraus --out`` wrote with the same verdict, and an exit 0 at one ``--tol`` stays 0 at every larger one, for
+``kraus`` and ``verify`` on qubit files and for ``sweep`` and ``evolve`` on scenario files.
 """
 
 import contextlib
@@ -24,7 +25,7 @@ from krauslab import general_qubit_kraus, kron, pauli_x, pauli_z, validate_densi
 from krauslab.cli import KRAUS_METHODS, RESIDUAL_COLUMNS, main
 from krauslab.serialize import matrix_to_json
 
-from conftest import dump, random_density
+from conftest import dump, random_density, random_hermitian
 
 #: A JSON number past the float maximum: written into the file as the text 1.8e308 (or -1.8e308), which
 #: ``json.load`` reads as an infinity.  No encoder writes it, so the drawn document holds these markers.
@@ -251,3 +252,50 @@ def test_exit_0_at_a_tol_stays_0_at_every_larger_tol(rho0, rhot, method):
     for command, codes in zip(("kraus", "verify"), zip(*((made[0], checked[0]) for made, checked in calls))):
         event(f"{command} exits {codes}")
         assert 0 not in codes or set(codes[codes.index(0):]) == {0}, codes
+
+
+@st.composite
+def scenario_files(draw):
+    """A scenario file: CNOT with r0 in [0, 1] or up to 1e-10 outside it, where the joint state's negative entry
+    makes sweep and evolve miss their bounds at small --tol; or custom with d_i = 2, d_e = 2 or 3, a random
+    Hermitian H and a joint state that is random or exact (dyadic on the diagonal), so that it passes at --tol 0."""
+    if draw(st.booleans()):
+        return {"scenario": "cnot", "r0": draw(st.one_of(st.floats(0.0, 1.0), st.floats(-1e-10, 0.0),
+                                                        st.floats(1.0, 1.0 + 1e-10)))}
+    d = 2 * draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = random_density(rng, d=d).mat if draw(st.booleans()) else np.diag(rng.multinomial(64, np.full(d, 1 / d)) / 64)
+    return {"scenario": "custom", "hamiltonian": matrix_to_json(random_hermitian(rng, d)),
+            "rho_ie0": matrix_to_json(rho), "dims": [2, d // 2]}
+
+
+#: The one line of each check that ``sweep`` or ``evolve`` fails: its column, or its residual, and for ``sweep`` the
+#: time of the worst row.
+FAILED_CHECK = {
+    "sweep": re.compile(rf"sweep: ({'|'.join(RESIDUAL_COLUMNS)}) \S+ > tol \S+, worst at t = \S+"),
+    "evolve": re.compile(r"evolve: decomposition_residual \S+ > tol \S+"),
+}
+
+
+#: End times: short, and long enough that the rounding of t * lambda in the phases misses the bounds at small --tol.
+end_times = st.one_of(st.floats(0.1, 10.0), st.floats(10.0, 1e5))
+
+
+@given(scenario=scenario_files(), command=st.sampled_from(list(FAILED_CHECK)), t=end_times, steps=st.integers(2, 6))
+@settings(max_examples=100, deadline=None)
+def test_sweep_and_evolve_exit_0_at_a_tol_stays_0_at_every_larger_tol(scenario, command, t, steps):
+    """A verdict only loosens with --tol: sweep over [0, t] and evolve at t exit 0 at every tol above one where
+    they exit 0, and each exit 1 names every check it fails (for sweep, where on the grid it is worst)."""
+    options = ["--t-start", "0", "--t-end", repr(t), "--steps", str(steps)] if command == "sweep" else ["--t", repr(t)]
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "r0 = .* is at an endpoint", UserWarning)
+        path = os.path.join(tmp, "scenario.json")
+        dump(scenario, path)
+        calls = [_call(["--tol", tol, command, path, *options]) for tol in TOLS]
+    codes = tuple(code for code, _, _ in calls)
+    event(f"{command} exits {codes}")
+    assert 0 not in codes or set(codes[codes.index(0):]) == {0}, codes
+    for code, _, err in calls:
+        assert code in (0, 1, 2), err
+        if code == 1:
+            assert all(FAILED_CHECK[command].fullmatch(line) for line in err.splitlines()), err

@@ -25,12 +25,13 @@ from krauslab import (
     validate_density,
     verify_channel,
 )
-from krauslab.dynamics import SWEEP_COLUMNS, reduced_dynamics, sweep_columns
+from krauslab.dynamics import SWEEP_COLUMNS, cnot_eigensystem, reduced_dynamics, sweep_columns
 from krauslab.kraus import apply_kraus_raw
 from krauslab.linalg import (
     EPS,
     bound,
     dag,
+    eigh,
     expm_hermitian_generator,
     failures,
     identity,
@@ -87,6 +88,28 @@ class TestCnotHamiltonian:
         assert cnot_hamiltonian() is h
         with pytest.raises(ValueError, match="read-only"):
             h[0, 0] = 2
+
+    def test_one_shared_read_only_eigensystem(self):
+        """eigh(H) once per process, bit for bit, in arrays that cannot be assigned to."""
+        values, vectors = cnot_eigensystem()
+        assert cnot_eigensystem() is cnot_eigensystem()
+        fresh_values, fresh_vectors = eigh(cnot_hamiltonian())
+        assert values.tobytes() == fresh_values.tobytes() and vectors.tobytes() == fresh_vectors.tobytes()
+        for cached in (values, vectors):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 2
+
+    def test_a_copy_of_h_is_decomposed_on_every_call(self, eigh_shapes):
+        """Only the constant itself shares the eigensystem: an equal, writeable copy of H is decomposed again,
+        and evolves to the same bits."""
+        joint, t = CnotScenario(0.3).initial_joint(), np.linspace(0, 3, 7)
+        shared = reduced_dynamics(cnot_hamiltonian(), joint, t)
+        eigh_shapes.clear()
+        for expected in (1, 2):
+            copied = reduced_dynamics(cnot_hamiltonian().copy(), joint, t)
+            assert eigh_shapes.count((4, 4)) == expected
+            assert copied.rho_i_t.mat.tobytes() == shared.rho_i_t.mat.tobytes()
+            assert copied.inhom.tobytes() == shared.inhom.tobytes()
 
     def test_exponential_matches_closed_form(self):
         h = cnot_hamiltonian()
