@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -185,66 +186,128 @@ def finite(text: str) -> float:
 
 def tolerance(text: str) -> float:
     """argparse type: a finite float >= 0."""
-    if not finite(text) >= 0:
+    if not (value := finite(text)) >= 0:
         raise ValueError(text)
-    return float(text)
+    return value
+
+
+class Command(NamedTuple):
+    """One subcommand: its handler, its help, its positionals and its options, each option string mapped
+    to its ``add_argument`` keywords."""
+
+    func: Callable[[argparse.Namespace], int]
+    help: str
+    positionals: tuple[str, ...]
+    options: dict[str, dict]
+
+
+#: The global options, which go before the command: option string -> ``add_argument`` keywords.
+GLOBAL_OPTIONS = {
+    "--tol": {"type": tolerance, "default": EPS, "help": "absolute tolerance (max-norm)"},
+    "--out": {"default": None, "help": "write primary output to this path"},
+}
+
+#: The CLI's one grammar, in argparse's order: ``build_parser`` builds argparse's parser from it and
+#: ``_read`` reads a canonical argv with it, so the two cannot disagree on a command or an option.
+COMMANDS = {
+    "validate": Command(cmd_validate, "check a state file against the density-matrix invariants", ("state",), {}),
+    "kraus": Command(cmd_kraus, "construct a Kraus set connecting two states", ("rho0", "rhot"),
+                     {"--method": {"choices": list(KRAUS_METHODS), "default": "general"}}),
+    "evolve": Command(cmd_evolve, "evolve a scenario and report the inhomogeneous term", ("scenario",),
+                      {"--t": {"type": finite, "required": True}}),
+    "sweep": Command(cmd_sweep, "tabulate scenario quantities over a time grid", ("scenario",), {
+        "--t-start": {"type": finite, "required": True},
+        "--t-end": {"type": finite, "required": True},
+        "--steps": {"type": int, "required": True},
+        "--format": {"choices": ["csv", "json"], "default": "csv", "help": "row format"},
+    }),
+    "verify": Command(cmd_verify, "verify a Kraus set against a state pair", ("kraus", "rho0", "rhot"), {}),
+    "remix": Command(cmd_remix, "remix a Kraus set by a unitary matrix", ("kraus", "unitary"), {}),
+    "factor": Command(cmd_factor, "factor a joint unitary into local factors if possible", ("unitary",),
+                      {"--dims": {"type": int, "nargs": 2, "required": True, "metavar": ("D_I", "D_E")}}),
+}
 
 
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once and shared between calls, so callers must not modify it."""
+    """The CLI parser, built once from ``GLOBAL_OPTIONS`` and ``COMMANDS`` and shared between calls, so callers
+    must not modify it."""
     parser = argparse.ArgumentParser(
         prog="krauslab",
         description="Construct and verify Kraus representations for open qubit systems.",
     )
-    parser.add_argument("--tol", type=tolerance, default=EPS, help="absolute tolerance (max-norm)")
-    parser.add_argument("--out", default=None, help="write primary output to this path")
+    for flag, keywords in GLOBAL_OPTIONS.items():
+        parser.add_argument(flag, **keywords)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a state file against the density-matrix invariants")
-    p.add_argument("state")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("kraus", help="construct a Kraus set connecting two states")
-    p.add_argument("rho0")
-    p.add_argument("rhot")
-    p.add_argument("--method", choices=list(KRAUS_METHODS), default="general")
-    p.set_defaults(func=cmd_kraus)
-
-    p = sub.add_parser("evolve", help="evolve a scenario and report the inhomogeneous term")
-    p.add_argument("scenario")
-    p.add_argument("--t", type=finite, required=True)
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("sweep", help="tabulate scenario quantities over a time grid")
-    p.add_argument("scenario")
-    p.add_argument("--t-start", type=finite, required=True)
-    p.add_argument("--t-end", type=finite, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv", help="row format")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("verify", help="verify a Kraus set against a state pair")
-    p.add_argument("kraus")
-    p.add_argument("rho0")
-    p.add_argument("rhot")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("remix", help="remix a Kraus set by a unitary matrix")
-    p.add_argument("kraus")
-    p.add_argument("unitary")
-    p.set_defaults(func=cmd_remix)
-
-    p = sub.add_parser("factor", help="factor a joint unitary into local factors if possible")
-    p.add_argument("unitary")
-    p.add_argument("--dims", type=int, nargs=2, required=True, metavar=("D_I", "D_E"))
-    p.set_defaults(func=cmd_factor)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for dest in command.positionals:
+            p.add_argument(dest)
+        for flag, keywords in command.options.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=command.func)
     return parser
 
 
+def _dest(flag: str) -> str:
+    """The attribute argparse stores an option under: ``--t-start`` -> ``t_start``."""
+    return flag[2:].replace("-", "_")
+
+
+def _read(argv: list) -> argparse.Namespace | None:
+    """The Namespace argparse returns for a canonical ``argv``, read from the grammar without argparse; else None.
+
+    Canonical: exact global option strings, each with its value, then the command, then exactly its positionals
+    in any order with its exact options, each with its nargs values; every token a str, no option twice, none
+    missing that is required, and no value that begins with "-".  Each value goes through its option's type and
+    choices as in argparse.  Anything else, an abbreviation, ``--opt=value``, ``-h``, ``--`` or a value argparse
+    rejects among them, is None: argparse reads that argv, with its help, its usage and its errors.
+    """
+    if any(type(token) is not str for token in argv):
+        return None
+    values, positionals, command, options = {}, [], None, GLOBAL_OPTIONS
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if token in options:
+            keywords = options[token]
+            nargs, convert, choices = keywords.get("nargs"), keywords.get("type"), keywords.get("choices")
+            raw = argv[i + 1:i + 1 + (nargs or 1)]
+            if _dest(token) in values or len(raw) != (nargs or 1) or any(value[:1] == "-" for value in raw):
+                return None
+            try:
+                converted = [value if convert is None else convert(value) for value in raw]
+            except (ValueError, TypeError, argparse.ArgumentTypeError):  # what argparse reports as an invalid value
+                return None
+            if choices is not None and any(value not in choices for value in converted):
+                return None
+            values[_dest(token)] = converted if nargs else converted[0]
+            i += len(raw)
+        elif token[:1] == "-":
+            return None
+        elif command is not None:
+            positionals.append(token)
+        elif token in COMMANDS:
+            command, options = COMMANDS[token], COMMANDS[token].options
+            values["command"] = token
+        else:
+            return None
+        i += 1
+    if command is None or len(positionals) != len(command.positionals):
+        return None
+    for flag, keywords in (*GLOBAL_OPTIONS.items(), *command.options.items()):
+        if _dest(flag) not in values:
+            if keywords.get("required"):
+                return None
+            values[_dest(flag)] = keywords.get("default")
+    return argparse.Namespace(**values, **dict(zip(command.positionals, positionals)), func=command.func)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         with np.errstate(all="ignore"):  # an overflow shows in the residual it makes and the exit code, not on stderr
             return args.func(args)

@@ -175,9 +175,10 @@ class CnotScenario:
                 stacklevel=3,  # past the dataclass-generated __init__ to the caller
             )
 
-    def initial_joint(self) -> CompositeState:
+    def initial_joint(self, tol: float = EPS) -> CompositeState:
+        """The joint state, validated at ``tol`` like a decoded one."""
         mat = np.diag([(1 - self.r0) / 2, 0.0, 0.0, (1 + self.r0) / 2]).astype(complex)
-        return CompositeState(mat=DensityMatrix(mat), d_i=2, d_e=2)
+        return CompositeState(mat=DensityMatrix(mat, tol=tol), d_i=2, d_e=2)
 
     def initial_reduced(self) -> DensityMatrix:
         return DensityMatrix(0.5 * (identity(2) - self.r0 * pauli_z))

@@ -127,8 +127,9 @@ def scenario_from_json(obj: Any, tol: float = EPS) -> tuple[np.ndarray, Composit
 
     Two forms: {"scenario": "cnot", "r0": x} or
     {"scenario": "custom", "hamiltonian": <matrix>, "rho_ie0": <matrix>,
-    "dims": [d_i, d_e]}; a custom scenario has no CnotScenario.  A custom
-    Hamiltonian must be Hermitian within ``tol``; its Hermitian part is returned.
+    "dims": [d_i, d_e]}; a custom scenario has no CnotScenario.  The joint state of
+    either form is validated at ``tol``.  A custom Hamiltonian must be Hermitian
+    within ``tol``; its Hermitian part is returned.
     """
     if not isinstance(obj, dict) or "scenario" not in obj:
         raise DecodeError("scenario object needs a 'scenario' key")
@@ -139,7 +140,7 @@ def scenario_from_json(obj: Any, tol: float = EPS) -> tuple[np.ndarray, Composit
         except KeyError as exc:
             raise DecodeError(f"cnot scenario needs 'r0': {exc}") from exc
         sc = CnotScenario(_finite_number(r0, "r0"))
-        return cnot_hamiltonian(), sc.initial_joint(), sc
+        return cnot_hamiltonian(), sc.initial_joint(tol), sc
     if kind == "custom":
         try:
             h = matrix_from_json(obj["hamiltonian"])

@@ -910,6 +910,30 @@ def test_r0_is_judged_at_eps_plus_the_rounding_of_a_direct_distance(tmp_path, ca
         assert "r0 outside [0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["sweep", "--t-start", "0", "--t-end", "1", "--steps", "3"], ["evolve", "--t", "0.7"]],
+    ids=["sweep", "evolve"],
+)
+def test_cnot_joint_state_is_validated_at_tol_like_a_custom_one(tmp_path, capsys, command):
+    """r0 = 1 + 1e-11 gives the joint state diag(-5e-12, 0, 0, 1 + 5e-12): at --tol 0 a CNOT file is rejected
+    with the message of the same joint state in a custom file, and at the default tol both pass."""
+    r0 = 1.00000000001
+    cnot, custom = str(tmp_path / "cnot.json"), str(tmp_path / "custom.json")
+    dump({"scenario": "cnot", "r0": r0}, cnot)
+    dump(_custom(kron(pauli_x, pauli_z), rho=np.diag([(1 - r0) / 2, 0.0, 0.0, (1 + r0) / 2])), custom)
+    message = ": not a valid density matrix: positive residual 5.000e-12 > tol 0.000e+00\n"
+    with pytest.warns(UserWarning, match="endpoint"):
+        assert main(["--tol", "0", command[0], cnot, *command[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {cnot}{message}"
+    assert main(["--tol", "0", command[0], custom, *command[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {custom}{message}"
+    for path in (cnot, custom):
+        with pytest.warns(UserWarning, match="endpoint") if path == cnot else contextlib.nullcontext():
+            assert main([command[0], path, *command[1:]]) == 0
+    capsys.readouterr()
+
+
 def test_sweep_format_json(cnot_scenario, capsys):
     argv = ["sweep", cnot_scenario, "--t-start", "0", "--t-end", "2", "--steps", "7", "--format", "json"]
     assert main(["--tol", "1e-9", *argv]) == 0
@@ -1046,6 +1070,58 @@ def test_parser_rejects(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus", "x"],
+        ["-h"],
+        ["validate", "--help"],
+        ["validate", "--", "x"],
+        ["--to", "0", "validate", "x"],
+        ["--tol=0", "validate", "x"],
+        ["--tol", "0", "--tol", "1", "validate", "x"],
+        ["validate", "x", "--tol", "0"],
+        ["kraus", "a", "b", "--method", "general", "--method", "general"],
+        ["kraus", "a", "b", "--meth", "general"],
+        ["kraus", "a", "b", "--method", "zz"],
+        ["kraus", "a"],
+        ["kraus", "a", "b", "c"],
+        ["evolve", "x"],
+        ["evolve", "x", "--t", "-1"],
+        ["evolve", "x", "--t=1"],
+        ["evolve", "x", "--t", "nan"],
+        ["sweep", "x", "--t", "0", "--t-end", "1", "--steps", "2"],
+        ["sweep", "x", "--t-start", "0", "--t-end", "1", "--steps", "2.5"],
+        ["factor", "u", "--dims", "2"],
+        ["factor", "-u", "--dims", "2", "2"],
+    ],
+)
+def test_reader_leaves_every_other_argv_to_argparse(argv):
+    """An argv that is not canonical (an unknown, abbreviated, ``=``, repeated or misplaced option, help, ``--``,
+    a value that begins with "-" or that argparse rejects, a wrong number of positionals or a missing required
+    option) is not read directly."""
+    assert cli._read(argv) is None
+
+
+def test_canonical_argv_takes_no_argparse(cnot_scenario, tmp_path, monkeypatch, capsys):
+    """Argvs of exact options, each with its value, in any order with the positionals, run with no parser at all,
+    with the same results as through argparse."""
+    state = write_state(tmp_path, "a.json", validate_density(np.eye(2) / 2))
+    out = str(tmp_path / "out.json")
+    argvs = [
+        ["--tol", "1e-9", "--out", out, "kraus", "--method", "closed-form", state, state],
+        ["--out", out, "validate", state],
+        ["evolve", "--t", "0.7", cnot_scenario],
+        ["sweep", cnot_scenario, "--steps", "3", "--t-end", "1", "--t-start", "0", "--format", "json"],
+        ["factor", "--dims", "1", "2", str(tmp_path / "missing.json")],
+    ]
+    expected = [_call(argv, capsys) for argv in argvs]
+    monkeypatch.setattr(cli, "build_parser", None)
+    assert [_call(argv, capsys) for argv in argvs] == expected
+    assert [code for code, _, _ in expected] == [0, 0, 0, 0, 2]
 
 
 def _call(argv, capsys, fresh=False):

@@ -5,7 +5,9 @@ shapes, bools and big integers included, gives exit 0, 1 or 2 with no
 traceback and no warning (but the CNOT endpoint warning); JSON output is strict; and every exit 1 or 2 names
 the check it failed or the input it could not use.  On qubit state files, ``verify`` reads back the Kraus file
 that ``kraus --out`` wrote with the same verdict, and an exit 0 at one ``--tol`` stays 0 at every larger one, for
-``kraus`` and ``verify`` on qubit files and for ``sweep`` and ``evolve`` on scenario files.
+``kraus`` and ``verify`` on qubit files, for ``sweep`` and ``evolve`` on scenario files, and for ``validate``,
+``remix`` and ``factor`` on inputs within rounding of each tol.  On drawn argvs, exact, abbreviated, ``=``, spoiled
+or out of order, the CLI's direct reader returns argparse's Namespace or leaves the argv to argparse.
 """
 
 import contextlib
@@ -22,10 +24,11 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from krauslab import general_qubit_kraus, kron, pauli_x, pauli_z, validate_density
-from krauslab.cli import KRAUS_METHODS, RESIDUAL_COLUMNS, main
-from krauslab.serialize import matrix_to_json
+from krauslab import cli
+from krauslab.cli import GLOBAL_OPTIONS, KRAUS_METHODS, RESIDUAL_COLUMNS, build_parser, finite, main, tolerance
+from krauslab.serialize import kraus_to_json, matrix_to_json
 
-from conftest import dump, random_density, random_hermitian
+from conftest import dump, edge_matrix, random_density, random_hermitian, random_unitary
 
 #: A JSON number past the float maximum: written into the file as the text 1.8e308 (or -1.8e308), which
 #: ``json.load`` reads as an infinity.  No encoder writes it, so the drawn document holds these markers.
@@ -257,8 +260,9 @@ def test_exit_0_at_a_tol_stays_0_at_every_larger_tol(rho0, rhot, method):
 @st.composite
 def scenario_files(draw):
     """A scenario file: CNOT with r0 in [0, 1] or up to 1e-10 outside it, where the joint state's negative entry
-    makes sweep and evolve miss their bounds at small --tol; or custom with d_i = 2, d_e = 2 or 3, a random
-    Hermitian H and a joint state that is random or exact (dyadic on the diagonal), so that it passes at --tol 0."""
+    makes sweep and evolve exit 2 at small --tol, as the same joint state in a custom file does; or custom with
+    d_i = 2, d_e = 2 or 3, a random Hermitian H and a joint state that is random or exact (dyadic on the
+    diagonal), so that it passes at --tol 0."""
     if draw(st.booleans()):
         return {"scenario": "cnot", "r0": draw(st.one_of(st.floats(0.0, 1.0), st.floats(-1e-10, 0.0),
                                                         st.floats(1.0, 1.0 + 1e-10)))}
@@ -299,3 +303,155 @@ def test_sweep_and_evolve_exit_0_at_a_tol_stays_0_at_every_larger_tol(scenario, 
         assert code in (0, 1, 2), err
         if code == 1:
             assert all(FAILED_CHECK[command].fullmatch(line) for line in err.splitlines()), err
+
+
+def _files_near_the_edge(tmp, command, rng, scale):
+    """The file arguments of ``command`` with inputs ``scale`` from exact, where --tol decides the verdict: a state
+    pushed to the edge of ``scale``, a unitary remix matrix off by ``scale``, or a product unitary off by ``scale``
+    (one in four not a product at all)."""
+    noise = rng.normal(size=(4, 4, 2)) @ np.array([1, 1j])
+    if command == "validate":
+        d = int(rng.integers(2, 4))
+        docs = [{"matrix": matrix_to_json(edge_matrix(rng, d, scale, rng.choice([-1, 1])))}]
+    elif command == "remix":
+        k = general_qubit_kraus(random_density(rng), random_density(rng))
+        n = int(rng.integers(2, 5))
+        v = random_unitary(rng, n) + scale * noise[:n, :n] / np.abs(noise[:n, :n]).max()
+        docs = [kraus_to_json(k), matrix_to_json(v)]
+    else:
+        u = kron(random_unitary(rng, 2), random_unitary(rng, 2)) if rng.random() < 0.75 else random_unitary(rng, 4)
+        docs = [matrix_to_json(u + scale * noise / np.abs(noise).max())]
+    paths = [os.path.join(tmp, f"in{i}.json") for i in range(len(docs))]
+    for path, doc in zip(paths, docs):
+        dump(doc, path)
+    return paths + (["--dims", "2", "2"] if command == "factor" else [])
+
+
+@given(command=st.sampled_from(["validate", "remix", "factor"]), seed=st.integers(0, 2**32 - 1),
+       scale=st.one_of(st.just(0.0), st.floats(-17.0, -9.0).map(lambda e: 10.0**e)))
+@settings(max_examples=150, deadline=None)
+def test_validate_remix_and_factor_exit_0_at_a_tol_stays_0_at_every_larger_tol(command, seed, scale):
+    """A verdict only loosens with --tol: validate, remix and factor exit 0 at every tol above one where they
+    exit 0, on inputs within rounding of each tol."""
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        args = _files_near_the_edge(tmp, command, rng, scale)
+        codes = tuple(_call(["--tol", tol, command, *args])[0] for tol in TOLS)
+    event(f"{command} exits {codes}")
+    assert set(codes) <= {0, 1, 2}, codes
+    assert 0 not in codes or set(codes[codes.index(0):]) == {0}, codes
+
+
+#: Option values: valid for the option (first) and rejected by it (second), per type.  Valid values include the
+#: empty string, a command name, and values with a space before their "-", which argparse reads as values.
+GOOD_VALUES = {
+    tolerance: ["0", "1e-12", "1e-6", "3", " 2", "0.0"],
+    finite: ["0", "1.5", "7.853981633974483", "1e-300", " -1", "1e308"],
+    int: ["2", "3", "0", "100", " 5", "1_0"],
+    None: ["a.json", "x", "", "validate", "a b", "x=1", " -x"],
+}
+BAD_VALUES = {
+    tolerance: ["-1", "-0", "nan", "inf", "1e400", "x", ""],
+    finite: ["-1", "-1e-3", "nan", "-inf", "inf", "1.8e308", "x", ""],
+    int: ["-1", "2.5", "x", "", "1e3"],
+    None: ["-x", "--", "-", "-1", "--tol"],
+}
+
+
+@st.composite
+def option_values(draw, keywords):
+    """(value, valid) for an option with ``keywords``, or for a positional when they are empty."""
+    if "choices" in keywords:
+        good, bad = keywords["choices"], ["zz", "General", "-general", ""]
+    else:
+        good, bad = GOOD_VALUES[keywords.get("type")], BAD_VALUES[keywords.get("type")]
+    valid = draw(st.sampled_from([True, True, True, False]))
+    return draw(st.sampled_from(good if valid else bad)), valid
+
+
+def _abbreviate(argv, i, draw):
+    if argv[i].startswith("--"):
+        argv[i] = argv[i][:draw(st.integers(2, len(argv[i]) - 1))] if len(argv[i]) > 3 else argv[i] + "x"
+
+
+def _join_value(argv, i, draw):
+    if argv[i].startswith("--"):
+        argv[i:i + 2] = ["=".join(argv[i:i + 2])]
+
+
+def _repeat(argv, i, draw):
+    argv[i:i] = argv[i:i + 2] if argv[i].startswith("--") else argv[i:i + 1]
+
+
+def _insert(argv, i, draw):
+    argv.insert(i, draw(st.sampled_from(["--", "-h", "--help", "-", "bogus", "x", "-1"])))
+
+
+def _swap(argv, i, draw):
+    argv[i:i + 2] = argv[i:i + 2][::-1]
+
+
+def _global_after_command(argv, i, draw):
+    if argv[0] in GLOBAL_OPTIONS:
+        argv[len(argv):] = argv[:2]
+        del argv[:2]
+
+
+#: Ways to spoil an argv at a drawn token index: an abbreviated or ``=`` option, a repeated, dropped, stray or
+#: swapped token, ``--``, ``-h``/``--help``, or a global option moved after the command.
+MUTATIONS = [_abbreviate, _join_value, _repeat, lambda argv, i, draw: argv.pop(i), _insert, _swap,
+             _global_after_command]
+
+
+@st.composite
+def argvs(draw):
+    """(argv, canonical): an argv built from the grammar, with spoiled values, a required option left out now and
+    then, and up to three mutations; ``canonical`` is True when none of these was drawn."""
+    name = draw(st.sampled_from([*cli.COMMANDS, "bogus", "val"]))
+    command = cli.COMMANDS.get(name, cli.Command(None, "", ("x",), {}))
+    canonical = name in cli.COMMANDS
+    head = []
+    for flag in draw(st.permutations(list(GLOBAL_OPTIONS))):
+        if draw(st.booleans()):
+            value, valid = draw(option_values(GLOBAL_OPTIONS[flag]))
+            head += [flag, value]
+            canonical &= valid
+    items = []
+    for dest in command.positionals:
+        value, valid = draw(option_values({}))
+        items.append([value])
+        canonical &= valid
+    for flag, keywords in command.options.items():
+        if draw(st.sampled_from([True] * 7 + [False]) if keywords.get("required") else st.booleans()):
+            drawn = [draw(option_values(keywords)) for _ in range(keywords.get("nargs") or 1)]
+            items.append([flag, *(value for value, _ in drawn)])
+            canonical &= all(valid for _, valid in drawn)
+        else:
+            canonical &= not keywords.get("required")
+    argv = [*head, name, *(token for item in draw(st.permutations(items)) for token in item)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3]))):
+        before = list(argv)
+        if argv:
+            draw(st.sampled_from(MUTATIONS))(argv, draw(st.integers(0, len(argv) - 1)), draw)
+        canonical &= argv == before
+    return argv, canonical
+
+
+@given(case=argvs())
+@settings(max_examples=2000, deadline=None)
+def test_the_direct_reader_reads_what_argparse_reads(case):
+    """For every argv the direct reader accepts, its Namespace equals argparse's; every argv argparse rejects (or
+    answers with help) it leaves to argparse; and every canonical argv it reads itself."""
+    argv, canonical = case
+    read = cli._read(list(argv))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            expected = vars(build_parser().parse_args(argv))
+        except SystemExit:
+            expected = None
+    event(f"argparse {'accepts' if expected else 'exits'}, reader {'accepts' if read else 'declines'}")
+    if read is not None:
+        assert vars(read) == expected, argv
+    if canonical:
+        assert read is not None, argv
