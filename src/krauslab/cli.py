@@ -107,8 +107,8 @@ def cmd_kraus(args) -> int:
     except ValueError as exc:
         raise InputError(f"--method {args.method} cannot connect states of dims {rho0.dim} and {rhot.dim}") from exc
     report = verify_channel(k, rho0, rhot)
-    _emit(serialize.kraus_to_json(k), args.out)
-    _emit(serialize.report_to_json(report), None)
+    _write(serialize.kraus_text(k) + "\n", args.out)
+    _write(serialize.report_text(report) + "\n", None)
     return _verdict(args, report.checks(), max(k.d_in, k.d_out))
 
 
@@ -153,7 +153,7 @@ def cmd_verify(args) -> int:
     rho0 = _load(args.rho0, serialize.state_from_json, args.tol)
     rhot = _load(args.rhot, serialize.state_from_json, args.tol)
     report = verify_channel(k, rho0, rhot)
-    _emit(serialize.report_to_json(report), None)
+    _write(serialize.report_text(report) + "\n", None)
     return _verdict(args, report.checks(), max(k.d_in, k.d_out))
 
 
@@ -161,7 +161,7 @@ def cmd_remix(args) -> int:
     k = _load(args.kraus, serialize.kraus_from_json)
     v = _load(args.unitary, serialize.matrix_from_json)
     remixed = unitary_remix(k, v, tol=args.tol)
-    _emit(serialize.kraus_to_json(remixed), args.out)
+    _write(serialize.kraus_text(remixed) + "\n", args.out)
     return EXIT_OK
 
 

@@ -209,6 +209,34 @@ def _grid_template(n_rows: int, width: int, depth: int) -> str:
     return _layout([_layout(["%s"] * width, depth + 1)] * n_rows, depth)
 
 
+def kraus_text(k: KrausSet) -> str:
+    """``dumps(kraus_to_json(k))``, byte for byte: one cached template per operator shape, filled with one ``%``."""
+    return _fill(_template(k.ops.shape), np.ascontiguousarray(k.ops).view(float).ravel())
+
+
+def report_text(report: ChannelReport) -> str:
+    """``dumps(report_to_json(report))``, byte for byte, from one cached template."""
+    return _fill(_template(None), np.array(list(report_to_json(report).values()), dtype=float))
+
+
+@functools.lru_cache(maxsize=64)
+def _template(shape: tuple[int, ...] | None) -> str:
+    """``dumps`` of the encoder's document for operators of ``shape`` (None: for a report) as a %-format: a ``%s``
+    for each of its floats and ``%%`` for any other ``%``."""
+    doc = (report_to_json(ChannelReport(*[0.0] * len(fields(ChannelReport)))) if shape is None
+           else kraus_to_json(KrausSet(np.zeros(shape, dtype=complex))))
+    holes = json.loads(json.dumps(doc), parse_float=lambda _: "\0")  # each float a string no document holds
+    return dumps(holes).replace("%", "%%").replace(encode_basestring_ascii("\0"), "%s")
+
+
+def _fill(template: str, values: np.ndarray) -> str:
+    """``template`` filled with ``values`` as ``dumps`` writes floats: each as its repr (a float's str) or ``null``."""
+    filled = values.tolist()
+    if not np.isfinite(values).all():
+        filled = [v if math.isfinite(v) else "null" for v in filled]
+    return template % tuple(filled)
+
+
 def load(path: str) -> Any:
     """The JSON document in the file at ``path``, read as UTF-8 bytes in one unbuffered read; a BOM is a parse error."""
     with open(path, "rb", buffering=0) as fh:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from krauslab import (
+    KrausSet,
     correlation_operator,
     evolve_joint,
     factor_local_unitary,
@@ -20,16 +21,28 @@ from krauslab import (
     pauli_x,
     pauli_z,
     reduced_dynamics,
+    unitary_remix,
     validate_density,
+    verify_channel,
 )
 from krauslab import cli, states
 from krauslab.cli import KRAUS_METHODS, RESIDUAL_COLUMNS, build_parser, main
 from krauslab.dynamics import SWEEP_COLUMNS, ReducedDynamics, cnot_eigensystem, sweep_columns
 from krauslab.kraus import apply_kraus_raw, factorable_kraus
 from krauslab.linalg import EPS, bound, eigenphases, expm_hermitian_generator, norm_max
-from krauslab.serialize import dumps, kraus_to_json, load, matrix_from_json, matrix_to_json, scenario_from_json
+from krauslab.serialize import (
+    dumps,
+    kraus_from_json,
+    kraus_to_json,
+    load,
+    matrix_from_json,
+    matrix_to_json,
+    report_to_json,
+    scenario_from_json,
+    state_from_json,
+)
 
-from conftest import dump, random_density, random_hermitian, strict_loads, write_state
+from conftest import dump, random_density, random_hermitian, random_unitary, strict_loads, write_state
 
 
 @pytest.fixture
@@ -1015,6 +1028,54 @@ def test_out_writes_the_bytes_it_prints(tmp_path, out_writer_paths, argv, capsys
     assert written + capsys.readouterr().out.encode() == printed
     lines = written.split(b"\r\n" if argv[0] == "sweep" and "json" not in argv else b"\n")
     assert len(lines) > 3 and lines[-1] == b"" and not any(b"\r" in line or b"\n" in line for line in lines)
+
+
+def _library_documents(kp, vp, rho0, rhot):
+    """The report of the Kraus file ``kp`` on (rho0, rhot) and the set remixed by the matrix file ``vp``, each as
+    ``dumps`` of the library's encoder on the decoded files, ended by a newline.  As in the CLI, an overflow
+    shows in the residuals it makes, with no numpy warning."""
+    k = kraus_from_json(load(kp))
+    with np.errstate(all="ignore"):
+        report = verify_channel(k, rho0, rhot)
+    remixed = unitary_remix(k, matrix_from_json(load(vp)))
+    return dumps(report_to_json(report)) + "\n", (dumps(kraus_to_json(remixed)) + "\n").encode()
+
+
+@pytest.mark.parametrize("method,d", [*((method, 2) for method in KRAUS_METHODS), ("measure-prepare", 3)])
+def test_kraus_verify_and_remix_write_the_library_documents(method, d, tmp_path, rng, capsys):
+    """The Kraus file of kraus --out and of remix --out, and the report that kraus and verify print, are the bytes
+    of dumps on the library's documents for the same decoded inputs."""
+    p0, pt = (write_state(tmp_path, name, random_density(rng, d=d)) for name in ("rho0.json", "rhot.json"))
+    kp, vp, rp = (str(tmp_path / name) for name in ("k.json", "v.json", "remixed.json"))
+    rho0, rhot = (state_from_json(load(p)) for p in (p0, pt))
+    k = KRAUS_METHODS[method](rho0, rhot)
+    report = dumps(report_to_json(verify_channel(k, rho0, rhot))) + "\n"
+    assert _call(["--out", kp, "kraus", p0, pt, "--method", method], capsys) == (0, report, "")
+    with open(kp, "rb") as fh:
+        assert fh.read() == (dumps(kraus_to_json(k)) + "\n").encode()
+    dump(matrix_to_json(random_unitary(rng, len(k) + 1)), vp)
+    verified, remixed = _library_documents(kp, vp, rho0, rhot)
+    assert _call(["verify", kp, p0, pt], capsys) == (0, verified, "")
+    assert _call(["--out", rp, "remix", kp, vp], capsys) == (0, "", "")
+    with open(rp, "rb") as fh:
+        assert fh.read() == remixed
+
+
+def test_overflowed_set_is_reported_and_remixed_as_the_library_writes_it(tmp_path, rng, capsys):
+    """The set whose products overflow with both signs: verify prints the library's report, four nulls, and exits
+    1; remix writes the library's document of the remixed set."""
+    kp, vp, rp = (str(tmp_path / name) for name in ("k.json", "v.json", "remixed.json"))
+    dump(kraus_to_json(KrausSet([np.array([[1e200, -1e200], [1e200, 1e200]])])), kp)
+    dump(matrix_to_json(random_unitary(rng, 2)), vp)
+    state = write_state(tmp_path, "rho.json", validate_density(np.eye(2) / 2))
+    rho = state_from_json(load(state))
+    verified, remixed = _library_documents(kp, vp, rho, rho)
+    code, out, _ = _call(["verify", kp, state, state], capsys)
+    assert (code, out) == (1, verified)
+    assert strict_loads(out) == dict.fromkeys(field for field, _ in REPORT_CHECKS.values())
+    assert _call(["--out", rp, "remix", kp, vp], capsys) == (0, "", "")
+    with open(rp, "rb") as fh:
+        assert fh.read() == remixed
 
 
 #: A valid state file as the CLI writes JSON, lines ended by \n.

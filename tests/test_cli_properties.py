@@ -6,7 +6,8 @@ traceback and no warning (but the CNOT endpoint warning); JSON output is strict;
 the check it failed or the input it could not use.  On qubit state files, ``verify`` reads back the Kraus file
 that ``kraus --out`` wrote with the same verdict, and an exit 0 at one ``--tol`` stays 0 at every larger one, for
 ``kraus`` and ``verify`` on qubit files, for ``sweep`` and ``evolve`` on scenario files, and for ``validate``,
-``remix`` and ``factor`` on inputs within rounding of each tol.  On drawn argvs, exact, abbreviated, ``=``, spoiled
+``remix`` and ``factor`` on inputs within rounding of each tol.  A qubit state as a Bloch vector and as its matrix
+gets the same verdicts, and ``verify`` the same one before and after ``remix`` by a unitary.  On drawn argvs, exact, abbreviated, ``=``, spoiled
 or out of order, the CLI's direct reader returns argparse's Namespace or leaves the argv to argparse.
 """
 
@@ -27,6 +28,7 @@ from krauslab import general_qubit_kraus, kron, pauli_x, pauli_z, validate_densi
 from krauslab import cli
 from krauslab.cli import GLOBAL_OPTIONS, KRAUS_METHODS, RESIDUAL_COLUMNS, build_parser, finite, main, tolerance
 from krauslab.serialize import kraus_to_json, matrix_to_json
+from krauslab.states import bloch_matrix
 
 from conftest import dump, edge_matrix, random_density, random_hermitian, random_unitary
 
@@ -255,6 +257,52 @@ def test_exit_0_at_a_tol_stays_0_at_every_larger_tol(rho0, rhot, method):
     for command, codes in zip(("kraus", "verify"), zip(*((made[0], checked[0]) for made, checked in calls))):
         event(f"{command} exits {codes}")
         assert 0 not in codes or set(codes[codes.index(0):]) == {0}, codes
+
+
+def _checks(report):
+    """The four values that a printed report's checks judge: the residuals and the negated output_min_eigenvalue."""
+    values = json.loads(report)
+    return [values[name] for name in CHECKS[:3]] + [-values["output_min_eigenvalue"]]
+
+
+@given(r=st.floats(0.0, 1.0), theta=st.floats(0.0, np.pi), phi=st.floats(0.0, 2 * np.pi), rhot=qubit_files,
+       method=st.sampled_from(list(KRAUS_METHODS)), tol=st.sampled_from(TOLS), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_a_verdict_does_not_depend_on_the_encoding_or_on_a_remix(r, theta, phi, rhot, method, tol, seed):
+    """A qubit state written as a Bloch vector and as its matrix gives the same validate, kraus and verify output
+    and exit code, and verify exits the same before and after remix of the Kraus file by a random unitary, both on
+    the kraus target and on the source state as a (mostly wrong) target, when no check is near the edge of --tol."""
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        bloch, matrix, b, k0, k1, v, remixed = (os.path.join(tmp, name) for name in (
+            "bloch.json", "matrix.json", "b.json", "k0.json", "k1.json", "v.json", "remixed.json"))
+        dump({"bloch": {"r": r, "theta": theta, "phi": phi}}, bloch)
+        dump({"matrix": matrix_to_json(bloch_matrix(r, theta, phi))}, matrix)
+        dump(rhot, b)
+
+        def run(*argv):  # an error names the state file: both encodings by the one name
+            code, out, err = _call(["--tol", tol, *argv])
+            return code, out, err.replace(matrix, bloch)
+
+        assert run("validate", bloch) == run("validate", matrix)
+        made = run("--out", k0, "kraus", bloch, b, "--method", method)
+        assert run("--out", k1, "kraus", matrix, b, "--method", method) == made
+        event(f"kraus exit {made[0]}")
+        if made[0] == 2:  # an input state invalid at this tol: no Kraus file
+            return
+        assert pathlib.Path(k0).read_bytes() == pathlib.Path(k1).read_bytes()
+        for target in (b, bloch):
+            assert run("verify", k0, bloch, target) == run("verify", k0, matrix, target)
+        n = len(json.loads(pathlib.Path(k0).read_text())["ops"])
+        dump(matrix_to_json(random_unitary(rng, n + int(rng.integers(0, 3)))), v)
+        assert run("--out", remixed, "remix", k0, v)[0] == 0
+        for target in (b, bloch):
+            before, after = run("verify", k0, bloch, target), run("verify", remixed, bloch, target)
+            if any(1e-13 < value < 1e-6 for value in _checks(before[1])):
+                event("a check near the edge of --tol")
+                continue
+            event(f"verify exit {before[0]}")
+            assert after[0] == before[0], (before, after)
 
 
 @st.composite

@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from krauslab import KrausSet, general_qubit_kraus, kron, pauli_x, pauli_z, validate_density, verify_channel
@@ -15,9 +18,11 @@ from krauslab.serialize import (
     DecodeError,
     dumps,
     kraus_from_json,
+    kraus_text,
     kraus_to_json,
     matrix_from_json,
     matrix_to_json,
+    report_text,
     report_to_json,
     scenario_from_json,
     state_from_json,
@@ -405,9 +410,44 @@ def test_kraus_set_survives_dumps_and_loads(k):
 
 
 def test_stacked_kraus_set_and_report_raise(rng):
+    """A stack has no document: the encoders and the texts raise the same ValueError, which gives the stack shape."""
     stack0, stackt = (validate_density(np.stack([random_density(rng).mat for _ in range(3)])) for _ in range(2))
     k = general_qubit_kraus(stack0, stackt)
-    with pytest.raises(ValueError, match=r"stack shape \(3,\)"):
-        kraus_to_json(k)
-    with pytest.raises(ValueError, match=r"stack shape \(3,\)"):
-        report_to_json(verify_channel(k, stack0, stackt))
+    report = verify_channel(k, stack0, stackt)
+    for encode, text, obj in ((kraus_to_json, kraus_text, k), (report_to_json, report_text, report)):
+        with pytest.raises(ValueError, match=r"stack shape \(3,\)") as expected:
+            encode(obj)
+        with pytest.raises(ValueError) as got:
+            text(obj)
+        assert str(got.value) == str(expected.value)
+
+
+# -- the CLI's texts are dumps of the encoders' documents ----------------------
+
+@st.composite
+def any_kraus_sets(draw):
+    """A Kraus set of 1 to 16 operators of any shape up to 4x4, with edge and non-finite entries, whose ``ops``
+    is contiguous, a transposed view or a strided view."""
+    n, d_out, d_in = draw(st.integers(1, 16)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    parts = draw(st.lists(floats, min_size=2 * n * d_out * d_in, max_size=2 * n * d_out * d_in))
+    ops = np.array(parts).view(complex).reshape(n, d_out, d_in)
+    layout = draw(st.sampled_from(["contiguous", "transposed", "strided"]))
+    if layout == "transposed":  # each operator stored column-major
+        ops = np.ascontiguousarray(ops.transpose(0, 2, 1)).transpose(0, 2, 1)
+    elif layout == "strided":  # every other entry of a wider array
+        ops = np.repeat(ops, 2, axis=-1)[..., ::2]
+    return KrausSet(ops)
+
+
+@given(any_kraus_sets(), reports)
+@example(KrausSet((np.arange(8.0) - 1j).reshape(2, 2, 2).transpose(0, 2, 1)), ChannelReport(*[np.float64(np.nan)] * 4))
+@settings(max_examples=300, deadline=None)
+def test_kraus_and_report_texts_are_dumps_byte_for_byte(k, report):
+    event(f"contiguous ops: {k.ops.flags.c_contiguous}")
+    assert kraus_text(k) == dumps(kraus_to_json(k))
+    assert report_text(report) == dumps(report_to_json(report))
+
+
+def test_templates_are_built_on_first_use_not_at_import():
+    code = "import krauslab.cli, krauslab.serialize as s; assert s._template.cache_info().currsize == 0"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
