@@ -27,9 +27,7 @@ from .states import (
 from .kraus import (
     ChannelReport,
     KrausSet,
-    apply_channel,
     closed_form_qubit_kraus,
-    conjugate_kraus,
     factorable_kraus,
     general_qubit_kraus,
     measure_prepare_kraus,

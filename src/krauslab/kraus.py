@@ -118,17 +118,6 @@ def _per_op(ops: np.ndarray, *mats: np.ndarray) -> np.ndarray:
     return ops.reshape(ops.shape[:1] + (1,) * (max(map(np.ndim, mats)) + 1 - ops.ndim) + ops.shape[1:])
 
 
-def apply_channel(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
-    """sum_mu M_mu rho M_mu^dagger, validated as a density matrix; stack-aware."""
-    if rho.dim != k.d_in:
-        raise ValueError(f"state dim {rho.dim} does not match channel d_in {k.d_in}")
-    completeness = k.completeness_residual()
-    require(completeness, bound(EPS, k.d_in), "Kraus set violates completeness")
-    # the set's error E = sum M^dagger M - I moves the output trace by tr(rho E), up to d_in |E|_max
-    tol = bound(rho.tol, k.d_in) + k.d_in * np.max(completeness, initial=0.0)
-    return DensityMatrix(apply_kraus_raw(k, rho.mat), tol=tol)
-
-
 def apply_kraus_raw(k: KrausSet, mat: np.ndarray) -> np.ndarray:
     """Channel action on a raw matrix, no validation of either side; a stack of sets or of matrices broadcasts.
 
@@ -150,17 +139,6 @@ def _diagonal_pair_ops(r0, r) -> np.ndarray:
     ops = np.zeros((2, *a.shape, 2, 2), dtype=complex)
     ops[0, ..., 0, 0], ops[0, ..., 1, 1], ops[1, ..., 0, 1] = 1, a, q
     return ops
-
-
-def conjugate_kraus(k: KrausSet, u_out: np.ndarray, u_in: np.ndarray) -> KrausSet:
-    """Replace every operator by u_out . M . u_in^dagger.
-
-    Completeness is preserved for unitary u_out, u_in.  Either may be a
-    stack of unitaries.  Guarded: each d x d one must be unitary to bound(EPS, d).
-    """
-    for name, u in (("u_out", u_out), ("u_in", u_in)):
-        require(unitarity_residual(np.asarray(u, dtype=complex)), bound(EPS, np.shape(u)[-1]), f"{name} is not unitary")
-    return KrausSet(u_out @ _per_op(k.ops, u_out, u_in) @ dag(u_in))
 
 
 def _require_qubit_pair(name: str, rho0: DensityMatrix, rhot: DensityMatrix) -> None:

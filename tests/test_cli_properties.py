@@ -7,8 +7,10 @@ the check it failed or the input it could not use.  On qubit state files, ``veri
 that ``kraus --out`` wrote with the same verdict, and an exit 0 at one ``--tol`` stays 0 at every larger one, for
 ``kraus`` and ``verify`` on qubit files, for ``sweep`` and ``evolve`` on scenario files, and for ``validate``,
 ``remix`` and ``factor`` on inputs within rounding of each tol.  A qubit state as a Bloch vector and as its matrix
-gets the same verdicts, and ``verify`` the same one before and after ``remix`` by a unitary.  On drawn argvs, exact, abbreviated, ``=``, spoiled
-or out of order, the CLI's direct reader returns argparse's Namespace or leaves the argv to argparse.
+gets the same verdicts, and ``verify`` the same one before and after ``remix`` by a unitary.  A Kraus file with
+one entry moved by a few tol fails ``verify`` exactly on the checks its report prints past tol.  On drawn argvs,
+exact, abbreviated, ``=``, spoiled or out of order, the CLI's direct reader returns argparse's Namespace or leaves
+the argv to argparse.
 """
 
 import contextlib
@@ -27,6 +29,7 @@ from hypothesis import strategies as st
 from krauslab import general_qubit_kraus, kron, pauli_x, pauli_z, validate_density
 from krauslab import cli
 from krauslab.cli import GLOBAL_OPTIONS, KRAUS_METHODS, RESIDUAL_COLUMNS, build_parser, finite, main, tolerance
+from krauslab.linalg import bound
 from krauslab.serialize import kraus_to_json, matrix_to_json
 from krauslab.states import bloch_matrix
 
@@ -303,6 +306,34 @@ def test_a_verdict_does_not_depend_on_the_encoding_or_on_a_remix(r, theta, phi, 
                 continue
             event(f"verify exit {before[0]}")
             assert after[0] == before[0], (before, after)
+
+
+@given(rho0=qubit_files, rhot=qubit_files, tol=st.sampled_from([1e-14, 1e-12, 1e-10]), k=st.floats(0.25, 4.0),
+       sign=st.sampled_from([-1, 1]))
+@settings(max_examples=200, deadline=None)
+def test_a_kraus_file_moved_by_k_tol_fails_exactly_the_checks_past_tol(rho0, rhot, tol, k, sign):
+    """The largest entry of a kraus --out file, moved by k tol along its phase or against it (k from 1/4 to 4):
+    verify at tol exits 1 exactly when a check of its printed report exceeds tol + bound(0, 2), and then names each
+    such check, in report order, with its value and the tol; an exit 0 prints nothing on stderr.  The largest entry
+    (of modulus 1/2 or more) moves the completeness residual by k tol or more, up to rounding, so that the draws
+    fall on both sides of the edge: about half of them exit 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b, kfile = (os.path.join(tmp, name) for name in ("a.json", "b.json", "k.json"))
+        dump(rho0, a)
+        dump(rhot, b)
+        assert _call(["--out", kfile, "kraus", a, b])[0] == 0
+        doc = json.loads(pathlib.Path(kfile).read_text())
+        entries = [entry for op in doc["ops"] for entry in op["data"]]
+        entry = max(entries, key=lambda entry: abs(complex(*entry)))
+        step = sign * k * tol * complex(*entry) / abs(complex(*entry))
+        entry[0] += step.real
+        entry[1] += step.imag
+        dump(doc, kfile)
+        code, report, stderr = _call(["--tol", str(tol), "verify", kfile, a, b])
+    event(f"verify exit {code}")
+    failed = [(name, value) for name, value in zip(CHECKS[:4], _checks(report)) if value > tol + bound(0, 2)]
+    assert code == (1 if failed else 0), (report, stderr)
+    assert stderr == "".join(f"verify: {name} {value:.3e} > tol {tol:.3e}\n" for name, value in failed)
 
 
 @st.composite

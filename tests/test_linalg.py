@@ -158,11 +158,6 @@ _PAIR = kraus.KrausSet([np.eye(2)])
 #: Every guard that compares a residual with a bound: entry point -> (call, error, words of its message).
 GUARDED = {
     "eigh": (lambda: eigh(_nan(2)), ValueError, "not Hermitian: residual nan"),
-    "apply_channel": (
-        lambda: kraus.apply_channel(kraus.KrausSet([_nan(2)]), _mixed()), ValueError, "completeness: residual nan"
-    ),
-    "conjugate_kraus-u_out": (lambda: kraus.conjugate_kraus(_PAIR, _nan(2), np.eye(2)), ValueError, "u_out"),
-    "conjugate_kraus-u_in": (lambda: kraus.conjugate_kraus(_PAIR, np.eye(2), _nan(2)), ValueError, "u_in"),
     "factorable_kraus": (lambda: kraus.factorable_kraus(_nan(4), _mixed(), d_i=2), ValueError, "unitary"),
     "unitary_remix": (lambda: kraus.unitary_remix(_PAIR, _nan(2)), ValueError, "unitary"),
     "factor_local_unitary": (lambda: dynamics.factor_local_unitary(_nan(4), (2, 2)), ValueError, "unitary"),
