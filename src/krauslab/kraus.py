@@ -50,13 +50,8 @@ class KrausSet:
         return len(self.ops)
 
     def completeness_residual(self) -> float | np.ndarray:
-        """|sum_mu M_mu^dagger M_mu - I|_max, one per set; a finite set whose sum overflows reads inf, not NaN."""
-        res = norm_max(_gram(self.ops) - identity(self.d_in))
-        nan = res != res  # terms that overflowed with both signs: contract M / s and scale back by s twice
-        if nan.any() if isinstance(nan, np.ndarray) else nan:
-            s = _scale(self.ops)
-            res = np.where(nan, norm_max(_gram(self.ops / s) * s * s - identity(self.d_in)), res)[()]
-        return res
+        """|sum_mu M_mu^dagger M_mu - I|_max, one per set; a set whose sum overflows reads inf or NaN, which fail."""
+        return norm_max(_gram(self.ops) - identity(self.d_in))
 
 
 def _gram(ops: np.ndarray) -> np.ndarray:
@@ -71,25 +66,6 @@ def _gram(ops: np.ndarray) -> np.ndarray:
         return np.einsum("n...ji,n...jk->...ik", ops.conj(), ops)
     last = ops.transpose(0, nd - 2, nd - 1, *range(1, nd - 2)).copy()
     return np.einsum("nji...,njk...->ik...", last.conj(), last).transpose(*range(2, nd - 1), 0, 1)
-
-
-def _scale(ops: np.ndarray) -> np.ndarray:
-    """The power of two s <= max(|Re M|, |Im M|) over each set of ``ops`` (1/2 for a zero set), with two unit axes.
-
-    Dividing by s is exact unless an entry underflows, a contraction of ops / s does not overflow, and (x * s) * s
-    scales its result back to a finite number or an infinity, never NaN.  A set takes it only after a NaN, which
-    needs |M_ji M_jk| above the largest float, so that its completeness residual is inf.  An operator far below
-    the largest may underflow in ops / s, so ``verify_channel`` scales each operator by its own s (``ops[None]``)
-    and sums the outputs; only where that sum is NaN does the set's one s drop such an operator."""
-    big = np.maximum(np.abs(ops.real), np.abs(ops.imag)).max(axis=(0, -2, -1))
-    return np.ldexp(1.0, np.frexp(big)[1] - 1)[..., None, None]
-
-
-def _scaled_back(ops: np.ndarray, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The output of ``apply_kraus_raw`` on ops / s and its trace, each scaled back by s twice, s = ``_scale(ops)``."""
-    s = _scale(ops)
-    out = apply_kraus_raw(KrausSet(ops / s), mat)
-    return out * s * s, out.trace(axis1=-2, axis2=-1) * s[..., 0, 0] * s[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -110,12 +86,6 @@ class ChannelReport:
     def passes(self, tol: float) -> bool:
         """True when every set passes every check at ``tol``; a NaN fails."""
         return not failures(self.checks(), tol)
-
-
-def _per_op(ops: np.ndarray, *mats: np.ndarray) -> np.ndarray:
-    """``ops`` with unit axes after the operator axis, so that it broadcasts
-    against matrix stacks with more stack axes than the set has."""
-    return ops.reshape(ops.shape[:1] + (1,) * (max(map(np.ndim, mats)) + 1 - ops.ndim) + ops.shape[1:])
 
 
 def apply_kraus_raw(k: KrausSet, mat: np.ndarray) -> np.ndarray:
@@ -270,8 +240,8 @@ def verify_channel(k: KrausSet, rho0: DensityMatrix, rhot: DensityMatrix) -> Cha
     takes LAPACK's spectrum: when every output is finite, one call takes
     them all; a stack that holds a non-finite output masks it.  Either way a
     set whose output has a Hermitian part that is not finite reads -inf.  A
-    finite set whose products overflow with both signs reads inf in each
-    residual they overflow, not NaN (see ``_scale``).
+    finite set whose products overflow reads inf or NaN in each residual they
+    overflow, and either fails its check.
     """
     if rho0.dim != k.d_in or rhot.dim != k.d_out:
         raise ValueError(
@@ -292,17 +262,6 @@ def verify_channel(k: KrausSet, rho0: DensityMatrix, rhot: DensityMatrix) -> Cha
             finite = np.isfinite(herm).all(axis=(-2, -1))
             out_eigs = np.linalg.eigvalsh(np.where(finite[..., None, None], herm, 0))
             min_eig = np.where(finite, out_eigs[..., 0], -np.inf)[()]
-    unbounded = min_eig == -np.inf  # only a set that reads -inf can hold a NaN output
-    if unbounded.any() if isinstance(unbounded, np.ndarray) else unbounded:  # a scalar skips the array reduction
-        nan = np.isnan(out).any(axis=(-2, -1))
-        if nan.any():  # terms that overflowed with both signs: contract each operator at its own scale, then sum
-            each, each_trace = _scaled_back(_per_op(k.ops, rho0.mat)[None], rho0.mat)
-            scaled, scaled_trace = each.sum(0), each_trace.sum(0)
-            # where two operators overflow with both signs in one entry, the sum is NaN: the whole set at one scale
-            whole, whole_trace = _scaled_back(k.ops, rho0.mat)
-            worse = np.isnan(scaled).any(axis=(-2, -1)) | np.isnan(scaled_trace)
-            trace = np.where(nan, np.where(worse, whole_trace, scaled_trace), trace)[()]
-            out = np.where(nan[..., None, None], np.where(worse[..., None, None], whole, scaled), out)
     return ChannelReport(
         completeness_residual=k.completeness_residual(),
         reconstruction_residual=norm_max(out - rhot.mat),

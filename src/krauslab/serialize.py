@@ -232,7 +232,7 @@ def _template(shape: tuple[int, ...] | None) -> str:
 def _fill(template: str, values: np.ndarray) -> str:
     """``template`` filled with ``values`` as ``dumps`` writes floats: each as its repr (a float's str) or ``null``."""
     filled = values.tolist()
-    if not np.isfinite(values).all():
+    if not all(map(math.isfinite, filled)):
         filled = [v if math.isfinite(v) else "null" for v in filled]
     return template % tuple(filled)
 

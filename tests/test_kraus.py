@@ -1,9 +1,10 @@
 import json
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from krauslab import (
@@ -660,47 +661,60 @@ class TestVerifyChannel:
             assert failures(report.checks(), EPS)["output_positivity"] == np.inf
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflow_of_both_signs_reads_inf_not_nan(self, rng):
-        """A finite set whose products overflow with both signs reads inf in each residual they overflow, not NaN;
-        the other sets of its stack keep their bits."""
+    def test_overflow_of_both_signs_fails_every_check(self, rng):
+        """A finite set whose products overflow with both signs reads inf or NaN in each residual they overflow,
+        and fails every check at every tol; the other sets of its stack keep their bits."""
         rho = validate_density(np.diag([0.25, 0.75]))
         k = general_qubit_kraus(rho, random_density(rng))
         big = np.zeros_like(k.ops)
         big[0] = [[1e200, -1e200], [1e200, 1e200]]
         report = verify_channel(KrausSet(big), rho, rho)
-        assert vars(report) == dict.fromkeys(vars(report), np.inf) | {"output_min_eigenvalue": -np.inf}
+        assert not any(np.isfinite(value) for value in vars(report).values())
+        assert (report.output_trace_residual, report.output_min_eigenvalue) == (np.inf, -np.inf)
+        for tol in (0.0, EPS, 1.0, sys.float_info.max):
+            assert failures(report.checks(), tol).keys() == report.checks().keys()
+            assert not report.passes(tol)
         stacked = verify_channel(KrausSet(np.stack([k.ops, big], axis=1)), rho, rho)
         alone = verify_channel(k, rho, rho)
         for field, values in vars(stacked).items():
-            assert values[0] == getattr(alone, field) and values[1] == getattr(report, field)
+            assert values[0] == getattr(alone, field)
+            assert np.array_equal(values[1], getattr(report, field), equal_nan=True)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_a_small_operator_keeps_its_share_of_an_overflowed_output(self):
+    def test_an_overflowed_operator_fails_every_check_beside_a_small_one(self):
         """[[1e200, 1e200], [0, 0]] annihilates |->, and I keeps it, so the set maps |-><-| to itself exactly; but
-        the big operator's products overflow with both signs.  Each operator is contracted at its own scale, so I
-        does not underflow at the big one's: both output residuals read 0, the completeness residual inf.  Two
-        operators that overflow with both signs in one entry take the set's one scale, and read inf, not NaN."""
+        the big operator's products overflow with both signs, so its output is NaN and every check fails, the
+        small operator's share with it.  So do two operators that overflow with both signs in one entry, and a
+        stack of states gives each state's report, NaN counted as equal."""
         minus = validate_density(np.array([[0.5, -0.5], [-0.5, 0.5]]))
         report = verify_channel(KrausSet([[[1e200, 1e200], [0, 0]], identity(2)]), minus, minus)
-        assert (report.reconstruction_residual, report.output_trace_residual) == (0.0, 0.0)
         assert report.completeness_residual == np.inf
-        up = validate_density(np.diag([1.0, 0.0]))
+        assert np.isnan(report.reconstruction_residual) and np.isnan(report.output_trace_residual)
+        up, down = validate_density(np.diag([1.0, 0.0])), validate_density(np.diag([0.0, 1.0]))
         k = KrausSet([[[1e200, 0], [1e200, 0]], [[1e200, 0], [-1e200, 0]]])
         assert np.isnan(apply_kraus_raw(k, up.mat)).any()
-        for rho in (up, validate_density(np.stack([up.mat, np.diag([0.0, 1.0])]))):
-            report = verify_channel(k, rho, rho)
-            assert not any(np.isnan(value).any() for value in vars(report).values())
-            assert np.ravel(report.reconstruction_residual)[0] == np.inf
+        alone = [verify_channel(k, rho, rho) for rho in (up, down)]  # the set annihilates the second state
+        for r in (report, alone[0]):
+            assert not any(np.isfinite(value) for value in vars(r).values())
+            for tol in (0.0, EPS, 1.0, sys.float_info.max):
+                assert failures(r.checks(), tol).keys() == r.checks().keys()
+                assert not r.passes(tol)
+        stack = validate_density(np.stack([up.mat, down.mat]))
+        for field, values in vars(verify_channel(k, stack, stack)).items():
+            assert np.array_equal(np.broadcast_to(values, 2), [getattr(r, field) for r in alone], equal_nan=True)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_completeness_overflow_with_a_finite_output_reads_inf(self):
+    def test_completeness_overflow_with_a_finite_output_fails_completeness_alone(self):
         """Two columns overflow M^dagger M with both signs while the state lies in the third: the output and its
-        residuals are finite, and the completeness residual reads inf, not NaN."""
+        residuals are finite, and only the completeness residual, NaN, fails."""
         rho = validate_density(np.diag([0.0, 0.0, 1.0]))
         k = KrausSet([[[1e200, 1e200, 0], [1e200, -1e200, 0], [0, 0, 1]]])
         report = verify_channel(k, rho, rho)
-        assert report.completeness_residual == k.completeness_residual() == np.inf
+        assert np.isnan(report.completeness_residual) and np.isnan(k.completeness_residual())
         assert (report.reconstruction_residual, report.output_trace_residual) == (0.0, 0.0)
+        for tol in (0.0, EPS, 1.0, sys.float_info.max):
+            assert failures(report.checks(), tol).keys() == {"completeness_residual"}
+            assert not report.passes(tol)
 
     def test_failures_name_each_failing_check_in_field_order(self):
         report = ChannelReport(2e-9, 0.0, float("nan"), -3e-9)
@@ -739,6 +753,45 @@ def verdict_cases(draw):
 def test_passes_gives_the_parent_verdict(case):
     tol, report = case
     assert report.passes(tol) is _parent_passes(report, tol)
+
+
+@st.composite
+def overflow_cases(draw):
+    """(k, rho0, rhot): valid states of 2 or 3 dimensions and a finite set, either a measure-and-prepare channel
+    or 1 to 3 random operators with entries up to 1 in modulus, times scales from 1e-3 to 1e200, one for the
+    whole set or one per operator; from a scale near 1e154 up the products can overflow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d_in, d_out = draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 3]))
+    rho0 = random_density(rng, d_in, rank=draw(st.integers(1, d_in)))
+    rhot = random_density(rng, d_out, rank=draw(st.integers(1, d_out)))
+    if d_in == d_out and draw(st.booleans()):
+        ops = measure_prepare_kraus(rho0, rhot).ops
+    else:
+        ops = rng.normal(size=(draw(st.integers(1, 3)), d_out, d_in, 2)) @ [1, 1j]
+        ops /= np.abs(ops).max()
+    scale = st.one_of(st.sampled_from([1.0, 1e154, 1e155, 1e200]), st.floats(-3, 200).map(lambda e: 10**e))
+    n = len(ops)
+    scales = [draw(scale)] * n if draw(st.booleans()) else draw(st.lists(scale, min_size=n, max_size=n))
+    return KrausSet(ops * np.array(scales)[:, None, None]), rho0, rhot
+
+
+@given(overflow_cases())
+@settings(max_examples=300, deadline=None)
+def test_only_a_set_far_from_complete_reads_a_non_finite_residual_and_it_fails(case):
+    """The premise that lets an overflowed residual read inf or NaN as it falls: a set within 1 of complete has
+    entries of modulus at most sqrt(2), so all four of its residuals are finite; and a non-finite residual, inf
+    or NaN, fails its check at every tol, so which of the two it reads decides no verdict."""
+    k, rho0, rhot = case
+    with np.errstate(all="ignore"):
+        report = verify_channel(k, rho0, rhot)
+    finite = all(np.isfinite(value) for value in vars(report).values())
+    near = report.completeness_residual <= 1
+    event(f"finite: {finite}, complete within 1: {near}")
+    if near:
+        assert finite
+    if not finite:
+        for tol in (0.0, EPS, 1.0):
+            assert not report.passes(tol)
 
 
 #: Entries that a stacked contraction must carry per set: NaN, infinities, a signed zero, and the edges of range.
