@@ -18,6 +18,7 @@ import numpy as np
 from . import serialize
 from .dynamics import (
     SWEEP_COLUMNS,
+    PropagatorError,
     evolve_joint,  # noqa: F401  (unused here; perfbench/test_perfbench.py traces this binding)
     factor_local_unitary,
     reduced_dynamics,
@@ -311,7 +312,7 @@ def main(argv=None) -> int:
     try:
         with np.errstate(all="ignore"):  # an overflow shows in the residual it makes and the exit code, not on stderr
             return args.func(args)
-    except StateValidationError as exc:  # a computed state: a failed input state is an InputError
+    except (StateValidationError, PropagatorError) as exc:  # computed: a failed input state is an InputError
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -27,14 +27,20 @@ from .linalg import (
     require,
     unitarity_residual,
 )
-from .states import DensityMatrix, bloch_angles, trace_distance
+from .states import DensityMatrix, _derived_state, bloch_angles, trace_distance
+
+
+class PropagatorError(ValueError):
+    """Raised when the computed U(t) = V diag(p) V^dagger is not unitary to rounding: a numeric check failed."""
 
 
 @dataclass(frozen=True, eq=False)
 class CompositeState:
     """Joint system (x) environment state with dimension bookkeeping.
 
-    Basis ordering is system-major: row index is i_sys * d_e + i_env.
+    Basis ordering is system-major: row index is i_sys * d_e + i_env.  ``mat``
+    is a validated or a derived state (see ``reduced_dynamics``); its reduced
+    states are derived, at the bounds of ``linalg.bound``'s growth rule.
     """
 
     mat: DensityMatrix
@@ -49,11 +55,11 @@ class CompositeState:
 
     def reduced_system(self) -> DensityMatrix:
         rho = partial_trace(self.mat.mat, (self.d_i, self.d_e), keep=0)
-        return DensityMatrix(rho, tol=bound(self.mat.tol, self.d_e))
+        return _derived_state(rho, bound(self.mat.tol, self.d_e))
 
     def reduced_environment(self) -> DensityMatrix:
         rho = partial_trace(self.mat.mat, (self.d_i, self.d_e), keep=1)
-        return DensityMatrix(rho, tol=bound(self.mat.tol, self.d_i))
+        return _derived_state(rho, bound(self.mat.tol, self.d_i))
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,17 +93,40 @@ def reduced_dynamics(h: np.ndarray, s: CompositeState, t) -> ReducedDynamics:
     that constant included, is decomposed on every call.  ``t`` is a time or
     an array of times.  The joint state and the correlation operator are
     evolved in the eigenbasis of ``h`` (``linalg.propagate``), so a grid costs
-    no product per time.  Each state is validated once.
+    no product per time.
+
+    The propagator is checked once per call (``_check_propagator``, which
+    raises PropagatorError), and no state is validated again: the evolved
+    joint state, rho_i(t), rho_i(0) and rho_e(0) are derived from ``s`` at the
+    bounds of ``linalg.bound``'s growth rule.
     """
     if np.shape(h) != (s.mat.dim, s.mat.dim):
         raise ValueError(f"Hamiltonian shape {np.shape(h)} does not match joint dim {s.mat.dim}")
     rho_i0, rho_e0 = s.reduced_system(), s.reduced_environment()
     cor = correlation_operator(s, rho_i0, rho_e0)
     system = cnot_eigensystem() if h is cnot_hamiltonian() else eigh(h)
-    u, joint, cor_t = propagate(*eigenphases(system, t), s.mat.mat, cor)
-    joint_t = CompositeState(DensityMatrix(joint, tol=bound(s.mat.tol, s.mat.dim)), s.d_i, s.d_e)
+    vectors, phases = eigenphases(system, t)
+    _check_propagator(vectors, phases)
+    u, joint, cor_t = propagate(vectors, phases, s.mat.mat, cor)
+    joint_t = CompositeState(_derived_state(joint, bound(s.mat.tol, s.mat.dim)), s.d_i, s.d_e)
     inhom = partial_trace(cor_t, (s.d_i, s.d_e), keep=0)
     return ReducedDynamics(u, joint_t, joint_t.reduced_system(), rho_i0, rho_e0, cor, inhom)
+
+
+def _check_propagator(vectors: np.ndarray, phases: np.ndarray) -> None:
+    """Raise PropagatorError unless U(t) = V diag(p) V^dagger is unitary to rounding at every time of the grid.
+
+    A conjugation by any U keeps a state Hermitian and positive; only its trace moves, by up to the operator
+    norm of V^dagger V - I on each side of the conjugation and by max | |p_j|^2 - 1 | in between.  That norm is
+    at most the largest absolute row sum of the Hermitian V^dagger V - I, allowed bound(0, 1) per entry of a
+    row, and each |p_j| - 1 is allowed bound(0, 1) (eigh's rounding takes about 11 and 1 ulps for d <= 6).  So
+    a passing propagator moves a trace by at most 16 (d + 1) ulps, within the bound(0, d) = 8 d**3 ulps of an
+    evolved state for d >= 2.
+    """
+    d = vectors.shape[-1]
+    gram = np.abs(dag(vectors) @ vectors - identity(d)).sum(axis=-1).max()
+    require(gram, d * bound(0, 1), "propagator is not unitary (eigenvectors of H)", PropagatorError)
+    require(np.abs(np.abs(phases) - 1), bound(0, 1), "propagator is not unitary (phase modulus)", PropagatorError)
 
 
 def evolve_joint(h: np.ndarray, s: CompositeState, t) -> CompositeState:
@@ -242,25 +271,22 @@ def sweep_columns(
     columns unless d_i = 2, and the trace distance without a closed form.
     """
     ts = np.asarray(ts, dtype=float)
-    cols = {name: np.full(ts.shape, np.nan) for name in SWEEP_COLUMNS}
-    cols["t"] = ts
     rd = reduced_dynamics(h, joint, ts)
     numeric, rho0 = rd.rho_i_t, rd.rho_i0
-    cols["delta_rho_maxnorm"] = norm_max(rd.inhom)
-    if joint.d_i != 2:
-        return cols
-    if sc is not None:
-        analytic = cnot_analytic_rho(sc, ts)
-        cols["trace_distance_analytic_vs_numeric"] = trace_distance(analytic, numeric)
-    else:
-        analytic = numeric
-    angles = bloch_angles(analytic.mat)
-    cols["r(t)"], cols["theta(t)"], cols["phi(t)"] = angles
-    cols["r_t"] = cols["r(t)"].copy() if sc is None else sc.r_t(ts)
-    k = _closed_form_pair(bloch_angles(rho0.mat), angles)
-    cols["completeness_residual"] = k.completeness_residual()
-    cols["reconstruction_residual"] = norm_max(apply_kraus_raw(k, rho0.mat) - numeric.mat)
-    return cols
+    cols = {"t": ts, "delta_rho_maxnorm": norm_max(rd.inhom)}
+    if joint.d_i == 2:
+        if sc is not None:
+            analytic = cnot_analytic_rho(sc, ts)
+            cols["trace_distance_analytic_vs_numeric"] = trace_distance(analytic, numeric)
+        else:
+            analytic = numeric
+        angles = bloch_angles(analytic.mat)
+        cols["r(t)"], cols["theta(t)"], cols["phi(t)"] = angles
+        cols["r_t"] = cols["r(t)"].copy() if sc is None else sc.r_t(ts)
+        k = _closed_form_pair(bloch_angles(rho0.mat), angles)
+        cols["completeness_residual"] = k.completeness_residual()
+        cols["reconstruction_residual"] = norm_max(apply_kraus_raw(k, rho0.mat) - numeric.mat)
+    return {name: cols[name] if name in cols else np.full(ts.shape, np.nan) for name in SWEEP_COLUMNS}
 
 
 def factor_local_unitary(

@@ -129,7 +129,8 @@ def scenario_from_json(obj: Any, tol: float = EPS) -> tuple[np.ndarray, Composit
     {"scenario": "custom", "hamiltonian": <matrix>, "rho_ie0": <matrix>,
     "dims": [d_i, d_e]}; a custom scenario has no CnotScenario.  The joint state of
     either form is validated at ``tol``.  A custom Hamiltonian must be Hermitian
-    within ``tol``; its Hermitian part is returned.
+    within ``tol`` and its Hermitian part, which is returned, finite: an entry above
+    half the largest float may overflow it.
     """
     if not isinstance(obj, dict) or "scenario" not in obj:
         raise DecodeError("scenario object needs a 'scenario' key")
@@ -154,8 +155,11 @@ def scenario_from_json(obj: Any, tol: float = EPS) -> tuple[np.ndarray, Composit
         if h.shape != (d_i * d_e, d_i * d_e):
             raise DecodeError(f"hamiltonian shape {h.shape} does not match d_i*d_e = {d_i * d_e}")
         require(hermiticity_residual(h), tol, "hamiltonian is not Hermitian", error=DecodeError)
+        h = (h + dag(h)) / 2
+        if not np.isfinite(h).all():
+            raise DecodeError("hamiltonian's Hermitian part (H + H^dagger) / 2 is not finite: an entry overflows")
         joint = CompositeState(mat=validate_density(rho, tol=tol), d_i=d_i, d_e=d_e)
-        return (h + dag(h)) / 2, joint, None
+        return h, joint, None
     raise DecodeError(f"unknown scenario kind {kind!r}")
 
 

@@ -130,7 +130,7 @@ class DensityMatrix:
     """A quantum state: Hermitian, unit-trace, positive semidefinite matrix.
 
     ``mat`` may also be a stack of states, shape (..., d, d), validated as
-    one.
+    one.  Only ``_derived_state`` builds one without validation.
     """
 
     mat: np.ndarray
@@ -150,6 +150,16 @@ class DensityMatrix:
 def validate_density(m: np.ndarray, tol: float = EPS) -> DensityMatrix:
     """Validate a raw matrix into a DensityMatrix; StateValidationError on failure."""
     return DensityMatrix(np.asarray(m, dtype=complex), tol=tol)
+
+
+def _derived_state(mat: np.ndarray, tol: float) -> DensityMatrix:
+    """A DensityMatrix of the complex ``mat``, not validated: a state computed from a valid one by steps that
+    ``linalg.bound``'s growth rule covers (a partial trace, or a conjugation by a checked unitary), so it passes
+    at ``tol``, the bound that rule gives, up to rounding."""
+    state = object.__new__(DensityMatrix)
+    object.__setattr__(state, "mat", mat)
+    object.__setattr__(state, "tol", tol)
+    return state
 
 
 @dataclass(frozen=True, eq=False)

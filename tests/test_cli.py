@@ -214,8 +214,8 @@ class TestEvolve:
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
     def test_validates_each_state_once(self, cnot_scenario, monkeypatch, capsys):
-        """Five states, each validated once: the decoded joint state, rho_i(0),
-        rho_e(0), the evolved joint state and rho_i(t)."""
+        """One state validated, once: the decoded joint state.  rho_i(0), rho_e(0),
+        the evolved joint state and rho_i(t) are derived from it, not validated."""
         calls = []
         violations = states.density_violations
 
@@ -225,7 +225,7 @@ class TestEvolve:
 
         monkeypatch.setattr(states, "density_violations", counting_violations)
         assert main(["evolve", cnot_scenario, "--t", "0.7"]) == 0
-        assert sorted(calls) == [(2, 2)] * 3 + [(4, 4)] * 2
+        assert calls == [(4, 4)]
 
 
 class TestSweep:
@@ -276,9 +276,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("kind", ["cnot", "custom3"])
     def test_passing_sweep_takes_no_spectrum_of_a_stacked_state(self, tmp_path, rng, eigvalsh_calls, kind):
-        """Every stacked state of a passing sweep is proved positive by its Cholesky certificate, and every
-        single qubit by its scalar one: only the single joint state gets the spectrum, and for custom3 the
-        single qutrit environment state."""
+        """Every stacked state a passing sweep validates, the CNOT closed-form stack, is proved positive by
+        its Cholesky certificate: only the single decoded joint state gets the spectrum.  The evolved and
+        reduced states are derived, not validated."""
         path = str(tmp_path / "scenario.json")
         if kind == "cnot":
             dump({"scenario": "cnot", "r0": 0.5}, path)
@@ -287,7 +287,7 @@ class TestSweep:
         eigvalsh_calls.clear()  # those of random_density
         assert main(["sweep", path, "--t-start", "0", "--t-end", "3", "--steps", "100"]) == 0
         positivity = {shape for caller, shape in eigvalsh_calls if caller == "_positivity_residual"}
-        assert positivity == ({(4, 4)} if kind == "cnot" else {(6, 6), (3, 3)})
+        assert positivity == ({(4, 4)} if kind == "cnot" else {(6, 6)})
 
     def test_determinism(self, cnot_scenario, capsys):
         args = ["sweep", cnot_scenario, "--t-start", "0", "--t-end", "2", "--steps", "10"]
@@ -571,6 +571,20 @@ def test_invalid_input_exits_2(tmp_path, doc, argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "options", [["--t", "1"], ["--t-start", "0", "--t-end", "1", "--steps", "3"]], ids=["evolve", "sweep"]
+)
+def test_hamiltonian_whose_hermitian_part_overflows_exits_2(tmp_path, options, capsys):
+    """An exactly Hermitian Hamiltonian with every entry above half the largest float: its Hermitian part
+    (H + H^dagger) / 2 overflows, and the decoder says so, with exit 2, rather than a Hermiticity residual of NaN."""
+    path = str(tmp_path / "scenario.json")
+    dump(_custom(np.full((4, 4), 1.7e308)), path)
+    cmd = "evolve" if "--t" in options else "sweep"
+    code, out, err = _call([cmd, path, *options], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: hamiltonian's Hermitian part (H + H^dagger) / 2 is not finite: an entry overflows\n"
+
+
 #: JSON nested deeper than the parser recurses, bare and as a state's matrix.
 DEEP_JSON = {"bare": "[" * 100000 + "]" * 100000, "matrix": '{"matrix": ' + "[" * 100000 + "]" * 100000 + "}"}
 
@@ -639,8 +653,9 @@ def _tol_zero_scenario(tmp_path, rng):
 
 
 def test_computed_state_missing_its_bound_exits_1(tmp_path, rng, monkeypatch, capsys):
-    """Phases of the propagator off by a factor 1 + 1e-6 give an evolved joint state whose
-    trace misses its bound: exit 1 with one stderr line, no traceback and no output."""
+    """Phases of the propagator off by a factor 1 + 1e-6 fail the propagator check before any
+    state is evolved: exit 1 with one stderr line naming the check, its residual and its bound,
+    no traceback and no output."""
     path = _tol_zero_scenario(tmp_path, rng)
 
     def perturbed(system, t):
@@ -652,8 +667,8 @@ def test_computed_state_missing_its_bound_exits_1(tmp_path, rng, monkeypatch, ca
         code, out, err = _call(["--tol", "0", cmd, path, *options], capsys)
         assert code == 1
         assert out == ""
-        assert err.startswith(f"{cmd}: not a valid density matrix: unit_trace residual ")
-        assert err.endswith(f" > tol {bound(0, 4):.3e}\n")
+        assert err.startswith(f"{cmd}: propagator is not unitary (phase modulus): residual 1.000e-06 > tol ")
+        assert err.endswith(f" > tol {bound(0, 1):.3e}\n")
         assert err.count("\n") == 1
 
 

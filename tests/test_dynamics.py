@@ -1,8 +1,9 @@
 import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 from krauslab import (
@@ -25,12 +26,14 @@ from krauslab import (
     validate_density,
     verify_channel,
 )
-from krauslab.dynamics import SWEEP_COLUMNS, cnot_eigensystem, reduced_dynamics, sweep_columns
+from krauslab import dynamics
+from krauslab.dynamics import SWEEP_COLUMNS, PropagatorError, cnot_eigensystem, reduced_dynamics, sweep_columns
 from krauslab.kraus import apply_kraus_raw
 from krauslab.linalg import (
     EPS,
     bound,
     dag,
+    eigenphases,
     eigh,
     expm_hermitian_generator,
     failures,
@@ -49,27 +52,71 @@ def random_composite(rng):
     return CompositeState(mat=random_density(rng, d=4), d_i=2, d_e=2)
 
 
+def _raw_residuals(m):
+    """The three residuals that density_violations judges, each the worst over a stack, whether or not it fails."""
+    herm = (m + dag(m)) / 2
+    return np.array([
+        norm_max(m - dag(m)).max(),
+        np.abs(np.trace(m, axis1=-2, axis2=-1) - 1).max(),
+        -np.linalg.eigvalsh(herm).min(),
+    ])
+
+
 @given(
-    dims=st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 2)]),
+    dims=st.sampled_from([(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]),
     tol=edge_tols,
     sign=st.sampled_from([-1, 1]),
     rank=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
     ts=st.lists(st.floats(-10, 10), min_size=1, max_size=3),
+    gram_halvings=st.floats(0, 16),
+    phase_halvings=st.floats(0, 16),
+    phase_sign=st.sampled_from([-1, 1]),
+    aligned=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
-def test_states_at_the_edge_of_tol_survive_evolution_and_reduction(dims, tol, sign, rank, seed, ts):
-    """A joint state that passes at tol, by as little as rounding allows, gives
-    an evolved state and reduced states that pass the bounds of linalg.bound."""
+def test_states_at_the_edge_of_tol_survive_evolution_and_reduction(
+    dims, tol, sign, rank, seed, ts, gram_halvings, phase_halvings, phase_sign, aligned
+):
+    """A joint state that passes at tol, by as little as rounding allows, evolved by a propagator whose
+    eigenvectors and phases are pushed up to and far past the propagator check's bounds, gives derived states
+    that pass density_violations at their own tol wherever the check passes: the evolved joint stack, rho_i(t),
+    rho_e(t), rho_i(0) and rho_e(0).  Hypothesis seeks the draw whose worst residual comes closest to its tol,
+    so a looser check lets through a draw whose derived state fails.
+
+    Each of the two perturbations is bound(0, d), the evolved state's whole allowance at tol 0, halved a drawn
+    number of times.  The eigenvectors V become V (I + s G), G Hermitian, so that V^dagger V - I moves by about
+    2 s G, whose largest absolute row sum is the first perturbation; an ``aligned`` G is the projector on
+    V^dagger psi, psi the top eigenvector of the joint state, which moves the trace most.  The phases are scaled
+    by 1 plus or minus the second."""
     d_i, d_e = dims
+    d = d_i * d_e
     rng = np.random.default_rng(seed)
-    m = edge_matrix(rng, d_i * d_e, tol, sign, min(rank, d_i * d_e))
+    m = edge_matrix(rng, d, tol, sign, min(rank, d))
     assume(not density_violations(m, tol))
     joint = CompositeState(mat=DensityMatrix(m, tol=tol), d_i=d_i, d_e=d_e)
-    evolved = evolve_joint(random_hermitian(rng, d_i * d_e), joint, np.array(ts))
-    for s in (joint, evolved):
-        s.reduced_system()
-        s.reduced_environment()
+    h = random_hermitian(rng, d)
+    if aligned:
+        w = eigh(h)[1].conj().T @ np.linalg.eigh((m + dag(m)) / 2)[1][:, -1]
+        g = np.outer(w, w.conj())
+    else:
+        g = random_hermitian(rng, d)
+    s = bound(0, d) * 2.0**-gram_halvings / (2 * np.abs(g).sum(axis=-1).max())
+
+    def perturbed(system, t):
+        vectors, phases = eigenphases(system, t)
+        return vectors @ (identity(d) + s * g), phases * (1 + phase_sign * bound(0, d) * 2.0**-phase_halvings)
+
+    with mock.patch.object(dynamics, "eigenphases", perturbed):
+        try:
+            rd = reduced_dynamics(h, joint, np.array(ts))
+        except PropagatorError:
+            return  # the perturbation, or rounding, took the propagator past a bound: exit 1, no state
+    derived = {"joint(t)": rd.joint_t.mat, "rho_i(t)": rd.rho_i_t, "rho_e(t)": rd.joint_t.reduced_environment(),
+               "rho_i(0)": rd.rho_i0, "rho_e(0)": rd.rho_e0}
+    for name, state in derived.items():
+        assert not density_violations(state.mat, state.tol), name
+        target(float(_raw_residuals(state.mat).max() / state.tol), label=f"{name} residual / tol")
 
 
 class TestCnotHamiltonian:
