@@ -74,10 +74,6 @@ def _write(text: str, out: str | None) -> None:
         raise InputError(f"{out}: {exc.strerror or exc}") from exc
 
 
-def _emit(obj, out: str | None) -> None:
-    _write(serialize.dumps(obj) + "\n", out)
-
-
 def _verdict(args, checks: dict, d: int, where=lambda check: "") -> int:
     """The CLI's one verdict: ``checks``, residuals computed in d dimensions, are judged at --tol + bound(0, d).
     Print ``<command>: <check> <worst> > tol <tol>`` + ``where(check)`` per failed check; return the exit code."""
@@ -117,16 +113,9 @@ def cmd_evolve(args) -> int:
     h, joint, _ = _load(args.scenario, serialize.scenario_from_json, args.tol)
     rd = reduced_dynamics(h, joint, args.t)
     residual = rd.decomposition_residual()
-    _emit(
-        {
-            "t": args.t,
-            "rho_i_t": serialize.matrix_to_json(rd.rho_i_t.mat),
-            "delta_rho": serialize.matrix_to_json(rd.inhom),
-            "rho_cor_0": serialize.matrix_to_json(rd.cor),
-            "decomposition_residual": residual,
-        },
-        args.out,
-    )
+    doc = {"t": args.t, "rho_i_t": rd.rho_i_t.mat, "delta_rho": rd.inhom, "rho_cor_0": rd.cor,
+           "decomposition_residual": residual}
+    _write(serialize.text(doc) + "\n", args.out)
     return _verdict(args, {"decomposition_residual": residual}, joint.d_i * joint.d_e)
 
 
@@ -139,7 +128,7 @@ def cmd_sweep(args) -> int:
     cols = sweep_columns(h, joint, np.linspace(args.t_start, args.t_end, args.steps), sc)
     table = np.column_stack([cols[col] for col in SWEEP_COLUMNS])
     if args.format == "json":
-        _emit([dict(zip(SWEEP_COLUMNS, row)) for row in table.tolist()], args.out)
+        _write(serialize.rows_text(SWEEP_COLUMNS, table) + "\n", args.out)
     else:
         # The bytes of csv.writer with f"{value:.12g}" cells: no cell needs quoting.
         csv_rows = (",".join(["%.12g"] * len(SWEEP_COLUMNS)) + "\r\n") * len(table)
@@ -162,6 +151,9 @@ def cmd_remix(args) -> int:
     k = _load(args.kraus, serialize.kraus_from_json)
     v = _load(args.unitary, serialize.matrix_from_json)
     remixed = unitary_remix(k, v, tol=args.tol)
+    overflow = np.where(np.isfinite(remixed.ops), 0.0, abs(remixed.ops))  # inf or NaN where a finite sum overflowed
+    if code := _verdict(args, {"overflow": overflow}, max(k.d_in, k.d_out)):
+        return code  # a document with null entries would not read back
     _write(serialize.kraus_text(remixed) + "\n", args.out)
     return EXIT_OK
 
@@ -173,7 +165,7 @@ def cmd_factor(args) -> int:
     if code := _verdict(args, {"product": residual}, d_i * d_e):
         print(json.dumps({"factorable": False}))
         return code
-    _emit({"factorable": True, "u_i": serialize.matrix_to_json(u_i), "u_e": serialize.matrix_to_json(u_e)}, args.out)
+    _write(serialize.text({"factorable": True, "u_i": u_i, "u_e": u_e}) + "\n", args.out)
     return EXIT_OK
 
 

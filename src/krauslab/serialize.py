@@ -1,4 +1,4 @@
-"""JSON encodings for matrices, states, Kraus sets, reports, and scenarios.
+"""JSON decoders for matrices, states, Kraus sets and scenarios, and one writer for indented documents.
 
 Matrix encoding: {"rows": n, "cols": m, "data": [[re, im], ...]} with the
 data row-major.  Decimal round-trip is good to full double precision.
@@ -10,9 +10,8 @@ import cmath
 import functools
 import json
 import math
+import re
 from dataclasses import fields
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 from sys import float_info
 from typing import Any
 
@@ -92,16 +91,6 @@ def state_from_json(obj: Any, tol: float = EPS) -> DensityMatrix:
     raise DecodeError("state object needs a 'bloch' or 'matrix' key")
 
 
-def kraus_to_json(k: KrausSet) -> dict[str, Any]:
-    if k.ops.ndim > 3:
-        raise ValueError(f"cannot encode a stack of Kraus sets (stack shape {k.ops.shape[1:-2]}); encode each set")
-    return {
-        "d_in": k.d_in,
-        "d_out": k.d_out,
-        "ops": [matrix_to_json(op) for op in k.ops],
-    }
-
-
 def kraus_from_json(obj: Any) -> KrausSet:
     """Decode a Kraus set; its declared ``d_out`` and ``d_in`` must match every operator."""
     try:
@@ -113,13 +102,6 @@ def kraus_from_json(obj: Any) -> KrausSet:
     if k.ops.shape[1:] != shape:
         raise DecodeError(f"operator shape {k.ops.shape[1:]} does not match {shape}")
     return k
-
-
-def report_to_json(report: ChannelReport) -> dict[str, float]:
-    shape = np.shape(report.completeness_residual)
-    if shape:
-        raise ValueError(f"cannot encode a stack of reports (stack shape {shape}); encode each set's report")
-    return {f.name: getattr(report, f.name) for f in fields(report)}
 
 
 def scenario_from_json(obj: Any, tol: float = EPS) -> tuple[np.ndarray, CompositeState, CnotScenario | None]:
@@ -163,82 +145,76 @@ def scenario_from_json(obj: Any, tol: float = EPS) -> tuple[np.ndarray, Composit
     raise DecodeError(f"unknown scenario kind {kind!r}")
 
 
-_encode_leaf = json.JSONEncoder().encode  # compact, so the C encoder
+def text(doc: dict[str, Any]) -> str:
+    """``json.dumps(doc, indent=2)`` of a flat document, byte for byte, with each non-finite float written as ``null``
+    (JSON has no NaN or infinity), from one cached template per key.
 
-
-def dumps(obj: Any) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, with each non-finite float written as ``null``
-    and without the pure-Python encoder.
-
-    JSON has no NaN or infinity, so ``null`` stands for one.  A matrix's
-    ``data`` (equal-width lists of finite floats) fills one cached template.
-    What raises TypeError, ValueError or OverflowError here (a non-``str`` key
-    or an unknown type) or recurses without end is left to ``json.dumps`` with
-    ``allow_nan=False``, which raises on a non-finite float rather than write it.
+    Each value is a float, a complex array written as ``matrix_to_json`` writes it (a matrix, or an (n, r, c) stack
+    as a list of n matrices) or a literal (an int or a bool).
     """
-    try:
-        return _encode(obj, 0)
-    except (TypeError, ValueError, OverflowError, RecursionError):
-        return json.dumps(obj, indent=2, allow_nan=False)
+    key, values = [], []
+    for name, value in doc.items():
+        if isinstance(value, np.ndarray):
+            key.append((name, value.shape))
+            values += np.ascontiguousarray(value, dtype=complex).view(float).ravel().tolist()
+        elif isinstance(value, float):
+            key.append((name, None))
+            values.append(float(value))
+        else:
+            key.append((name, json.dumps(value)))
+    return _fill(_template(tuple(key)), values)
 
 
-def _encode(o: Any, depth: int) -> str:
-    if isinstance(o, float):
-        return float.__repr__(o) if math.isfinite(o) else "null"
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if isinstance(o, int) and not isinstance(o, bool):
-        return int.__repr__(o)
-    if isinstance(o, dict) and o:
-        items = [encode_basestring_ascii(k) + ": " + _encode(v, depth + 1) for k, v in o.items()]
-        return _layout(items, depth, "{}")
-    if isinstance(o, (list, tuple)) and o:
-        width = len(o[0]) if type(o[0]) is list else 0
-        if width and set(map(type, o)) == {list} and set(map(len, o)) == {width}:
-            flat = list(chain.from_iterable(o))
-            if set(map(type, flat)) == {float} and all(map(math.isfinite, flat)):  # else entry by entry
-                return _grid_template(len(o), width, depth) % tuple(map(float.__repr__, flat))
-        return _layout([_encode(v, depth + 1) for v in o], depth)
-    return _encode_leaf(o)  # None, a bool, an empty container
-
-
-def _layout(items: list[str], depth: int, brackets: str = "[]") -> str:
-    """Encoded items in a container at ``depth``, laid out as ``json.dumps`` does with ``indent=2``."""
-    inner = "\n" + "  " * (depth + 1)
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
-
-
-@functools.lru_cache(maxsize=64)
-def _grid_template(n_rows: int, width: int, depth: int) -> str:
-    return _layout([_layout(["%s"] * width, depth + 1)] * n_rows, depth)
+def rows_text(names: tuple[str, ...], table: np.ndarray) -> str:
+    """``text`` of the list of documents ``dict(zip(names, row))``, one per row of the float ``table``: the template
+    of one row, indented one level and repeated."""
+    row = _template(tuple((name, None) for name in names)).replace("\n", "\n  ")
+    return _fill("[\n  " + ",\n  ".join([row] * len(table)) + "\n]" if len(table) else "[]", table.ravel().tolist())
 
 
 def kraus_text(k: KrausSet) -> str:
-    """``dumps(kraus_to_json(k))``, byte for byte: one cached template per operator shape, filled with one ``%``."""
-    return _fill(_template(k.ops.shape), np.ascontiguousarray(k.ops).view(float).ravel())
+    """``text`` of the Kraus document ``{"d_in": d_in, "d_out": d_out, "ops": ops}`` of a single set."""
+    if k.ops.ndim > 3:
+        raise ValueError(f"cannot encode a stack of Kraus sets (stack shape {k.ops.shape[1:-2]}); encode each set")
+    key = (("d_in", str(k.d_in)), ("d_out", str(k.d_out)), ("ops", k.ops.shape))  # an int's str is its JSON text
+    return _fill(_template(key), np.ascontiguousarray(k.ops).view(float).ravel().tolist())
+
+
+#: The key of a report's document: each field of ChannelReport, a float.
+_REPORT_KEY = tuple((f.name, None) for f in fields(ChannelReport))
 
 
 def report_text(report: ChannelReport) -> str:
-    """``dumps(report_to_json(report))``, byte for byte, from one cached template."""
-    return _fill(_template(None), np.array(list(report_to_json(report).values()), dtype=float))
+    """``text`` of a single report's document, its fields by name."""
+    shape = np.shape(report.completeness_residual)
+    if shape:
+        raise ValueError(f"cannot encode a stack of reports (stack shape {shape}); encode each set's report")
+    return _fill(_template(_REPORT_KEY), [float(getattr(report, name)) for name, _ in _REPORT_KEY])
 
 
 @functools.lru_cache(maxsize=64)
-def _template(shape: tuple[int, ...] | None) -> str:
-    """``dumps`` of the encoder's document for operators of ``shape`` (None: for a report) as a %-format: a ``%s``
-    for each of its floats and ``%%`` for any other ``%``."""
-    doc = (report_to_json(ChannelReport(*[0.0] * len(fields(ChannelReport)))) if shape is None
-           else kraus_to_json(KrausSet(np.zeros(shape, dtype=complex))))
-    holes = json.loads(json.dumps(doc), parse_float=lambda _: "\0")  # each float a string no document holds
-    return dumps(holes).replace("%", "%%").replace(encode_basestring_ascii("\0"), "%s")
+def _template(key: tuple[tuple[str, Any], ...]) -> str:
+    """The standard library's ``json.dumps(..., indent=2)`` of the document ``key`` describes, as a %-format: a
+    ``%s`` for each of its floats and ``%%`` for any other ``%``.  ``key`` holds each name with its value's spec:
+    an array's shape, a literal's JSON text, or None for a float."""
+    doc = {}
+    for name, spec in key:
+        if spec is None:
+            doc[name] = 0.0
+        elif isinstance(spec, str):
+            doc[name] = json.loads(spec)
+        else:
+            zeros = np.zeros(spec)
+            doc[name] = matrix_to_json(zeros) if zeros.ndim == 2 else [matrix_to_json(m) for m in zeros]
+    holes = json.loads(json.dumps(doc), parse_float=lambda _: "\0")  # each float the string "\0", as a value
+    return re.sub(r'"\\u0000"(?!:)', "%s", json.dumps(holes, indent=2).replace("%", "%%"))  # a name "\0" stays
 
 
-def _fill(template: str, values: np.ndarray) -> str:
-    """``template`` filled with ``values`` as ``dumps`` writes floats: each as its repr (a float's str) or ``null``."""
-    filled = values.tolist()
-    if not all(map(math.isfinite, filled)):
-        filled = [v if math.isfinite(v) else "null" for v in filled]
-    return template % tuple(filled)
+def _fill(template: str, values: list[float]) -> str:
+    """``template`` filled with ``values`` as ``json.dumps`` writes floats, each as its repr, or as ``null``."""
+    if not all(map(math.isfinite, values)):
+        values = [v if math.isfinite(v) else "null" for v in values]
+    return template % tuple(values)
 
 
 def load(path: str) -> Any:

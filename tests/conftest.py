@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from krauslab import bloch_matrix, validate_density
-from krauslab.serialize import dumps, matrix_to_json
+from krauslab.serialize import matrix_to_json
 
 # CI runs with --hypothesis-profile=ci: the same examples on every run, and a
 # failure prints the blob that replays it (@reproduce_failure).  Local runs
@@ -69,9 +71,36 @@ def random_hermitian(rng, d):
 
 
 def dump(obj, path):
-    """Write ``obj`` to ``path`` as the CLI writes its JSON output."""
+    """Write ``obj`` to ``path`` as the CLI writes its JSON output: the standard library's indented JSON."""
     with open(path, "w") as fh:
-        fh.write(dumps(obj) + "\n")
+        fh.write(json.dumps(obj, indent=2) + "\n")
+
+
+def nulled(obj):
+    """``obj`` with each non-finite float replaced by None, in containers as in leaves: what the CLI writes as
+    ``null``, since JSON has no NaN or infinity."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, (list, tuple)):
+        return [nulled(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: nulled(v) for k, v in obj.items()}
+    return obj
+
+
+def reference_text(doc):
+    """The standard library's ``json.dumps(nulled(doc), indent=2)``: the bytes every indented CLI document has."""
+    return json.dumps(nulled(doc), indent=2)
+
+
+def kraus_doc(k):
+    """The JSON document of a single Kraus set, as ``kraus_from_json`` reads it."""
+    return {"d_in": k.d_in, "d_out": k.d_out, "ops": [matrix_to_json(op) for op in k.ops]}
+
+
+def report_doc(report):
+    """The JSON document of a single channel report: its fields by name."""
+    return {f.name: float(getattr(report, f.name)) for f in dataclasses.fields(report)}
 
 
 def strict_loads(text):

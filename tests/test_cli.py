@@ -31,18 +31,25 @@ from krauslab.dynamics import SWEEP_COLUMNS, ReducedDynamics, cnot_eigensystem, 
 from krauslab.kraus import apply_kraus_raw, factorable_kraus
 from krauslab.linalg import EPS, bound, eigenphases, expm_hermitian_generator, norm_max
 from krauslab.serialize import (
-    dumps,
     kraus_from_json,
-    kraus_to_json,
     load,
     matrix_from_json,
     matrix_to_json,
-    report_to_json,
     scenario_from_json,
     state_from_json,
 )
 
-from conftest import dump, random_density, random_hermitian, random_unitary, strict_loads, write_state
+from conftest import (
+    dump,
+    kraus_doc,
+    random_density,
+    random_hermitian,
+    random_unitary,
+    reference_text,
+    report_doc,
+    strict_loads,
+    write_state,
+)
 
 
 @pytest.fixture
@@ -123,7 +130,7 @@ class TestKraus:
         rho0, rhot = random_density(rng), random_density(rng)
         a, b, out = write_state(tmp_path, "a.json", rho0), write_state(tmp_path, "b.json", rhot), str(tmp_path / "k.json")
         assert main(["--tol", "1e-9", "--out", out, "kraus", a, b, "--method", method]) == 0
-        assert load(out) == kraus_to_json(KRAUS_METHODS[method](rho0, rhot))
+        assert load(out) == kraus_doc(KRAUS_METHODS[method](rho0, rhot))
         capsys.readouterr()
 
     def test_measure_prepare_method(self, tmp_path, rng):
@@ -396,7 +403,7 @@ class TestVerify:
         rho0, rhot = random_density(rng), random_density(rng)
         k = general_qubit_kraus(rho0, rhot)
         kp = str(tmp_path / "k.json")
-        dump(kraus_to_json(k), kp)
+        dump(kraus_doc(k), kp)
         p0 = write_state(tmp_path, "rho0.json", rho0)
         pt = write_state(tmp_path, "rhot.json", rhot)
         assert main(["--tol", "1e-9", "verify", kp, p0, pt]) == 0
@@ -405,7 +412,7 @@ class TestVerify:
         rho0, rhot, other = (random_density(rng) for _ in range(3))
         k = general_qubit_kraus(rho0, rhot)
         kp = str(tmp_path / "k.json")
-        dump(kraus_to_json(k), kp)
+        dump(kraus_doc(k), kp)
         p0 = write_state(tmp_path, "rho0.json", rho0)
         po = write_state(tmp_path, "other.json", other)
         assert main(["--tol", "1e-9", "verify", kp, p0, po]) == 1
@@ -431,18 +438,18 @@ class TestRemix:
         k = general_qubit_kraus(random_density(rng), random_density(rng))
         kp = str(tmp_path / "k.json")
         vp = str(tmp_path / "v.json")
-        dump(kraus_to_json(k), kp)
+        dump(kraus_doc(k), kp)
         dump(matrix_to_json(np.eye(2)), vp)
         assert main(["remix", kp, vp]) == 0
         out = json.loads(capsys.readouterr().out)
-        for got, orig in zip(out["ops"], kraus_to_json(k)["ops"]):
+        for got, orig in zip(out["ops"], kraus_doc(k)["ops"]):
             assert got == orig
 
     def test_non_unitary_rejected(self, tmp_path, rng):
         k = general_qubit_kraus(random_density(rng), random_density(rng))
         kp = str(tmp_path / "k.json")
         vp = str(tmp_path / "v.json")
-        dump(kraus_to_json(k), kp)
+        dump(kraus_doc(k), kp)
         dump(matrix_to_json(np.ones((2, 2))), vp)
         assert main(["remix", kp, vp]) == 2
 
@@ -565,7 +572,7 @@ def test_invalid_input_exits_2(tmp_path, doc, argv, capsys):
     if doc is not None:
         dump(doc, bad)
     kraus = str(tmp_path / "k.json")
-    dump(kraus_to_json(general_qubit_kraus(mixed, mixed)), kraus)
+    dump(kraus_doc(general_qubit_kraus(mixed, mixed)), kraus)
     paths = {"good": good, "bad": bad, "kraus": kraus, "dir": str(tmp_path)}
     assert main([a.format(**paths) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -775,7 +782,7 @@ def test_exit_1_names_each_failing_check(cmd, tol, code, tmp_path, cnot_scenario
     p0, pt = write_state(tmp_path, "rho0.json", rho0), write_state(tmp_path, "rhot.json", rhot)
     po = write_state(tmp_path, "other.json", validate_density(np.eye(2) / 2))
     kp = str(tmp_path / "k.json")
-    dump(kraus_to_json(general_qubit_kraus(rho0, rhot)), kp)
+    dump(kraus_doc(general_qubit_kraus(rho0, rhot)), kp)
     argv = {
         "kraus": ["--out", str(tmp_path / "out.json"), "kraus", p0, pt],
         "kraus-near-pole": ["--out", str(tmp_path / "out.json"), "kraus", p0, _near_pole_state(tmp_path)],
@@ -1019,7 +1026,7 @@ def out_writer_paths(tmp_path, cnot_scenario):
         "unitary": str(tmp_path / "u.json"),
         "product": str(tmp_path / "product.json"),
     }
-    dump(kraus_to_json(general_qubit_kraus(mixed, mixed)), paths["kraus"])
+    dump(kraus_doc(general_qubit_kraus(mixed, mixed)), paths["kraus"])
     dump(matrix_to_json(np.eye(2)), paths["unitary"])
     dump(matrix_to_json(kron(pauli_x, pauli_z)), paths["product"])
     return paths
@@ -1054,27 +1061,27 @@ def test_out_writes_the_bytes_it_prints(tmp_path, out_writer_paths, argv, capsys
 
 def _library_documents(kp, vp, rho0, rhot):
     """The report of the Kraus file ``kp`` on (rho0, rhot) and the set remixed by the matrix file ``vp``, each as
-    ``dumps`` of the library's encoder on the decoded files, ended by a newline.  As in the CLI, an overflow
-    shows in the residuals it makes, with no numpy warning."""
+    the standard library's indented JSON of the library's document on the decoded files, non-finite floats as
+    null, ended by a newline.  As in the CLI, an overflow shows in the residuals it makes, with no numpy warning."""
     k = kraus_from_json(load(kp))
     with np.errstate(all="ignore"):
         report = verify_channel(k, rho0, rhot)
     remixed = unitary_remix(k, matrix_from_json(load(vp)))
-    return dumps(report_to_json(report)) + "\n", (dumps(kraus_to_json(remixed)) + "\n").encode()
+    return reference_text(report_doc(report)) + "\n", (reference_text(kraus_doc(remixed)) + "\n").encode()
 
 
 @pytest.mark.parametrize("method,d", [*((method, 2) for method in KRAUS_METHODS), ("measure-prepare", 3)])
 def test_kraus_verify_and_remix_write_the_library_documents(method, d, tmp_path, rng, capsys):
     """The Kraus file of kraus --out and of remix --out, and the report that kraus and verify print, are the bytes
-    of dumps on the library's documents for the same decoded inputs."""
+    of the standard library's indented JSON of the library's documents for the same decoded inputs."""
     p0, pt = (write_state(tmp_path, name, random_density(rng, d=d)) for name in ("rho0.json", "rhot.json"))
     kp, vp, rp = (str(tmp_path / name) for name in ("k.json", "v.json", "remixed.json"))
     rho0, rhot = (state_from_json(load(p)) for p in (p0, pt))
     k = KRAUS_METHODS[method](rho0, rhot)
-    report = dumps(report_to_json(verify_channel(k, rho0, rhot))) + "\n"
+    report = reference_text(report_doc(verify_channel(k, rho0, rhot))) + "\n"
     assert _call(["--out", kp, "kraus", p0, pt, "--method", method], capsys) == (0, report, "")
     with open(kp, "rb") as fh:
-        assert fh.read() == (dumps(kraus_to_json(k)) + "\n").encode()
+        assert fh.read() == (reference_text(kraus_doc(k)) + "\n").encode()
     dump(matrix_to_json(random_unitary(rng, len(k) + 1)), vp)
     verified, remixed = _library_documents(kp, vp, rho0, rhot)
     assert _call(["verify", kp, p0, pt], capsys) == (0, verified, "")
@@ -1087,7 +1094,7 @@ def test_overflowed_set_is_reported_and_remixed_as_the_library_writes_it(tmp_pat
     """The set whose products overflow with both signs: verify prints the library's report, four nulls, and exits
     1; remix writes the library's document of the remixed set."""
     kp, vp, rp = (str(tmp_path / name) for name in ("k.json", "v.json", "remixed.json"))
-    dump(kraus_to_json(KrausSet([np.array([[1e200, -1e200], [1e200, 1e200]])])), kp)
+    dump(kraus_doc(KrausSet([np.array([[1e200, -1e200], [1e200, 1e200]])])), kp)
     dump(matrix_to_json(random_unitary(rng, 2)), vp)
     state = write_state(tmp_path, "rho.json", validate_density(np.eye(2) / 2))
     rho = state_from_json(load(state))
@@ -1100,8 +1107,72 @@ def test_overflowed_set_is_reported_and_remixed_as_the_library_writes_it(tmp_pat
         assert fh.read() == remixed
 
 
+@pytest.mark.parametrize("second", [1.5e308, -1.5e308], ids=["sum", "difference"])
+def test_remix_that_overflows_exits_1_and_writes_no_document(second, tmp_path, capsys):
+    """Two finite operators remixed by the Hadamard matrix overflow in one entry of one remixed operator: remix
+    exits 1 with one line naming the check, with no numpy warning, and writes no document, since a null entry
+    would not read back."""
+    kp, vp, rp = (str(tmp_path / name) for name in ("k.json", "v.json", "remixed.json"))
+    dump({"d_in": 2, "d_out": 2, "ops": [matrix_to_json(np.diag([1.5e308, 0])), matrix_to_json(np.diag([second, 0]))]},
+         kp)
+    dump(matrix_to_json(np.array([[1, 1], [1, -1]]) / np.sqrt(2)), vp)
+    failed = (1, "", f"remix: overflow inf > tol {EPS:.3e}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _call(["--out", rp, "remix", kp, vp], capsys) == failed
+        assert _call(["remix", kp, vp], capsys) == failed
+    assert caught == [] and not os.path.exists(rp)
+
+
+#: The scenarios of the byte contracts: d_i -> (d_i, d_e) of a custom scenario, or None for the CNOT one.
+SCENARIO_DIMS = {"cnot": None, "custom-d_i=1": (1, 2), "custom-d_i=2": (2, 2), "custom-d_i=3": (3, 2)}
+
+
+def _written(argv, tmp_path, capsys):
+    """(stdout, --out bytes) of ``argv``, run once without --out and once with it, each exiting 0 with no stderr."""
+    out = tmp_path / "out.json"
+    code, printed, err = _call(argv, capsys)
+    assert (code, err) == (0, "")
+    assert _call(["--out", str(out), *argv], capsys) == (0, "", "")
+    return printed, out.read_bytes()
+
+
+@pytest.mark.parametrize("dims", SCENARIO_DIMS.values(), ids=SCENARIO_DIMS)
+def test_evolve_and_sweep_json_are_the_stdlib_bytes_of_the_library_values(dims, tmp_path, rng, capsys):
+    """evolve and sweep --format json, printed and written to --out, are the standard library's indented JSON of
+    the library's own values for the decoded scenario, each non-finite float (a NaN sweep column) as null."""
+    path = str(tmp_path / "scenario.json")
+    if dims is None:
+        dump({"scenario": "cnot", "r0": 0.5}, path)
+    else:
+        d = dims[0] * dims[1]
+        dump(_custom(random_hermitian(rng, d), dims=dims, rho=random_density(rng, d=d).mat), path)
+    h, joint, sc = scenario_from_json(load(path))
+    rd = reduced_dynamics(h, joint, 0.7)
+    evolved = {"t": 0.7, "rho_i_t": matrix_to_json(rd.rho_i_t.mat), "delta_rho": matrix_to_json(rd.inhom),
+               "rho_cor_0": matrix_to_json(rd.cor), "decomposition_residual": float(rd.decomposition_residual())}
+    cols = sweep_columns(h, joint, np.linspace(-1.0, 2.5, 5), sc)
+    rows = [dict(zip(SWEEP_COLUMNS, row)) for row in np.column_stack([cols[c] for c in SWEEP_COLUMNS]).tolist()]
+    sweep = ["sweep", path, "--t-start", "-1", "--t-end", "2.5", "--steps", "5", "--format", "json"]
+    for argv, doc in ((["evolve", path, "--t", "0.7"], evolved), (sweep, rows)):
+        text = reference_text(doc) + "\n"
+        assert _written(argv, tmp_path, capsys) == (text, text.encode())
+    assert ("null" in text) == (dims is not None)  # a custom scenario has NaN sweep columns, the CNOT one none
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (2, 2), (3, 2), (2, 3)], ids=str)
+def test_factor_is_the_stdlib_bytes_of_the_library_factors(dims, tmp_path, rng, capsys):
+    """factor, printed and written to --out, is the standard library's indented JSON of the library's factors of
+    the decoded unitary."""
+    path = str(tmp_path / "u.json")
+    dump(matrix_to_json(kron(random_unitary(rng, dims[0]), random_unitary(rng, dims[1]))), path)
+    u_i, u_e, _ = factor_local_unitary(matrix_from_json(load(path)), dims)
+    text = reference_text({"factorable": True, "u_i": matrix_to_json(u_i), "u_e": matrix_to_json(u_e)}) + "\n"
+    assert _written(["factor", path, "--dims", *map(str, dims)], tmp_path, capsys) == (text, text.encode())
+
+
 #: A valid state file as the CLI writes JSON, lines ended by \n.
-_STATE_TEXT = dumps({"matrix": matrix_to_json(np.eye(2) / 2)}) + "\n"
+_STATE_TEXT = json.dumps({"matrix": matrix_to_json(np.eye(2) / 2)}, indent=2) + "\n"
 
 #: Files read as UTF-8 bytes: name -> (the file's bytes, exit code of validate, its stderr after "error: <path>: ").
 INPUT_FILES = {

@@ -30,10 +30,10 @@ from krauslab import general_qubit_kraus, kron, pauli_x, pauli_z, validate_densi
 from krauslab import cli
 from krauslab.cli import GLOBAL_OPTIONS, KRAUS_METHODS, RESIDUAL_COLUMNS, build_parser, finite, main, tolerance
 from krauslab.linalg import bound
-from krauslab.serialize import kraus_to_json, matrix_to_json
+from krauslab.serialize import matrix_to_json
 from krauslab.states import bloch_matrix
 
-from conftest import dump, edge_matrix, random_density, random_hermitian, random_unitary
+from conftest import dump, edge_matrix, kraus_doc, random_density, random_hermitian, random_unitary
 
 #: A JSON number past the float maximum: written into the file as the text 1.8e308 (or -1.8e308), which
 #: ``json.load`` reads as an infinity.  No encoder writes it, so the drawn document holds these markers.
@@ -396,7 +396,7 @@ def _files_near_the_edge(tmp, command, rng, scale):
         k = general_qubit_kraus(random_density(rng), random_density(rng))
         n = int(rng.integers(2, 5))
         v = random_unitary(rng, n) + scale * noise[:n, :n] / np.abs(noise[:n, :n]).max()
-        docs = [kraus_to_json(k), matrix_to_json(v)]
+        docs = [kraus_doc(k), matrix_to_json(v)]
     else:
         u = kron(random_unitary(rng, 2), random_unitary(rng, 2)) if rng.random() < 0.75 else random_unitary(rng, 4)
         docs = [matrix_to_json(u + scale * noise / np.abs(noise).max())]

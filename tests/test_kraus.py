@@ -36,7 +36,7 @@ from krauslab.linalg import (
     pauli_z,
     unitarity_residual,
 )
-from krauslab.serialize import dumps, matrix_to_json, state_from_json
+from krauslab.serialize import matrix_to_json, state_from_json
 
 from conftest import bloch_state, choi_spectrum, random_density, random_unitary
 from test_serialize import reports
@@ -373,7 +373,7 @@ def test_state_near_a_pole_is_reached_at_the_default_tol(theta, south, r, phi, o
     assert bloch_angles(bloch_matrix(r, theta, phi))[1] == pytest.approx(theta, rel=0, abs=1e-15)
     bloch = {"r": r, "theta": theta, "phi": phi}
     obj = {"bloch": bloch} if encoding == "bloch" else {"matrix": matrix_to_json(bloch_matrix(**bloch))}
-    near, far = state_from_json(json.loads(dumps(obj)), EPS), bloch_state(*other)
+    near, far = state_from_json(json.loads(json.dumps(obj)), EPS), bloch_state(*other)
     rho0, rhot = (near, far) if near_first else (far, near)
     assert verify_channel(method(rho0, rhot), rho0, rhot).passes(1e-10)
 
@@ -870,7 +870,7 @@ class TestStackedSets:
         report = verify_channel(general_qubit_kraus(rho0, rhot), rho0, rhot)
         assert all(isinstance(value, float) for value in vars(report).values())
 
-    def test_apply_channel_on_a_stack(self, rng):
+    def test_apply_kraus_raw_on_a_stack(self, rng):
         rho0 = validate_density(np.stack([random_density(rng).mat for _ in range(4)]))
         rhot = validate_density(np.stack([random_density(rng).mat for _ in range(4)]))
         out = validate_density(apply_kraus_raw(general_qubit_kraus(rho0, rhot), rho0.mat), tol=bound(EPS, 2))

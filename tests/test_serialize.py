@@ -16,20 +16,19 @@ from krauslab.linalg import norm_max
 from krauslab import serialize
 from krauslab.serialize import (
     DecodeError,
-    dumps,
     kraus_from_json,
     kraus_text,
-    kraus_to_json,
     matrix_from_json,
     matrix_to_json,
     report_text,
-    report_to_json,
+    rows_text,
     scenario_from_json,
     state_from_json,
+    text,
 )
 from krauslab.states import StateValidationError, bloch_matrix
 
-from conftest import dump, random_density, strict_loads
+from conftest import dump, kraus_doc, random_density, reference_text, report_doc, strict_loads
 
 
 class TestMatrixRoundTrip:
@@ -81,7 +80,7 @@ class TestStateEncoding:
 class TestKrausEncoding:
     def test_round_trip(self, rng):
         k = general_qubit_kraus(random_density(rng), random_density(rng))
-        back = kraus_from_json(kraus_to_json(k))
+        back = kraus_from_json(json.loads(kraus_text(k)))
         assert back.d_in == k.d_in and back.d_out == k.d_out
         for a, b in zip(back.ops, k.ops):
             assert norm_max(a - b) == 0
@@ -136,7 +135,7 @@ def _with_entry(obj, value):
 def test_non_finite_entry_in_any_matrix_file(rng, value):
     rho = random_density(rng)
     m = _with_entry(matrix_to_json(rho.mat), value)
-    k = kraus_to_json(general_qubit_kraus(rho, rho))
+    k = kraus_doc(general_qubit_kraus(rho, rho))
     k["ops"][1] = _with_entry(k["ops"][1], value)
     scenario = {
         "scenario": "custom",
@@ -283,7 +282,7 @@ def test_dims_must_be_a_pair(dims):
         scenario_from_json({**doc, "dims": dims})
 
 
-# -- dumps writes the bytes of json.dumps(obj, indent=2) ----------------------
+# -- text writes the bytes of the standard library's json.dumps(doc, indent=2) -------
 
 EDGE_FLOATS = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1e300, -1e300, float("nan"), float("inf"), float("-inf")]
 floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
@@ -291,10 +290,13 @@ finite_floats = st.one_of(st.sampled_from([-0.0, 1e-300, 5e-324, 1e300]), st.flo
 
 
 @st.composite
-def complex_matrices(draw):
-    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    parts = draw(st.lists(floats, min_size=2 * rows * cols, max_size=2 * rows * cols))
-    return np.array(parts).view(complex).reshape(rows, cols)
+def complex_arrays(draw, stack=False):
+    """A complex matrix, or with ``stack`` an (n, r, c) stack, of edge and non-finite entries, stored contiguous
+    or as a transposed view."""
+    shape = (draw(st.integers(1, 4)),) * stack + (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    parts = draw(st.lists(floats, min_size=2 * math.prod(shape), max_size=2 * math.prod(shape)))
+    m = np.array(parts).view(complex).reshape(shape)
+    return np.ascontiguousarray(m.swapaxes(-1, -2)).swapaxes(-1, -2) if draw(st.booleans()) else m
 
 
 @st.composite
@@ -305,98 +307,44 @@ def kraus_sets(draw):
 
 
 reports = st.builds(ChannelReport, *[floats.map(np.float64)] * 4)
-keys = st.one_of(st.sampled_from(["data", "rows", "", 'a "quoted" key', "unicod\u00e9 \u2603", "\\n"]), st.text())
-leaves = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(-(2**70), 2**70),
-    floats,
-    floats.map(np.float64),
-    st.text(),
+names = st.one_of(
+    st.sampled_from(["data", "rows", "", 'a "quoted" key', "100%", "%s", "\0", "unicod\u00e9 \u2603", "\\n"]), st.text()
 )
-json_docs = st.recursive(
-    leaves,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.tuples(children, children),
-        st.dictionaries(keys, children, max_size=4),
-        # matrix-like and ragged `data`, empty rows and lists included
-        st.lists(st.lists(floats, max_size=3), max_size=4),
-        st.dictionaries(st.just("data"), st.lists(st.lists(children, min_size=2, max_size=2), max_size=3)),
-    ),
-    max_leaves=20,
-)
+values = st.one_of(floats, floats.map(np.float64), complex_arrays(), complex_arrays(stack=True),
+                   st.integers(-(2**70), 2**70), st.booleans())
 
 
-@given(
-    st.one_of(
-        complex_matrices().map(matrix_to_json),
-        kraus_sets().map(kraus_to_json),
-        reports.map(report_to_json),
-        json_docs,
-    )
-)
-@example({"data": [[np.float64(-0.0), [None, []]]]})  # a grid row holding a list: numpy's sum raises ValueError
-@example({"data": [[False, -np.inf], [False, np.float64(np.inf)]]})  # numpy's -inf + inf warns
+def _document(doc):
+    """The JSON document that ``text`` writes for the flat document ``doc``: each array as ``matrix_to_json`` writes
+    it, a stack as a list of matrices."""
+    def value(v):
+        if isinstance(v, np.ndarray):
+            return matrix_to_json(v) if v.ndim == 2 else [matrix_to_json(m) for m in v]
+        return float(v) if isinstance(v, float) else v
+
+    return {name: value(v) for name, v in doc.items()}
+
+
+@given(st.dictionaries(names, values, max_size=6))
+@example({"factorable": True, "one": 1, "t": 1.0})  # a bool and an int of equal value: each keeps its own text
+@example({"\0": 0.5, "%": 1})  # a name that is the template's hole string, and a % to escape
 @settings(max_examples=400, deadline=None)
-def test_dumps_writes_the_bytes_of_json_dumps(obj):
-    """The bytes of json.dumps(obj, indent=2) with each non-finite float replaced by None:
+def test_text_writes_the_bytes_of_json_dumps(doc):
+    """The bytes of the standard library's json.dumps(doc, indent=2) with each non-finite float replaced by None:
     a document with no token that JSON lacks."""
-    text = dumps(obj)
-    assert text == json.dumps(_nulled(obj), indent=2)
-    strict_loads(text)
+    written = text(doc)
+    assert written == reference_text(_document(doc))
+    strict_loads(written)
 
 
-def _nulled(obj):
-    """``obj`` with each non-finite float replaced by None, in containers as in leaves."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    if isinstance(obj, (list, tuple)):
-        return [_nulled(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _nulled(v) for k, v in obj.items()}
-    return obj
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [
-        {"data": [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]]},  # ragged, as many entries as a 3x2 grid
-        {"data": [[], []]},
-        {"data": [[1.0, 2.0], (3.0, 4.0)]},
-        {"data": [[1.0, 2.0], {3.0: "a", 4.0: "b"}]},  # a row of float keys is no grid row
-        {"data": [[1.0, 2], [3.0, True]]},
-        {"data": [[1e308, 1e308]]},  # finite, though the sum overflows
-        [[[1.0]], [[2.0]]],
-        {1: "one", 2.5: [1.0]},  # non-str keys
-        {"a": {None: True, False: -0.0}},
-        [{"x": 1}, {3: 4}],
-    ],
-)
-def test_dumps_edge_documents_as_json_dumps(obj):
-    assert dumps(obj) == json.dumps(obj, indent=2)
-
-
-def test_dumps_grid_of_huge_ints_as_json_dumps():
-    """A grid entry too large for a float overflows the grid's finiteness sum; the document is still written."""
-    obj = {"data": [[10**400, 0], [1, -(10**400)]]}
-    assert dumps(obj) == json.dumps(obj, indent=2)
-
-
-@pytest.mark.parametrize("obj", [{"a": object()}, [np.int64(3)], {"data": [[1.0, np.float32(2.0)]]}, {(1, 2): 3}])
-def test_dumps_unknown_type_raises_as_json_dumps(obj):
-    with pytest.raises(TypeError) as expected:
-        json.dumps(obj, indent=2)
-    with pytest.raises(TypeError) as got:
-        dumps(obj)
-    assert str(got.value) == str(expected.value)
-
-
-def test_dumps_cycle_raises_as_json_dumps():
-    doc = {"ops": []}
-    doc["ops"].append(doc)
-    with pytest.raises(ValueError, match="Circular reference"):
-        dumps(doc)
+@given(st.lists(names, min_size=1, max_size=5, unique=True), st.integers(0, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_rows_text_writes_the_bytes_of_json_dumps(row_names, n_rows, data):
+    """A list of float rows, as sweep --format json writes its table, is the standard library's indented JSON of
+    its row documents, each non-finite float as null."""
+    cells = data.draw(st.lists(floats, min_size=n_rows * len(row_names), max_size=n_rows * len(row_names)))
+    table = np.array(cells, dtype=float).reshape(n_rows, len(row_names))
+    assert rows_text(tuple(row_names), table) == reference_text([dict(zip(row_names, row)) for row in table.tolist()])
 
 
 # -- a single Kraus set round-trips; a stack has no document ------------------
@@ -404,25 +352,24 @@ def test_dumps_cycle_raises_as_json_dumps():
 @given(kraus_sets())
 @settings(max_examples=100, deadline=None)
 def test_kraus_set_survives_dumps_and_loads(k):
-    back = kraus_from_json(json.loads(dumps(kraus_to_json(k))))
+    back = kraus_from_json(json.loads(kraus_text(k)))
     assert (back.d_in, back.d_out) == (k.d_in, k.d_out)
     assert np.array_equal(back.ops, k.ops)
 
 
 def test_stacked_kraus_set_and_report_raise(rng):
-    """A stack has no document: the encoders and the texts raise the same ValueError, which gives the stack shape."""
+    """A stack has no document: the texts raise a ValueError that gives the stack shape."""
     stack0, stackt = (validate_density(np.stack([random_density(rng).mat for _ in range(3)])) for _ in range(2))
     k = general_qubit_kraus(stack0, stackt)
-    report = verify_channel(k, stack0, stackt)
-    for encode, text, obj in ((kraus_to_json, kraus_text, k), (report_to_json, report_text, report)):
-        with pytest.raises(ValueError, match=r"stack shape \(3,\)") as expected:
-            encode(obj)
-        with pytest.raises(ValueError) as got:
-            text(obj)
-        assert str(got.value) == str(expected.value)
+    with pytest.raises(ValueError) as kraus_error:
+        kraus_text(k)
+    with pytest.raises(ValueError) as report_error:
+        report_text(verify_channel(k, stack0, stackt))
+    assert str(kraus_error.value) == "cannot encode a stack of Kraus sets (stack shape (3,)); encode each set"
+    assert str(report_error.value) == "cannot encode a stack of reports (stack shape (3,)); encode each set's report"
 
 
-# -- the CLI's texts are dumps of the encoders' documents ----------------------
+# -- the Kraus and report texts are the standard library's bytes of their documents --
 
 @st.composite
 def any_kraus_sets(draw):
@@ -444,8 +391,8 @@ def any_kraus_sets(draw):
 @settings(max_examples=300, deadline=None)
 def test_kraus_and_report_texts_are_dumps_byte_for_byte(k, report):
     event(f"contiguous ops: {k.ops.flags.c_contiguous}")
-    assert kraus_text(k) == dumps(kraus_to_json(k))
-    assert report_text(report) == dumps(report_to_json(report))
+    assert kraus_text(k) == reference_text(kraus_doc(k))
+    assert report_text(report) == reference_text(report_doc(report))
 
 
 def test_templates_are_built_on_first_use_not_at_import():

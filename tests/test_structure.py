@@ -93,3 +93,61 @@ def test_unvalidated_state_fence_fires_on_a_planted_use(file, planted):
     sources[file] += "\n\n" + planted
     _, faults = unvalidated_state_uses(sources)
     assert [fault[0] for fault in faults] == [file]
+
+
+#: What cli.py must not use to build a document: every indented document it writes goes through serialize's
+#: writer (``text``, ``rows_text``, ``kraus_text`` or ``report_text``), one template cache.
+DOCUMENT_BUILDERS = {"matrix_to_json", "kraus_to_json", "report_to_json", "dumps"}
+
+
+def hand_built_documents(source: str) -> list:
+    """(line, name) for each use in ``source`` of a name in DOCUMENT_BUILDERS: called, taken as a value or
+    imported, under ``serialize.`` or as a bare name.  The one allowed use is ``json.dumps(...)`` called with no
+    ``indent`` keyword and no ``**`` keywords (that might hold one): the CLI's one-line documents."""
+    nodes = list(ast.walk(ast.parse(source)))
+    calls = {id(node.func): node for node in nodes if isinstance(node, ast.Call)}
+    faults = []
+    for node in nodes:
+        name = node.name if isinstance(node, ast.alias) else _name(node)
+        if name not in DOCUMENT_BUILDERS:
+            continue
+        call = calls.get(id(node))
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "json"
+                and call is not None and not any(kw.arg in ("indent", None) for kw in call.keywords)):
+            continue
+        faults.append((node.lineno, name))
+    return faults
+
+
+def test_cli_builds_no_indented_document_by_hand():
+    assert hand_built_documents(_sources()["cli.py"]) == []
+
+
+@pytest.mark.parametrize(
+    "planted, name",
+    [
+        ("def cmd_x(args):\n    return serialize.matrix_to_json(args.m)\n", "matrix_to_json"),
+        ("from .serialize import matrix_to_json\n\ndef cmd_x(args):\n    return matrix_to_json(args.m)\n",
+         "matrix_to_json"),
+        ("def cmd_x(args):\n    return serialize.kraus_to_json(args.k)\n", "kraus_to_json"),
+        ("from .serialize import kraus_to_json\n\ndef cmd_x(args):\n    return kraus_to_json(args.k)\n",
+         "kraus_to_json"),
+        ("def cmd_x(args):\n    return serialize.report_to_json(args.r)\n", "report_to_json"),
+        ("from .serialize import report_to_json\n\ndef cmd_x(args):\n    return report_to_json(args.r)\n",
+         "report_to_json"),
+        ("def cmd_x(args):\n    return serialize.dumps(args.doc)\n", "dumps"),
+        ("from .serialize import dumps\n\ndef cmd_x(args):\n    return dumps(args.doc)\n", "dumps"),
+        ("def cmd_x(args):\n    return json.dumps(args.doc, indent=2)\n", "dumps"),
+        ("from json import dumps\n\ndef cmd_x(args):\n    return dumps(args.doc, indent=2)\n", "dumps"),
+        ("def cmd_x(args):\n    return json.dumps(args.doc, **args.style)\n", "dumps"),
+        ("encode = serialize.matrix_to_json\n", "matrix_to_json"),
+    ],
+    ids=["serialize.matrix_to_json", "imported-matrix_to_json", "serialize.kraus_to_json", "imported-kraus_to_json",
+         "serialize.report_to_json", "imported-report_to_json", "serialize.dumps", "imported-dumps",
+         "json.dumps-indent", "imported-json-dumps-indent", "json.dumps-star-keywords", "taken-as-a-value"],
+)
+def test_hand_built_document_fence_fires_on_a_planted_use(planted, name):
+    source = _sources()["cli.py"] + "\n\n" + planted
+    faults = hand_built_documents(source)
+    assert faults and {what for _, what in faults} == {name}
+    assert all(line > len(_sources()["cli.py"].splitlines()) for line, _ in faults)
